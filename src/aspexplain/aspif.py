@@ -8,6 +8,7 @@ other tag is preserved opaquely and re-emitted verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import MalformedHeader, MissingTerminator, TruncatedStatement
 
@@ -75,17 +76,23 @@ Statement = RuleStatement | OutputStatement | ExternalStatement | OpaqueStatemen
 
 @dataclass
 class AspifProgram:
+    """Parsed statements in file order.
+
+    The typed lists are computed on first access and then shared, so
+    ``statements`` must not change once they have been read.
+    """
+
     statements: list[Statement] = field(default_factory=list)
 
-    @property
+    @cached_property
     def rules(self) -> list[RuleStatement]:
         return [s for s in self.statements if isinstance(s, RuleStatement)]
 
-    @property
+    @cached_property
     def outputs(self) -> list[OutputStatement]:
         return [s for s in self.statements if isinstance(s, OutputStatement)]
 
-    @property
+    @cached_property
     def externals(self) -> list[ExternalStatement]:
         return [s for s in self.statements if isinstance(s, ExternalStatement)]
 

@@ -18,7 +18,7 @@ from .aspif import HEAD_CHOICE, WeightBody
 from .constraints import constraint_preprocessing
 from .egraph import build_egraph, merge_supports
 from .errors import NoValidGraph
-from .ground import GroundProgram
+from .ground import GroundProgram, _minimize_sets
 from .support import build_er
 
 _PATH_CAP = 512
@@ -139,18 +139,8 @@ def _path_ds(er, node, path, ta, root):
             results.append(frozenset().union(*combo))
             if len(results) > _PATH_CAP:
                 break
-    results = _minimal_sets(results)
+    results = _minimize_sets(results)
     return results or None
-
-
-def _minimal_sets(sets):
-    seen = set()
-    unique = []
-    for s in sets:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return [s for s in unique if not any(o < s for o in unique)]
 
 
 def min_cycle_break(da: dict) -> list[frozenset[str]]:

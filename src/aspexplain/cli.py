@@ -11,14 +11,7 @@ from . import nodes, oracle
 from .aspif import parse_aspif
 from .assumptions import minimal_assumption_sets
 from .constraints import constraint_preprocessing
-from .egraph import (
-    DEFAULT_MAX_GRAPHS,
-    MAX_GRAPHS_ENV,
-    build_egraph,
-    merge_supports,
-    to_dot,
-    to_json,
-)
+from .egraph import build_egraph, merge_supports, to_dot, to_json
 from .errors import (
     AspifError,
     NoSupport,
@@ -108,10 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="literal to explain: 'a', '~a', or 'not a'")
     p.add_argument("--format", choices=("dot", "json", "text"),
                    default="dot", help="output format (default: dot)")
-    p.add_argument(
-        "--max-graphs", type=int, default=None, metavar="N",
-        help=f"graph enumeration cap (default {DEFAULT_MAX_GRAPHS}; "
-             f"also settable via {MAX_GRAPHS_ENV})")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("assumptions",
@@ -196,12 +185,17 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _checked_answer(args, g: GroundProgram):
+def _load_answered(args) -> tuple[GroundProgram, frozenset[int]] | None:
+    """The program and the answer set, or None after reporting that the
+    interpretation is not an answer set."""
+    g = _load_program(args)
     names = _answer_names(args)
     answer = g.answer_from_names(names)
     if not args.no_check and not oracle.check_answer_set(g, names):
-        return answer, False
-    return answer, True
+        print("error: the given interpretation is not an answer set "
+              "of the program", file=sys.stderr)
+        return None
+    return g, answer
 
 
 def cmd_parse(args) -> int:
@@ -217,19 +211,16 @@ def cmd_parse(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    g = _load_program(args)
-    answer, ok = _checked_answer(args, g)
-    if not ok:
-        print("error: the given interpretation is not an answer set "
-              "of the program", file=sys.stderr)
+    loaded = _load_answered(args)
+    if loaded is None:
         return EXIT_NOT_ANSWER_SET
+    g, answer = loaded
     er = build_er(g, answer)
     ec = constraint_preprocessing(g, answer)
     table = merge_supports(er, ec)
     report = minimal_assumption_sets(g, answer, er=er, table=table)
-    graphs = build_egraph(table, report.chosen_u, parse_root(args.root),
-                          max_graphs=args.max_graphs)
-    graph = graphs[0]
+    graph = build_egraph(table, report.chosen_u, parse_root(args.root),
+                         max_graphs=1)[0]
     if args.format == "dot":
         text = to_dot(graph, ascii_only=args.ascii)
     elif args.format == "json":
@@ -254,12 +245,10 @@ def _text_report(er, ec, report, graph, ascii_only: bool) -> str:
 
 
 def cmd_assumptions(args) -> int:
-    g = _load_program(args)
-    answer, ok = _checked_answer(args, g)
-    if not ok:
-        print("error: the given interpretation is not an answer set "
-              "of the program", file=sys.stderr)
+    loaded = _load_answered(args)
+    if loaded is None:
         return EXIT_NOT_ANSWER_SET
+    g, answer = loaded
     report = minimal_assumption_sets(g, answer)
     lines = [
         "TA = " + _fmt_set(report.ta),

@@ -14,7 +14,7 @@ import itertools
 
 from . import nodes
 from .errors import NotApplicable, UnsupportedWeightBody, UnviolableConstraint
-from .ground import ChoiceAtomSpec, GroundProgram, GroundRule
+from .ground import ChoiceAtomSpec, GroundProgram, GroundRule, _dedupe_sets
 from .support import _merge_expansion, choice_body_support
 
 POS_BODY = "pos_body"
@@ -28,15 +28,12 @@ def classify_choice_support(g: GroundProgram, x: ChoiceAtomSpec, side: str,
     Raises NotApplicable when the occurrence does not falsify the body
     (the bound test holds on the side that would let the constraint fire).
     """
-    count = len(g.satisfied_elements(x, A))
+    in_bounds = g.spec_holds(x, A)
     if side == POS_BODY:
-        in_bounds = count >= x.lower and (x.upper is None or count <= x.upper)
         if not in_bounds:
             return g.spec_node(x, positive=False)
-    else:
-        in_bounds = count >= x.lower and (x.upper is None or count <= x.upper)
-        if in_bounds:
-            return g.spec_node(x, positive=True)
+    elif in_bounds:
+        return g.spec_node(x, positive=True)
     raise NotApplicable(
         f"bound test {g.spec_node(x).render()} does not falsify the "
         f"constraint on side {side}")
@@ -67,13 +64,7 @@ def _resolved_bodies(g: GroundProgram, rule: GroundRule):
     bodies = [frozenset()]
     for alternatives in per_term:
         bodies = [b | alt for b, alt in itertools.product(bodies, alternatives)]
-    seen = set()
-    unique = []
-    for body in bodies:
-        if body not in seen:
-            seen.add(body)
-            unique.append(body)
-    return unique, specs
+    return _dedupe_sets(bodies), specs
 
 
 def constraint_preprocessing(g: GroundProgram, A: frozenset[int]):
@@ -83,16 +74,7 @@ def constraint_preprocessing(g: GroundProgram, A: frozenset[int]):
         bodies, specs = _resolved_bodies(g, rule)
         for body in bodies:
             _process_constraint(g, A, rule, body, specs, ec)
-    deduped = {}
-    for key, value in ec.items():
-        seen = set()
-        kept = []
-        for entry in value:
-            if entry not in seen:
-                seen.add(entry)
-                kept.append(entry)
-        deduped[key] = kept
-    return deduped
+    return {key: _dedupe_sets(value) for key, value in ec.items()}
 
 
 def _process_constraint(g, A, rule, body, specs, ec) -> None:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 from . import nodes
 from .errors import NoValidGraph, UnknownLiteral
+from .ground import _dedupe_sets
 
 DEFAULT_MAX_GRAPHS = 64
-MAX_GRAPHS_ENV = "ASPEXPLAIN_MAX_GRAPHS"
 
 
 @dataclass(frozen=True)
@@ -75,27 +74,14 @@ def merge_supports(er: dict, ec: dict) -> dict:
             combined = list(left if left is not None else right)
         else:
             combined = [r | c for r in left for c in right]
-        seen: set[frozenset] = set()
-        deduped = []
-        for support in combined:
-            if support not in seen:
-                seen.add(support)
-                deduped.append(support)
-        merged[key] = deduped
+        merged[key] = _dedupe_sets(combined)
     return merged
 
 
-def _graph_cap(max_graphs: int | None) -> int:
-    if max_graphs is not None:
-        return max_graphs
-    return int(os.environ.get(MAX_GRAPHS_ENV, DEFAULT_MAX_GRAPHS))
-
-
 def build_egraph(e: dict, u, root: nodes.ENode,
-                 max_graphs: int | None = None) -> list[ExplanationGraph]:
+                 max_graphs: int = DEFAULT_MAX_GRAPHS) -> list[ExplanationGraph]:
     """All valid explanation graphs for a literal, canonical one first."""
     assumed = frozenset(u)
-    cap = _graph_cap(max_graphs)
     _check_root(e, root)
     results: list[ExplanationGraph] = []
 
@@ -107,7 +93,7 @@ def build_egraph(e: dict, u, root: nodes.ENode,
         return e.get(node, [])
 
     def rec(pending: tuple, chosen: dict):
-        if len(results) >= cap:
+        if len(results) >= max_graphs:
             return
         while pending and (pending[0] in chosen
                            or pending[0].kind in nodes.TERMINAL_KINDS):
@@ -122,7 +108,7 @@ def build_egraph(e: dict, u, root: nodes.ENode,
             chosen[node] = support
             rec(rest + tuple(nodes.sorted_nodes(support)), chosen)
             del chosen[node]
-            if len(results) >= cap:
+            if len(results) >= max_graphs:
                 return
 
     rec((root,), {})

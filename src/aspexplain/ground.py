@@ -298,14 +298,9 @@ class GroundProgram:
         return f"{head} :- {body}." if body else f"{head}."
 
 
-def _dedupe_sets(sets: list[frozenset]) -> list[frozenset]:
-    seen = set()
-    out = []
-    for s in sets:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
+def _dedupe_sets(sets) -> list[frozenset]:
+    """Drop duplicates, preserving first-seen order."""
+    return list(dict.fromkeys(sets))
 
 
 def _minimize_sets(sets: list[frozenset]) -> list[frozenset]:
@@ -327,11 +322,6 @@ def reconstruct(aspif_program: AspifProgram) -> GroundProgram:
     _build_index(gp)
     gp.nant = frozenset(_compute_nant(gp))
     return gp
-
-
-def compute_nant(gp: GroundProgram) -> frozenset[int]:
-    """Named atoms under default negation, through auxiliary chains."""
-    return frozenset(_compute_nant(gp))
 
 
 def _read_symbols(gp: GroundProgram) -> None:
@@ -479,26 +469,6 @@ class _ChoiceFolder:
         ordered = (element,) + tuple(l for l in lits if l != element)
         return ChoiceElement(ordered, element), stmt
 
-    def mark_used(self, aid: int) -> None:
-        self.used.add(aid)
-        spec = self._spec_memo.get(aid)
-        if spec is None:
-            return
-        # Pull in the lo/hi arms behind a combiner.
-        stmt = self._single_def(aid)
-        if stmt is not None and isinstance(stmt.body, NormalBody) \
-                and len(stmt.body.literals) == 2:
-            lo_aid = stmt.body.literals[0]
-            hi_aid = -stmt.body.literals[1]
-            for arm in (lo_aid, hi_aid):
-                arm_stmt = self._single_def(arm)
-                if arm_stmt is not None and isinstance(arm_stmt.body, WeightBody):
-                    self.clusters.setdefault(aid, []).append(arm_stmt)
-                    for lit, _ in arm_stmt.body.elements:
-                        t = self._single_def(lit) if lit > 0 else None
-                        if t is not None:
-                            self.clusters[aid].append(t)
-
 
 def _build_rules(gp: GroundProgram, folder: _ChoiceFolder) -> None:
     rules: list[GroundRule] = []
@@ -517,7 +487,7 @@ def _build_rules(gp: GroundProgram, folder: _ChoiceFolder) -> None:
                 spec = folder.direct_spec(stmt)
             if spec is not None:
                 rules.append(GroundRule(kind, stmt.head, (spec,), (), idx))
-                folder.mark_used(stmt.head[0])
+                folder.used.add(stmt.head[0])
             else:
                 rules.append(GroundRule(kind, stmt.head, statement_index=idx,
                                         raw_weight=stmt.body))
@@ -530,7 +500,7 @@ def _build_rules(gp: GroundProgram, folder: _ChoiceFolder) -> None:
             if not gp.is_named(aid):
                 spec = folder.spec_for(aid)
             if spec is not None:
-                folder.mark_used(aid)
+                folder.used.add(aid)
                 (pos if lit > 0 else neg).append(spec)
             else:
                 (pos if lit > 0 else neg).append(lit if lit > 0 else aid)

@@ -28,10 +28,6 @@ MAX_FREE_AUX = 12
 Interpretation = frozenset  # of atom names
 
 
-def _aspif_of(g) -> AspifProgram:
-    return g.aspif if hasattr(g, "aspif") else g
-
-
 def _name_map(program: AspifProgram) -> dict[str, int]:
     names: dict[str, int] = {}
     for stmt in program.outputs:
@@ -194,8 +190,7 @@ class _Checker:
 
 def check_answer_set(g, answer_names) -> bool:
     """True iff the named atoms form an answer set of the program."""
-    program = _aspif_of(g)
-    checker = _Checker(program)
+    checker = _Checker(g.aspif)
     named_true = set()
     for name in answer_names:
         if name not in checker.names:
@@ -210,8 +205,7 @@ def check_answer_set(g, answer_names) -> bool:
 
 def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpretation]:
     """All answer sets, projected to named atoms, in deterministic order."""
-    program = _aspif_of(g)
-    checker = _Checker(program)
+    checker = _Checker(g.aspif)
     named_facts = sorted(n for n, i in checker.names.items()
                          if i in checker.externals)
     candidates = sorted(n for n, i in checker.names.items()

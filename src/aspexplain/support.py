@@ -76,16 +76,6 @@ def _term_true_options(g, term, positive, A, expansion):
     return _holding_alternatives(g, term if positive else -term, A)
 
 
-def _term_false_options(g, term, positive, A, expansion):
-    if isinstance(term, ChoiceAtomSpec):
-        if not g.term_holds(term, positive, A):
-            node, fragment = choice_body_support(g, term, A, not positive)
-            _merge_expansion(expansion, fragment)
-            return [frozenset({node})]
-        return []
-    return _holding_alternatives(g, -term if positive else term, A)
-
-
 def _body_true_options(g, rule: GroundRule, A, expansion):
     """One supported set per way of satisfying the body; [] if unsatisfied."""
     g.body_holds(rule, A)  # raises on opaque weight bodies
@@ -142,13 +132,11 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
                 options.append(option | {nodes.minus_choice_node()}
                                | _companions(g, rule, c))
         elif not body_options:
-            failing = []
+            # A body fails through any one term that does not hold.
             for term in rule.pos_body:
-                failing.append(_term_false_options(g, term, True, A, expansion))
+                options.extend(_term_true_options(g, term, False, A, expansion))
             for term in rule.neg_body:
-                failing.append(_term_false_options(g, term, False, A, expansion))
-            for ways in failing:
-                options.extend(ways)
+                options.extend(_term_true_options(g, term, True, A, expansion))
             options = _minimize_sets(options)
         per_rule.append(options)
     combined = _minimize_sets(_cross_union(per_rule))

@@ -21,6 +21,13 @@ def test_p1_statement_counts(p1_program):
     assert len(p1_program.externals) == 2
 
 
+def test_typed_lists_are_computed_once(p1_text):
+    program = parse_aspif(p1_text)
+    assert program.rules is program.rules
+    assert program.outputs is program.outputs
+    assert program.externals is program.externals
+
+
 def test_p1_symbols(p1_program):
     symbols = {s.condition[0]: s.symbol for s in p1_program.outputs}
     assert symbols == {1: "n(1)", 2: "n(2)", 3: "c", 4: "a",

@@ -270,21 +270,6 @@ class TestEnumeration:
         assert len(build_egraph(e, u, nodes.atom_node("a"),
                                 max_graphs=1)) == 1
 
-    def test_cap_from_environment(self, monkeypatch):
-        g = build(
-            "1 0 1 1 0 1 2\n"
-            "1 0 1 1 0 1 3\n"
-            "1 0 1 2 0 0\n"
-            "1 0 1 3 0 0\n"
-            "4 1 a 1 1\n"
-            "4 1 b 1 2\n"
-            "4 1 c 1 3\n"
-        )
-        answer = g.answer_from_names(["a", "b", "c"])
-        e, u = pipeline(g, answer)
-        monkeypatch.setenv("ASPEXPLAIN_MAX_GRAPHS", "1")
-        assert len(build_egraph(e, u, nodes.atom_node("a"))) == 1
-
 
 class TestSerialization:
     def test_dot_styles(self, p1, p1_answer):
