@@ -2,11 +2,14 @@
 
 Only the statement kinds the explanation pipeline consumes are modelled
 structurally: rules (tag 1), outputs (tag 4) and externals (tag 5).  Any
-other tag is preserved opaquely and re-emitted verbatim.
+other tag is preserved opaquely and re-emitted verbatim.  The one
+least-model operator of the package, :meth:`AspifProgram.least_model`,
+works on these parsed statements.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -95,6 +98,73 @@ class AspifProgram:
     @cached_property
     def externals(self) -> list[ExternalStatement]:
         return [s for s in self.statements if isinstance(s, ExternalStatement)]
+
+    @cached_property
+    def _positive_occurrences(self) -> tuple[list[RuleStatement],
+                                             dict[int, list[tuple[int, int]]]]:
+        """The non-constraint rules, and for each atom the (rule index,
+        weight) pairs of its positive body occurrences; a normal body
+        literal weighs 1, and a repeated literal counts per occurrence."""
+        rules = [s for s in self.rules if not s.is_constraint]
+        occurrences: dict[int, list[tuple[int, int]]] = {}
+        for index, stmt in enumerate(rules):
+            body = stmt.body
+            elements = body.elements if isinstance(body, WeightBody) \
+                else [(lit, 1) for lit in body.literals]
+            for lit, weight in elements:
+                if lit > 0:
+                    occurrences.setdefault(lit, []).append((index, weight))
+        return rules, occurrences
+
+    def least_model(self, interpretation, choosable) -> set[int]:
+        """Least model of the rules with their negative literals fixed.
+
+        ``~a`` holds iff ``a`` is not in ``interpretation``; externals are
+        facts.  A choice rule derives only its heads in ``choosable``, and
+        none when ``choosable`` is None; constraints are ignored.  Each rule
+        keeps a counter of the body weight still missing, so every positive
+        occurrence is visited once (Dowling & Gallier 1984): linear in the
+        program size, whatever the statement order.  Weights are assumed
+        non-negative, as grounders emit them.
+        """
+        rules, occurrences = self._positive_occurrences
+        missing: list[float] = []
+        queue = [s.atom for s in self.externals]
+
+        def fire(stmt: RuleStatement) -> None:
+            if stmt.is_choice:
+                queue.extend(h for h in stmt.head if h in choosable)
+            else:
+                queue.extend(stmt.head)
+
+        for stmt in rules:
+            body = stmt.body
+            if stmt.is_choice and choosable is None:
+                need: float = math.inf
+            elif isinstance(body, WeightBody):
+                need = body.lower - sum(
+                    w for lit, w in body.elements
+                    if lit < 0 and -lit not in interpretation)
+            elif any(lit < 0 and -lit in interpretation
+                     for lit in body.literals):
+                need = math.inf
+            else:
+                need = sum(1 for lit in body.literals if lit > 0)
+            missing.append(need)
+            if need <= 0:
+                fire(stmt)
+        derived: set[int] = set()
+        while queue:
+            atom = queue.pop()
+            if atom in derived:
+                continue
+            derived.add(atom)
+            for index, weight in occurrences.get(atom, ()):
+                need = missing[index] - weight
+                missing[index] = need
+                if need <= 0 < need + weight:
+                    fire(rules[index])
+        return derived
 
     def atom_ids(self) -> set[int]:
         """Every atom id referenced by a structural statement."""

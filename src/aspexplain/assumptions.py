@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import nodes
-from .aspif import HEAD_CHOICE, WeightBody
 from .constraints import constraint_preprocessing
 from .egraph import build_egraph, merge_supports
 from .errors import NoValidGraph
@@ -36,44 +35,21 @@ class AssumptionReport:
 
 
 def well_founded(g: GroundProgram) -> tuple[frozenset[int], frozenset[int]]:
-    """(true, false) atom ids under the alternating-fixpoint approximation."""
+    """(true, false) atom ids of the well-founded model.
+
+    The alternating fixpoint of Van Gelder, Ross & Schlipf: the true atoms
+    are the least model with negation read against the possible atoms,
+    choice rules off; the possible atoms are the least model with negation
+    read against the true atoms, every choice head allowed.  Both passes
+    use the counter-based operator :meth:`AspifProgram.least_model`.
+    """
     program = g.aspif
     atoms = program.atom_ids()
-    externals = {s.atom for s in program.externals}
-    rules = program.rules
-
-    def gamma(assumed_true: set[int], include_choice: bool) -> set[int]:
-        derived = set(externals)
-
-        def holds(lit: int) -> bool:
-            if lit > 0:
-                return lit in derived
-            return -lit not in assumed_true
-
-        def body_true(body) -> bool:
-            if isinstance(body, WeightBody):
-                return sum(w for l, w in body.elements if holds(l)) >= body.lower
-            return all(holds(l) for l in body.literals)
-
-        changed = True
-        while changed:
-            changed = False
-            for stmt in rules:
-                if stmt.is_constraint:
-                    continue
-                if stmt.head_type == HEAD_CHOICE and not include_choice:
-                    continue
-                targets = [h for h in stmt.head if h not in derived]
-                if targets and body_true(stmt.body):
-                    derived.update(targets)
-                    changed = True
-        return derived
-
     true: set[int] = set()
-    possible: set[int] = set(atoms)
+    possible: set[int] = atoms
     while True:
-        new_true = gamma(possible, include_choice=False)
-        new_possible = gamma(new_true, include_choice=True)
+        new_true = program.least_model(possible, None)
+        new_possible = program.least_model(new_true, atoms)
         if new_true == true and new_possible == possible:
             break
         true, possible = new_true, new_possible

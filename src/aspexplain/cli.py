@@ -31,6 +31,7 @@ EXIT_NOT_ANSWER_SET = 3
 EXIT_UNKNOWN_LITERAL = 4
 EXIT_NO_VALID_GRAPH = 5
 EXIT_TOO_LARGE = 6
+EXIT_USAGE = 7
 
 
 def main(argv=None) -> int:
@@ -58,8 +59,17 @@ def _fail(err: BaseException, code: int) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE on a bad command line, not argparse's 2,
+    which the exit-code table gives to reconstruction failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aspexplain",
         description="Explain why literals hold in an answer set of a "
                     "ground logic program (aspif input).")

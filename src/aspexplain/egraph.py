@@ -92,26 +92,42 @@ def build_egraph(e: dict, u, root: nodes.ENode,
             return []
         return e.get(node, [])
 
-    def rec(pending: tuple, chosen: dict):
-        if len(results) >= max_graphs:
-            return
-        while pending and (pending[0] in chosen
-                           or pending[0].kind in nodes.TERMINAL_KINDS):
-            pending = pending[1:]
-        if not pending:
-            graph = _assemble(root, chosen)
-            if _cycle_safe(graph.edges):
-                results.append(graph)
-            return
-        node, rest = pending[0], pending[1:]
-        for support in options(node):
+    # Depth-first search over one support choice per pending node, with an
+    # explicit stack so that long chains do not meet the recursion limit.
+    # A frame holds a node, the nodes pending after it, and its untried
+    # supports; the node is in ``chosen`` while a support of it is tried.
+    chosen: dict[nodes.ENode, frozenset] = {}
+    frames: list[tuple] = []
+    pending: tuple = (root,)
+    while True:
+        if len(results) < max_graphs:
+            while pending and (pending[0] in chosen
+                               or pending[0].kind in nodes.TERMINAL_KINDS):
+                pending = pending[1:]
+            if pending:
+                frames.append((pending[0], pending[1:],
+                               iter(options(pending[0]))))
+            else:
+                graph = _assemble(root, chosen)
+                if _cycle_safe(graph.edges):
+                    results.append(graph)
+        while frames:
+            node, rest, supports = frames[-1]
+            if node in chosen:
+                del chosen[node]
+                if len(results) >= max_graphs:
+                    frames.pop()
+                    continue
+            support = next(supports, None)
+            if support is None:
+                frames.pop()
+                continue
             chosen[node] = support
-            rec(rest + tuple(nodes.sorted_nodes(support)), chosen)
-            del chosen[node]
-            if len(results) >= max_graphs:
-                return
+            pending = rest + tuple(nodes.sorted_nodes(support))
+            break
+        else:
+            break
 
-    rec((root,), {})
     if not results:
         joined = ", ".join(sorted(assumed))
         raise NoValidGraph(
@@ -173,36 +189,44 @@ def _scc_index(adjacency: dict) -> dict:
     on_stack: set[nodes.ENode] = set()
     stack: list[nodes.ENode] = []
     component: dict[nodes.ENode, int] = {}
-    counter = [0]
-    comp_counter = [0]
+    comp_counter = 0
 
-    def visit(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in adjacency.get(v, ()):
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            members = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                members.append(w)
-                if w == v:
+    for start in list(adjacency):
+        if start in index:
+            continue
+        # Each frame is a node and the iterator over its remaining targets.
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        on_stack.add(start)
+        frames = [(start, iter(adjacency.get(start, ())))]
+        while frames:
+            v, targets = frames[-1]
+            for w in targets:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    frames.append((w, iter(adjacency.get(w, ()))))
                     break
-            if len(members) > 1 or v in adjacency.get(v, ()):
-                for w in members:
-                    component[w] = comp_counter[0]
-                comp_counter[0] += 1
-
-    for v in list(adjacency):
-        if v not in index:
-            visit(v)
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        members.append(w)
+                        if w == v:
+                            break
+                    if len(members) > 1 or v in adjacency.get(v, ()):
+                        for w in members:
+                            component[w] = comp_counter
+                        comp_counter += 1
     return component
 
 

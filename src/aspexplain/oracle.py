@@ -2,7 +2,10 @@
 
 This module deliberately works on the raw parsed statements rather than the
 reconstructed rule view, so its verdicts are independent of the folding and
-support machinery it is used to cross-check.  Choice bounds need no special
+support machinery it is used to cross-check.  The reduct's least model comes
+from the aspif-level operator :meth:`AspifProgram.least_model`, which the
+well-founded model shares; it too reads only the parsed statements, so the
+oracle stays independent of folding.  Choice bounds need no special
 treatment here: the grounder encodes them as ordinary weight bodies and
 integrity constraints, which are checked directly.
 """
@@ -54,6 +57,12 @@ class _Checker:
         self.externals = {s.atom for s in program.externals}
         self.all_ids = program.atom_ids()
         self.aux_ids = sorted(self.all_ids - self.named_ids - self.externals)
+        aux = set(self.aux_ids)
+        self.defs: dict[int, list[RuleStatement]] = {}
+        for stmt in program.rules:
+            for head in stmt.head:
+                if head in aux:
+                    self.defs.setdefault(head, []).append(stmt)
 
     def complete(self, named_true: frozenset[int]) -> list[frozenset[int]]:
         """All total interpretations extending a guess over named atoms.
@@ -101,17 +110,11 @@ class _Checker:
                 return True
             return None
 
-        defs: dict[int, list[RuleStatement]] = {}
-        for stmt in self.program.rules:
-            for head in stmt.head:
-                if head in open_aux:
-                    defs.setdefault(head, []).append(stmt)
-
         changed = True
         while changed:
             changed = False
             for aux in sorted(open_aux):
-                statements = defs.get(aux, [])
+                statements = self.defs.get(aux, [])
                 body_values = [body_value(s.body) for s in statements]
                 derivable = any(
                     v is True and s.head_type != HEAD_CHOICE
@@ -156,36 +159,9 @@ class _Checker:
                 return False
         return True
 
-    def reduct_least_model(self, total: frozenset[int]) -> frozenset[int]:
-        derived: set[int] = set(self.externals)
-
-        def reached(lit: int) -> bool:
-            # Positive literals must already be derived; negative literals
-            # are fixed by the candidate (Gelfond-Lifschitz reduct).
-            if lit > 0:
-                return lit in derived
-            return -lit not in total
-
-        changed = True
-        while changed:
-            changed = False
-            for stmt in self.program.rules:
-                if stmt.is_constraint:
-                    continue
-                if stmt.head_type == HEAD_CHOICE:
-                    targets = [h for h in stmt.head
-                               if h in total and h not in derived]
-                else:
-                    targets = [h for h in stmt.head if h not in derived]
-                if not targets or not _body_true(stmt.body, reached):
-                    continue
-                derived.update(targets)
-                changed = True
-        return frozenset(derived)
-
     def is_stable(self, total: frozenset[int]) -> bool:
         return self.classically_satisfied(total) \
-            and self.reduct_least_model(total) == total
+            and self.program.least_model(total, total) == total
 
 
 def check_answer_set(g, answer_names) -> bool:

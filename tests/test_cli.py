@@ -219,6 +219,46 @@ class TestExplain:
         assert outs[0] != outs[1]
 
 
+    def test_long_forward_chain_tip(self, capsys, tmp_path):
+        # x(i) :- x(i-1) from the fact x(1): the graph search goes one
+        # level deeper per link, past the interpreter's recursion limit.
+        n = 1500
+        lines = ["asp 1 0 0", "5 1 2"]
+        lines += [f"1 0 1 {i} 0 1 {i - 1}" for i in range(2, n + 1)]
+        lines += [f"4 {len(f'x({i})')} x({i}) 1 {i}" for i in range(1, n + 1)]
+        path = write(tmp_path, "chain.aspif", "\n".join(lines + ["0\n"]))
+        answer = " ".join(f"x({i})" for i in range(1, n + 1))
+        code, out, err = run(capsys, "explain", path, "--answer", answer,
+                             "--root", f"x({n})", "--format", "text")
+        assert code == 0, err
+        edges = out.split(f"graph x({n}):\n")[1].splitlines()
+        expected = [f"x({i}) -> x({i - 1}) [plus]" for i in range(2, n + 1)]
+        assert sorted(edges) == sorted(expected + ["x(1) -> ⊤ [circ]"])
+
+
+class TestUsage:
+    def test_unknown_flag_exits_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["explain", P1, "--answer-set", P1_ANSWER,
+                      "--root", "c", "--max-graphs", "3"])
+        assert exit_info.value.code == cli.EXIT_USAGE == 7
+        assert "unrecognized arguments: --max-graphs 3" in \
+            capsys.readouterr().err
+
+    def test_missing_required_argument_exits_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["explain", P1, "--answer-set", P1_ANSWER])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert "the following arguments are required: --root" in \
+            capsys.readouterr().err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["parse", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: aspexplain parse" in capsys.readouterr().out
+
+
 class TestAssumptions:
     def test_running_example(self, capsys):
         code, out, err = run(
