@@ -4,7 +4,7 @@ Only the statement kinds the explanation pipeline consumes are modelled
 structurally: rules (tag 1), outputs (tag 4) and externals (tag 5).  Any
 other tag is preserved opaquely and re-emitted verbatim.  The one
 least-model operator of the package, :meth:`AspifProgram.least_model`,
-works on these parsed statements.
+and the well-founded model built on it work on these parsed statements.
 """
 
 from __future__ import annotations
@@ -166,6 +166,26 @@ class AspifProgram:
                     fire(rules[index])
         return derived
 
+    def well_founded(self) -> tuple[frozenset[int], frozenset[int]]:
+        """(true, false) atom ids of the well-founded model.
+
+        The alternating fixpoint of Van Gelder, Ross & Schlipf: the true
+        atoms are the least model with negation read against the possible
+        atoms, choice rules off; the possible atoms are the least model
+        with negation read against the true atoms, every choice head
+        allowed.  Every answer set contains the true atoms and none of the
+        false ones.
+        """
+        atoms = self.atom_ids()
+        true: set[int] = set()
+        possible: set[int] = atoms
+        while True:
+            new_true = self.least_model(possible, None)
+            new_possible = self.least_model(new_true, atoms)
+            if new_true == true and new_possible == possible:
+                return frozenset(true), frozenset(atoms - possible)
+            true, possible = new_true, new_possible
+
     def atom_ids(self) -> set[int]:
         """Every atom id referenced by a structural statement."""
         ids: set[int] = set()
@@ -226,6 +246,9 @@ def _parse_rule(fields: _Fields) -> RuleStatement:
         elements = tuple(
             (fields.take("weight literal"), fields.take("weight"))
             for _ in range(n_body))
+        if any(weight < 0 for _, weight in elements):
+            raise TruncatedStatement(
+                f"line {fields.lineno}: negative weight in a weight body")
         body = WeightBody(lower, elements)
     else:
         raise TruncatedStatement(

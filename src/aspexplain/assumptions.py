@@ -35,25 +35,8 @@ class AssumptionReport:
 
 
 def well_founded(g: GroundProgram) -> tuple[frozenset[int], frozenset[int]]:
-    """(true, false) atom ids of the well-founded model.
-
-    The alternating fixpoint of Van Gelder, Ross & Schlipf: the true atoms
-    are the least model with negation read against the possible atoms,
-    choice rules off; the possible atoms are the least model with negation
-    read against the true atoms, every choice head allowed.  Both passes
-    use the counter-based operator :meth:`AspifProgram.least_model`.
-    """
-    program = g.aspif
-    atoms = program.atom_ids()
-    true: set[int] = set()
-    possible: set[int] = atoms
-    while True:
-        new_true = program.least_model(possible, None)
-        new_possible = program.least_model(new_true, atoms)
-        if new_true == true and new_possible == possible:
-            break
-        true, possible = new_true, new_possible
-    return frozenset(true), frozenset(atoms - possible)
+    """(true, false) atom ids of the well-founded model of ``g``'s program."""
+    return g.aspif.well_founded()
 
 
 def tentative_assumptions(g: GroundProgram, A: frozenset[int]) -> frozenset[str]:
@@ -68,7 +51,7 @@ def derivation_analysis(er, ta: frozenset[str]):
     t_deferred = set()
     da: dict[str, list[frozenset[str]]] = {}
     for name in sorted(ta):
-        ds = _path_ds(er, nodes.neg_atom_node(name), (), ta, name)
+        ds = _path_ds(er, nodes.neg_atom_node(name), ta, name)
         if ds is not None:
             t_deferred.add(name)
             da[name] = ds
@@ -76,47 +59,91 @@ def derivation_analysis(er, ta: frozenset[str]):
     return frozenset(t_must), frozenset(t_deferred), da
 
 
-def _path_ds(er, node, path, ta, root):
-    """D-sets of all valid derivation paths below a node, or None.
+_OPEN = object()  # a node whose D-sets need its supports expanded
 
-    A path is invalid if it re-reaches the root or closes a cycle through
-    any non-minus edge; other tentative atoms terminate a path and are
-    collected.
-    """
+
+def _leaf_ds(node, on_path, non_neg, ta, root):
+    """The D-sets of a node that is decided without expanding it, or _OPEN."""
     if node.kind in nodes.TERMINAL_KINDS:
         return [frozenset()]
     if node.kind == nodes.NEG_ATOM and node.payload[0] in ta:
         name = node.payload[0]
         if name != root:
             return [frozenset({name})]
-        if path:
+        if on_path:
             return None
-    if node in path:
-        start = path.index(node)
-        cycle = path[start + 1:] + (node,)
-        if all(n.kind == nodes.NEG_ATOM for n in cycle):
-            return [frozenset()]
-        return None
-    alternatives = er.get(node)
-    if alternatives is None:
-        return None
-    results: list[frozenset[str]] = []
-    for support in alternatives:
-        member_lists = []
-        for member in nodes.sorted_nodes(support):
-            sub = _path_ds(er, member, path + (node,), ta, root)
-            if sub is None:
-                member_lists = None
-                break
-            member_lists.append(sub)
-        if member_lists is None:
-            continue
-        for combo in itertools.product(*member_lists):
-            results.append(frozenset().union(*combo))
-            if len(results) > _PATH_CAP:
-                break
-    results = _minimize_sets(results)
-    return results or None
+    if node in on_path:
+        # The cycle from ``node`` back to itself is valid only if it holds
+        # no node but negative atoms.
+        return [frozenset()] if on_path[node] == non_neg else None
+    return _OPEN
+
+
+class _Frame:
+    """An expanded node: its untried supports, the members of the support
+    being tried and their D-set lists (None once a member has none), and
+    the D-sets found so far."""
+
+    def __init__(self, node, supports):
+        self.node = node
+        self.supports = iter(supports)
+        self.members = iter(())
+        self.lists: list | None = None
+        self.results: list[frozenset[str]] = []
+
+
+def _path_ds(er, start, ta, root):
+    """D-sets of all valid derivation paths below a node, or None.
+
+    A path is invalid if it re-reaches the root or closes a cycle through
+    any non-minus edge; other tentative atoms terminate a path and are
+    collected.  The search is depth-first with an explicit stack, so long
+    chains do not meet the recursion limit.  ``on_path`` maps each node on
+    the path to the number of non-negative-atom nodes above it, so closing
+    a cycle is checked in constant time.
+    """
+    on_path: dict[nodes.ENode, int] = {}
+    non_neg = 0
+    frames: list[_Frame] = []
+    node = start
+    while True:
+        value = _leaf_ds(node, on_path, non_neg, ta, root)
+        if value is _OPEN:
+            alternatives = er.get(node)
+            if alternatives is None:
+                value = None
+            else:
+                on_path[node] = non_neg
+                non_neg += node.kind != nodes.NEG_ATOM
+                frames.append(_Frame(node, alternatives))
+        # Hand the value to the frame below it, finishing frames whose
+        # supports are all tried, until a member is left to evaluate.
+        while True:
+            if value is not _OPEN:
+                if not frames:
+                    return value
+                if value is None:
+                    frames[-1].lists = None
+                else:
+                    frames[-1].lists.append(value)
+                value = _OPEN
+            frame = frames[-1]
+            if frame.lists is not None:
+                node = next(frame.members, None)
+                if node is not None:
+                    break
+                for combo in itertools.product(*frame.lists):
+                    frame.results.append(frozenset().union(*combo))
+                    if len(frame.results) > _PATH_CAP:
+                        break
+            support = next(frame.supports, None)
+            if support is None:
+                frames.pop()
+                non_neg = on_path.pop(frame.node)
+                value = _minimize_sets(frame.results) or None
+            else:
+                frame.members = iter(nodes.sorted_nodes(support))
+                frame.lists = []
 
 
 def min_cycle_break(da: dict) -> list[frozenset[str]]:

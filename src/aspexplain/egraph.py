@@ -288,13 +288,28 @@ def _quote(label: str) -> str:
 
 
 def to_dot(g: ExplanationGraph, ascii_only: bool = False) -> str:
+    """Graphviz text.  DOT names a node by its label, so where two nodes of
+    the graph render alike (a one-element tuple renders like its atom),
+    each after the first is named with its kind added, as ``a (tuple)``."""
     lines = ["digraph explanation {"]
+    renamed: dict[nodes.ENode, str] = {}
+    taken: set[str] = set()
     for node in g.nodes:
-        lines.append(f"  {_quote(node.render(ascii_only))};")
+        label = node.render(ascii_only)
+        if label in taken:
+            label = renamed[node] = f"{label} ({node.kind})"
+        taken.add(label)
+        lines.append(f"  {_quote(label)};")
     for edge in g.edges:
+        source = edge.source.render(ascii_only)
+        target = edge.target.render(ascii_only)
+        # Hashing a node costs more than rendering it; most graphs rename
+        # none.
+        if renamed:
+            source = renamed.get(edge.source, source)
+            target = renamed.get(edge.target, target)
         lines.append(
-            f"  {_quote(edge.source.render(ascii_only))} -> "
-            f"{_quote(edge.target.render(ascii_only))} "
+            f"  {_quote(source)} -> {_quote(target)} "
             f"{_DOT_STYLE[edge.label]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

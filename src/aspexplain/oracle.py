@@ -3,8 +3,10 @@
 This module deliberately works on the raw parsed statements rather than the
 reconstructed rule view, so its verdicts are independent of the folding and
 support machinery it is used to cross-check.  The reduct's least model comes
-from the aspif-level operator :meth:`AspifProgram.least_model`, which the
-well-founded model shares; it too reads only the parsed statements, so the
+from the aspif-level operator :meth:`AspifProgram.least_model`, and the
+guesses of :func:`enumerate_answer_sets` are bounded by the well-founded
+model :meth:`AspifProgram.well_founded` built on it, the same model the
+assumption analysis uses; both read only the parsed statements, so the
 oracle stays independent of folding.  Choice bounds need no special
 treatment here: the grounder encodes them as ordinary weight bodies and
 integrity constraints, which are checked directly.
@@ -180,19 +182,29 @@ def check_answer_set(g, answer_names) -> bool:
 
 
 def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpretation]:
-    """All answer sets, projected to named atoms, in deterministic order."""
+    """All answer sets, projected to named atoms, in deterministic order.
+
+    Every answer set contains the well-founded true atoms, the named facts
+    among them, and no well-founded false atom, so guesses cover only the
+    named atoms the well-founded model leaves undecided and the true ones
+    join every guess.  Guesses come by size, then lexicographically; adding
+    the same names to each keeps that order, since it is set by the
+    smallest name in which two guesses of one size differ.
+    """
     checker = _Checker(g.aspif)
-    named_facts = sorted(n for n, i in checker.names.items()
-                         if i in checker.externals)
     candidates = sorted(n for n, i in checker.names.items()
                         if i not in checker.externals)
     if len(candidates) > max_named:
         raise TooLarge(
             f"{len(candidates)} named atoms exceed the enumeration cap "
             f"of {max_named}")
+    wf_true, wf_false = g.aspif.well_founded()
+    decided = wf_true | wf_false
+    forced = frozenset(n for n, i in checker.names.items() if i in wf_true)
+    free = [n for n in candidates if checker.names[n] not in decided]
     found: list[Interpretation] = []
-    for subset in _subsets_by_size(candidates):
-        names = frozenset(named_facts) | frozenset(subset)
+    for subset in _subsets_by_size(free):
+        names = forced | frozenset(subset)
         ids = frozenset(checker.names[n] for n in names)
         if any(checker.is_stable(total) for total in checker.complete(ids)):
             found.append(names)

@@ -86,6 +86,14 @@ def test_truncated_weight_body():
         parse_aspif("asp 1 0 0\n1 0 1 2 1 3 2 4 1 5\n0\n")
 
 
+def test_negative_weight_is_rejected():
+    # A negative weight makes a body weaker as literals become true, so
+    # neither the least model nor the well-founded model would be sound.
+    with pytest.raises(TruncatedStatement, match="negative weight"):
+        parse_aspif("asp 1 0 0\n1 0 1 2 1 0 1 -1 -1\n0\n")
+    parse_aspif("asp 1 0 0\n1 0 1 2 1 0 1 -1 0\n0\n")
+
+
 def test_content_after_terminator():
     with pytest.raises(TruncatedStatement):
         parse_aspif("asp 1 0 0\n0\n1 0 1 2 0 0\n")

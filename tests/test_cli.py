@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,40 @@ class TestExplain:
         edges = out.split(f"graph x({n}):\n")[1].splitlines()
         expected = [f"x({i}) -> x({i - 1}) [plus]" for i in range(2, n + 1)]
         assert sorted(edges) == sorted(expected + ["x(1) -> ⊤ [circ]"])
+
+    @pytest.mark.parametrize("root", ["~x(1)", "~x(2)"])
+    def test_long_false_chain(self, capsys, tmp_path, root):
+        # x(i) :- x(i+1), x(n) :- not y, y :- not x(1); answer {y}.  The
+        # derivation analysis of ~x(1) walks the chain back to the root,
+        # one level per link.  The recursion limit is set below n, so the
+        # chain stays short enough for U-shrinking, quadratic in n, to be
+        # quick.
+        n = 400
+        lines = ["asp 1 0 0"]
+        lines += [f"1 0 1 {i} 0 1 {i + 1}" for i in range(1, n)]
+        lines += [f"1 0 1 {n} 0 1 -{n + 1}", f"1 0 1 {n + 1} 0 1 -1"]
+        lines += [f"4 {len(f'x({i})')} x({i}) 1 {i}" for i in range(1, n + 1)]
+        lines += [f"4 1 y 1 {n + 1}", "0\n"]
+        path = write(tmp_path, "false_chain.aspif", "\n".join(lines))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + n // 2)
+        try:
+            code, out, err = run(capsys, "explain", path, "--answer", "y",
+                                 "--root", root, "--format", "text")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, err
+        report, edges = out.split(f"graph {root}:\n")
+        assert report.endswith("U = {x(1)}\n")
+        expected = ["~x(1) -> assume [circ]"]
+        if root == "~x(2)":
+            expected += [f"~x({i}) -> ~x({i + 1}) [minus]"
+                         for i in range(2, n)]
+            expected += [f"~x({n}) -> y [plus]", "y -> ~x(1) [minus]"]
+        assert sorted(edges.splitlines()) == sorted(expected)
 
 
 class TestUsage:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from aspexplain import nodes, oracle
@@ -311,6 +313,46 @@ class TestSerialization:
         g2 = build_egraph(e2, u2, nodes.atom_node("m(1)"))[0]
         assert to_dot(g1) == to_dot(g2)
         assert to_json(g1) == to_json(g2)
+
+    def test_dot_keeps_a_tuple_apart_from_its_atom(self):
+        g = oracle.random_program(13)
+        answer = g.answer_from_names(["a", "c", "d", "g"])
+        graph = build_egraph(*pipeline(g, answer), nodes.atom_node("a"))[0]
+        assert len(graph.nodes) == 5
+        dot = to_dot(graph)
+        assert dot_node_ids(dot) == len(graph.nodes)
+        assert '  "a";\n' in dot
+        assert '  "1<={g, h, a}" -> "a (tuple)" [style=solid];\n' in dot
+
+    def test_dot_node_ids_are_distinct_across_a_sweep(self):
+        graphs = collisions = 0
+        for seed in range(60):
+            g = oracle.random_program(seed)
+            for model in oracle.enumerate_answer_sets(g):
+                answer = g.answer_from_names(sorted(model))
+                e, u = pipeline(g, answer)
+                for aid in sorted(g.named_ids()):
+                    root = nodes.literal_node(g.display_atom(aid),
+                                              aid in answer)
+                    graph = build_egraph(e, u, root, max_graphs=1)[0]
+                    for ascii_only in (False, True):
+                        dot = to_dot(graph, ascii_only)
+                        assert dot_node_ids(dot) == len(graph.nodes)
+                        collisions += " (tuple)" in dot
+                    graphs += 1
+        assert graphs > 100 and collisions > 0
+
+
+def dot_node_ids(dot: str) -> int:
+    """Distinct node identifiers of a DOT text; edges name no others."""
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    declared = [re.match(r"  " + quoted, line).group(1)
+                for line in dot.splitlines()[1:-1] if " -> " not in line]
+    for line in dot.splitlines():
+        if " -> " in line:
+            ends = re.match(r"  " + quoted + " -> " + quoted, line).groups()
+            assert set(ends) <= set(declared)
+    return len(set(declared))
 
 
 class TestOracleProperty:

@@ -1,0 +1,172 @@
+"""Answer-set enumeration bounded by the well-founded model, against the
+full-subset enumeration.
+
+``reference_enumerate_answer_sets`` is the enumerator before guesses were
+bounded by the well-founded model: it tries every subset of the non-fact
+named atoms.  It stays here as the slow reference; the fast enumerator must
+return the same list in the same order.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from aspexplain import oracle
+from aspexplain.aspif import WeightBody, parse_aspif
+from aspexplain.errors import TooLarge
+from aspexplain.ground import reconstruct
+
+
+def reference_enumerate_answer_sets(g, max_named: int = oracle.MAX_NAMED_ATOMS):
+    checker = oracle._Checker(g.aspif)
+    named_facts = sorted(n for n, i in checker.names.items()
+                         if i in checker.externals)
+    candidates = sorted(n for n, i in checker.names.items()
+                        if i not in checker.externals)
+    if len(candidates) > max_named:
+        raise TooLarge(
+            f"{len(candidates)} named atoms exceed the enumeration cap "
+            f"of {max_named}")
+    found = []
+    for subset in oracle._subsets_by_size(candidates):
+        names = frozenset(named_facts) | frozenset(subset)
+        ids = frozenset(checker.names[n] for n in names)
+        if any(checker.is_stable(total) for total in checker.complete(ids)):
+            found.append(names)
+    return found
+
+
+def build(body: str):
+    return reconstruct(parse_aspif("asp 1 0 0\n" + body + "0\n"))
+
+
+def named(*pairs: tuple[int, str]) -> str:
+    return "".join(f"4 {len(name)} {name} 1 {aid}\n" for aid, name in pairs)
+
+
+# a(i) :- not b(i).  b(i) :- not a(i).  c :- a(1), ..., a(4).
+# d :- b(1), b(2).  d :- b(3), b(4).
+EVEN_LOOPS_WITH_D = (
+    "".join(f"1 0 1 {2 * i + 1} 0 1 -{2 * i + 2}\n"
+            f"1 0 1 {2 * i + 2} 0 1 -{2 * i + 1}\n" for i in range(4))
+    + "1 0 1 9 0 4 1 3 5 7\n"
+    + "1 0 1 10 0 2 2 4\n1 0 1 10 0 2 6 8\n"
+    + named(*((2 * i + 1, f"a({i + 1})") for i in range(4)),
+            *((2 * i + 2, f"b({i + 1})") for i in range(4)),
+            (9, "c"), (10, "d"))
+)
+
+# p.  q :- p.  r :- not q.  s :- not r.  t has no rule.
+ALL_DECIDED = (
+    "1 0 1 1 0 0\n1 0 1 2 0 1 1\n1 0 1 3 0 1 -2\n1 0 1 4 0 1 -3\n"
+    + named((1, "p"), (2, "q"), (3, "r"), (4, "s"), (5, "t"))
+)
+
+# p is an external fact.  q :- p.  {r}.  s :- not r.
+NAMED_FACT = (
+    "5 1 2\n1 0 1 2 0 1 1\n1 1 1 3 0 0\n1 0 1 4 0 1 -3\n"
+    + named((1, "p"), (2, "q"), (3, "r"), (4, "s"))
+)
+
+
+def random_programs():
+    for seed in range(20):
+        for n_atoms in (6, 8, 10):
+            yield oracle.random_program(seed, n_atoms=n_atoms, n_rules=12,
+                                        p_choice=0.5)
+
+
+def test_random_programs_cover_weight_bodies_choices_and_constraints():
+    kinds = set()
+    for g in random_programs():
+        for stmt in g.aspif.rules:
+            if isinstance(stmt.body, WeightBody):
+                kinds.add("weight")
+            if stmt.is_choice:
+                kinds.add("choice")
+            if stmt.is_constraint:
+                kinds.add("constraint")
+    assert kinds == {"weight", "choice", "constraint"}
+
+
+def test_random_programs_match_reference():
+    programs = list(random_programs())
+    fast = [oracle.enumerate_answer_sets(g) for g in programs]
+    assert fast == [reference_enumerate_answer_sets(g) for g in programs]
+    assert [] in fast and any(len(found) > 1 for found in fast)
+
+
+@pytest.mark.parametrize("body", [EVEN_LOOPS_WITH_D, ALL_DECIDED, NAMED_FACT],
+                         ids=["even_loops_with_d", "all_decided",
+                              "named_fact"])
+def test_fixed_programs_match_reference(body):
+    g = build(body)
+    found = oracle.enumerate_answer_sets(g)
+    assert found == reference_enumerate_answer_sets(g)
+    assert found
+
+
+def test_even_loops_with_d():
+    found = oracle.enumerate_answer_sets(build(EVEN_LOOPS_WITH_D))
+    assert len(found) == 16
+    assert all(("d" in m) == ({"b(1)", "b(2)"} <= m or {"b(3)", "b(4)"} <= m)
+               for m in found)
+
+
+def test_decided_program_makes_one_guess(monkeypatch):
+    guesses = []
+    complete = oracle._Checker.complete
+
+    def counting(self, named_true):
+        guesses.append(named_true)
+        return complete(self, named_true)
+
+    monkeypatch.setattr(oracle._Checker, "complete", counting)
+    assert oracle.enumerate_answer_sets(build(ALL_DECIDED)) \
+        == [frozenset({"p", "q", "s"})]
+    assert len(guesses) == 1
+
+
+def test_named_fact_is_in_every_answer_set():
+    assert [sorted(m) for m in oracle.enumerate_answer_sets(build(NAMED_FACT))] \
+        == [["p", "q", "r"], ["p", "q", "s"]]
+
+
+def many_named(n: int, facts: bool) -> str:
+    lines = []
+    for i in range(n):
+        name = f"x{i:02d}"
+        if facts:
+            lines.append(f"1 0 1 {i + 1} 0 0")
+        lines.append(f"4 {len(name)} {name} 1 {i + 1}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("facts", [False, True], ids=["no_rules", "facts"])
+def test_named_atom_cap_counts_decided_atoms(facts):
+    # Without rules every atom is well-founded false; as facts every atom
+    # is well-founded true.  Either way none is undecided, and the cap
+    # still counts all 21.
+    g = build(many_named(21, facts))
+    with pytest.raises(TooLarge, match="21 named atoms"):
+        oracle.enumerate_answer_sets(g)
+    with pytest.raises(TooLarge, match="21 named atoms"):
+        reference_enumerate_answer_sets(g)
+
+
+def free_aux_text(pairs: int) -> str:
+    """p has no rule and q :- not p; aux pairs x :- p, not y.  y :- not x.
+    and :- x, y. stay undetermined on every guess with p true."""
+    lines = ["1 0 1 2 0 1 -1"]
+    for i in range(pairs):
+        x, y = 10 + 2 * i, 11 + 2 * i
+        lines += [f"1 0 1 {x} 0 2 1 -{y}", f"1 0 1 {y} 0 1 -{x}",
+                  f"1 0 0 0 2 {x} {y}"]
+    return "\n".join(lines) + "\n" + named((1, "p"), (2, "q"))
+
+
+def test_free_aux_cap_skips_guesses_the_well_founded_model_excludes():
+    g = build(free_aux_text(7))
+    with pytest.raises(TooLarge, match="14 auxiliary atoms"):
+        reference_enumerate_answer_sets(g)
+    assert oracle.enumerate_answer_sets(g) == [frozenset({"q"})]
