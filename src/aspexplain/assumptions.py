@@ -32,6 +32,9 @@ class AssumptionReport:
     da: dict[str, list[frozenset[str]]] = field(default_factory=dict)
     min_b_candidates: list[frozenset[str]] = field(default_factory=list)
     chosen_u: frozenset[str] = frozenset()
+    # False when more than _EXACT_SEARCH_LIMIT atoms take part in DA
+    # cycles, so min(B) is one greedy break, not every minimal set.
+    min_b_exact: bool = True
 
 
 def well_founded(g: GroundProgram) -> tuple[frozenset[int], frozenset[int]]:
@@ -146,8 +149,9 @@ def _path_ds(er, start, ta, root):
                 frame.lists = []
 
 
-def min_cycle_break(da: dict) -> list[frozenset[str]]:
-    """All subset-minimal sets breaking the DA dependency cycles."""
+def _stuck_after(da: dict):
+    """A function from a set of broken atoms to the DA keys that stay
+    unresolved once those atoms are assumed."""
     keys = set(da)
     base = {a for ds in da.values() for d in ds for a in d} - keys
 
@@ -165,6 +169,14 @@ def min_cycle_break(da: dict) -> list[frozenset[str]]:
                     break
         return pending
 
+    return stuck_after
+
+
+def min_cycle_break(da: dict) -> list[frozenset[str]]:
+    """All subset-minimal sets breaking the DA dependency cycles, or one
+    greedy break when more than _EXACT_SEARCH_LIMIT atoms take part in
+    them."""
+    stuck_after = _stuck_after(da)
     stuck = stuck_after(frozenset())
     if not stuck:
         return [frozenset()]
@@ -204,9 +216,10 @@ def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
     The path analysis over-approximates: a cycle it rejects only because
     it returns to the queried atom may still close through minus edges
     only, which a valid graph is allowed to do.  The chosen set is
-    therefore shrunk against actual graph buildability; validity is
-    monotone in the assumed set, so one greedy pass reaches a
-    subset-minimal U.
+    therefore shrunk against actual graph buildability, one atom at a time
+    in sorted order; validity is monotone in the assumed set, so one pass
+    reaches a subset-minimal U.  Each candidate U - {X} costs one graph
+    build, for ~X.
     """
     if er is None:
         er = build_er(g, A)
@@ -224,29 +237,39 @@ def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
         da=da,
         min_b_candidates=candidates,
         chosen_u=chosen,
+        min_b_exact=len(_stuck_after(da)(frozenset())) <= _EXACT_SEARCH_LIMIT,
     )
 
 
 def _shrink_against_graphs(g, A, er, table, chosen: frozenset[str]):
+    """Drop each atom of ``chosen`` in sorted order while every named
+    literal keeps a valid graph.
+
+    Once every literal has a graph under U, every literal has one under
+    U - {X} exactly when ~X has one.  A graph under U that holds ~X ends
+    there in the assumption; a graph of ~X under U - {X} can take its
+    place, each of its nodes keeping that graph's support.  No edge leads
+    out of the graph of ~X, so every cycle lies inside one part and stays
+    safe, and no other node's options change, since no graph under U holds
+    the atom X.  So each candidate costs one build.
+    """
     if not chosen:
         return chosen
     if table is None:
         table = merge_supports(er, constraint_preprocessing(g, A))
-    if not _all_literals_explainable(g, A, table, chosen):
-        return chosen
+    for aid in sorted(g.named_ids()):
+        root = nodes.literal_node(g.display_atom(aid), aid in A)
+        if not _explainable(table, chosen, root):
+            return chosen
     for name in sorted(chosen):
-        smaller = chosen - {name}
-        if _all_literals_explainable(g, A, table, smaller):
-            chosen = smaller
+        if _explainable(table, chosen - {name}, nodes.neg_atom_node(name)):
+            chosen = chosen - {name}
     return chosen
 
 
-def _all_literals_explainable(g, A, table, u) -> bool:
-    for aid in sorted(g.named_ids()):
-        root = nodes.literal_node(g.display_atom(aid), aid in A)
-        try:
-            build_egraph(table, u, root, max_graphs=1)
-        except NoValidGraph:
-            return False
+def _explainable(table, u, root) -> bool:
+    try:
+        build_egraph(table, u, root, max_graphs=1)
+    except NoValidGraph:
+        return False
     return True
-

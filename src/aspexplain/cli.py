@@ -9,7 +9,7 @@ import sys
 
 from . import nodes, oracle
 from .aspif import parse_aspif
-from .assumptions import minimal_assumption_sets
+from .assumptions import _EXACT_SEARCH_LIMIT, minimal_assumption_sets
 from .constraints import constraint_preprocessing
 from .egraph import build_egraph, merge_supports, to_dot, to_json
 from .errors import (
@@ -260,6 +260,10 @@ def cmd_assumptions(args) -> int:
         return EXIT_NOT_ANSWER_SET
     g, answer = loaded
     report = minimal_assumption_sets(g, answer)
+    if not report.min_b_exact:
+        print(f"note: min(B) is one greedy cycle break, not every minimal "
+              f"set: more than {_EXACT_SEARCH_LIMIT} atoms take part in DA "
+              f"cycles", file=sys.stderr)
     lines = [
         "TA = " + _fmt_set(report.ta),
         "T = " + _fmt_set(report.t_must),

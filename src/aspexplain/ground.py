@@ -10,6 +10,7 @@ of the source program.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -304,10 +305,22 @@ def _dedupe_sets(sets) -> list[frozenset]:
 
 
 def _minimize_sets(sets: list[frozenset]) -> list[frozenset]:
-    """Drop duplicates and strict supersets, preserving first-seen order."""
+    """Drop duplicates and strict supersets, preserving first-seen order.
+
+    The sets are visited by size, and one is kept unless a kept set of a
+    smaller size lies inside it.  That suffices: a non-minimal set holds a
+    minimal one, which is smaller and so was visited and kept first.  Sets
+    of equal size are never compared, so a product of one-member falsifier
+    lists costs no comparison at all.
+    """
     sets = _dedupe_sets(sets)
-    return [s for s in sets
-            if not any(other < s for other in sets)]
+    if len(sets) < 2:
+        return sets
+    kept: list[frozenset] = []
+    for _, group in itertools.groupby(sorted(sets, key=len), key=len):
+        kept.extend([s for s in group if not any(k <= s for k in kept)])
+    keep = set(kept)
+    return [s for s in sets if s in keep]
 
 
 def reconstruct(aspif_program: AspifProgram) -> GroundProgram:

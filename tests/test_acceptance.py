@@ -272,7 +272,8 @@ def test_explain_determinism(p1, p1_answer, tmp_path):
     outputs = {}
     for fmt in ("dot", "json"):
         for run, hash_seed in (("first", "1"), ("second", "2")):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(DATA.parent.parent / "src"))
             proc = subprocess.run(
                 [sys.executable, "-m", "aspexplain.cli", "explain",
                  str(DATA / "p1.aspif"),

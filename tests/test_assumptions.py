@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aspexplain import oracle
 from aspexplain.aspif import parse_aspif
 from aspexplain.assumptions import (
+    _EXACT_SEARCH_LIMIT,
     derivation_analysis,
     min_cycle_break,
     minimal_assumption_sets,
@@ -34,6 +35,18 @@ EVEN_LOOP = (
     "4 1 a 1 1\n"
     "4 1 b 1 2\n"
 )
+
+
+def da_ring(n: int) -> str:
+    """x(i) :- not y(i).  y(i) :- not x(i+1 mod n).  With every y(i) true,
+    the derivation of ~x(i) stops at x(i+1), so DA is a ring of n atoms."""
+    rules = "".join(f"1 0 1 {i + 1} 0 1 -{n + i + 1}\n"
+                    f"1 0 1 {n + i + 1} 0 1 -{(i + 1) % n + 1}\n"
+                    for i in range(n))
+    symbols = "".join(f"4 {len(str(i)) + 3} x({i}) 1 {i + 1}\n"
+                      f"4 {len(str(i)) + 3} y({i}) 1 {n + i + 1}\n"
+                      for i in range(n))
+    return rules + symbols
 
 
 class TestWellFounded:
@@ -337,3 +350,24 @@ class TestMinimalAssumptionSets:
                 assert report.chosen_u <= report.ta
                 checked += 1
         assert checked > 10
+
+    def test_small_da_ring_is_exact(self):
+        g = build(da_ring(3))
+        report = minimal_assumption_sets(
+            g, g.answer_from_names(["y(0)", "y(1)", "y(2)"]))
+        assert report.da == {f"x({i})": [frozenset({f"x({(i + 1) % 3})"})]
+                             for i in range(3)}
+        assert report.min_b_candidates == [
+            frozenset({"x(0)"}), frozenset({"x(1)"}), frozenset({"x(2)"})]
+        assert report.min_b_exact
+        assert report.chosen_u == {"x(0)"}
+
+    def test_da_ring_above_the_search_limit_is_greedy(self):
+        n = _EXACT_SEARCH_LIMIT + 1
+        g = build(da_ring(n))
+        report = minimal_assumption_sets(
+            g, g.answer_from_names([f"y({i})" for i in range(n)]))
+        assert len(report.da) == n
+        assert report.min_b_candidates == [frozenset({"x(0)"})]
+        assert not report.min_b_exact
+        assert report.chosen_u == {"x(0)"}

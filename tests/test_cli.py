@@ -13,6 +13,8 @@ import pytest
 from aspexplain import cli
 from aspexplain.egraph import egraph_from_json
 
+from test_assumptions import da_ring
+
 DATA = Path(__file__).parent / "data"
 P1 = str(DATA / "p1.aspif")
 P1_ANSWER = str(DATA / "p1_answer.txt")
@@ -326,6 +328,27 @@ class TestAssumptions:
         # only, so the graphs need no assumption even though the cycle
         # analysis offers two ways to break it.
         assert "U = {}\n" in out
+
+    @pytest.mark.parametrize("n, exact", [(3, True), (21, False)])
+    def test_greedy_min_b_is_noted_on_stderr(self, capsys, tmp_path, n,
+                                              exact):
+        path = write(tmp_path, "ring.aspif",
+                     "asp 1 0 0\n" + da_ring(n) + "0\n")
+        answer = " ".join(f"y({i})" for i in range(n))
+        code, out, err = run(capsys, "assumptions", path, "--answer", answer)
+        assert code == 0
+        xs = ", ".join(sorted(f"x({i})" for i in range(n)))
+        da = "".join(f"x({i}) : [{{x({(i + 1) % n})}}]\n"
+                     for i in sorted(range(n), key=lambda i: f"x({i})"))
+        min_b = ("[" + ", ".join(f"{{x({i})}}" for i in range(n)) + "]"
+                 if exact else "[{x(0)}]")
+        assert out == (f"TA = {{{xs}}}\nT = {{}}\nT' = {{{xs}}}\nDA:\n{da}"
+                       f"min(B) = {min_b}\nU = {{x(0)}}\n")
+        if exact:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1
+            assert err.startswith("note: min(B) is one greedy cycle break")
 
 
 class TestAnswersets:

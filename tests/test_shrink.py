@@ -1,0 +1,130 @@
+"""U-shrinking with one build per candidate against the full-pass shrink.
+
+``reference_shrink`` is the shrink that builds a graph for every named
+literal for each candidate U.  It stays here as the slow reference;
+``minimal_assumption_sets`` must choose the same U, and
+``_shrink_against_graphs`` must shrink every start set as it does.  The
+loops programs come from the benchmark's generator, which does not import
+aspexplain.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+import random
+import sys
+
+import pytest
+
+from aspexplain import assumptions, nodes, oracle
+from aspexplain.aspif import parse_aspif
+from aspexplain.constraints import constraint_preprocessing
+from aspexplain.egraph import build_egraph, merge_supports
+from aspexplain.errors import NoValidGraph, TooLarge
+from aspexplain.ground import reconstruct
+from aspexplain.support import build_er
+
+
+def _load_families():
+    path = pathlib.Path(__file__).parent.parent / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+families = _load_families()
+
+
+def reference_shrink(g, A, table, chosen):
+    def all_literals_explainable(u):
+        for aid in sorted(g.named_ids()):
+            root = nodes.literal_node(g.display_atom(aid), aid in A)
+            try:
+                build_egraph(table, u, root, max_graphs=1)
+            except NoValidGraph:
+                return False
+        return True
+
+    if not chosen or not all_literals_explainable(chosen):
+        return chosen
+    for name in sorted(chosen):
+        if all_literals_explainable(chosen - {name}):
+            chosen = chosen - {name}
+    return chosen
+
+
+def check_against_reference(g, A, extra_starts=()) -> frozenset[str]:
+    """The starting set of the chosen U, after checking U against the
+    reference shrink of that set; also checks the shrink of each of
+    ``extra_starts``."""
+    er = build_er(g, A)
+    table = merge_supports(er, constraint_preprocessing(g, A))
+    report = assumptions.minimal_assumption_sets(g, A, er=er, table=table)
+    best = min(report.min_b_candidates, key=lambda c: tuple(sorted(c)))
+    start = report.t_must | best
+    assert report.chosen_u == reference_shrink(g, A, table, start)
+    for other in extra_starts:
+        assert assumptions._shrink_against_graphs(g, A, er, table, other) \
+            == reference_shrink(g, A, table, other)
+    return start
+
+
+def test_random_programs_match_reference():
+    # Besides the start U = T ∪ min(B), shrink all of TA and a random part
+    # of it: far more of those removals succeed, and some fail.
+    rng = random.Random(0)
+    answers = shrunk = 0
+    for seed in range(200):
+        for n_atoms in (6, 8, 10):
+            g = oracle.random_program(seed, n_atoms=n_atoms, n_rules=12,
+                                      p_choice=0.5)
+            try:
+                models = oracle.enumerate_answer_sets(g)
+            except TooLarge:
+                continue
+            for model in models:
+                A = g.answer_from_names(sorted(model))
+                ta = assumptions.tentative_assumptions(g, A)
+                part = frozenset(a for a in sorted(ta) if rng.random() < 0.6)
+                start = check_against_reference(g, A, (ta, part))
+                answers += 1
+                shrunk += bool(start)
+    assert answers > 300 and shrunk > 50, (answers, shrunk)
+
+
+@pytest.mark.parametrize("n,k", [(20, 5), (40, 8), (24, 11), (60, 0)])
+def test_loops_match_reference(n, k):
+    inst = families.loops(n, k)
+    g = reconstruct(parse_aspif(inst.text))
+    check_against_reference(g, g.answer_from_names(inst.answer))
+
+
+def shrink_builds(monkeypatch, n: int) -> int:
+    inst = families.loops(n)
+    g = reconstruct(parse_aspif(inst.text))
+    A = g.answer_from_names(inst.answer)
+    er = build_er(g, A)
+    table = merge_supports(er, constraint_preprocessing(g, A))
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return build_egraph(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assumptions, "build_egraph", counting)
+        report = assumptions.minimal_assumption_sets(g, A, er=er, table=table)
+    assert sorted(report.chosen_u) == inst.expect["u"]
+    return calls
+
+
+def test_shrink_builds_scale_linearly(monkeypatch):
+    # Doubling the loops doubles the literals; rebuilding every literal for
+    # every candidate U quadruples the builds (3.8x from 40 to 80).
+    small = shrink_builds(monkeypatch, 40)
+    large = shrink_builds(monkeypatch, 80)
+    assert large <= 2.5 * small, (small, large)
