@@ -81,8 +81,9 @@ Statement = RuleStatement | OutputStatement | ExternalStatement | OpaqueStatemen
 class AspifProgram:
     """Parsed statements in file order.
 
-    The typed lists are computed on first access and then shared, so
-    ``statements`` must not change once they have been read.
+    The typed lists and the indexes over them are computed on first access
+    and then shared, so ``statements`` must not change once they have been
+    read.
     """
 
     statements: list[Statement] = field(default_factory=list)
@@ -98,6 +99,29 @@ class AspifProgram:
     @cached_property
     def externals(self) -> list[ExternalStatement]:
         return [s for s in self.statements if isinstance(s, ExternalStatement)]
+
+    @cached_property
+    def definitions(self) -> dict[int, list[RuleStatement]]:
+        """Each head atom's rule statements, in file order."""
+        defs: dict[int, list[RuleStatement]] = {}
+        for stmt in self.rules:
+            for head in stmt.head:
+                defs.setdefault(head, []).append(stmt)
+        return defs
+
+    @cached_property
+    def _atom_ids(self) -> frozenset[int]:
+        ids = {stmt.atom for stmt in self.externals}
+        for stmt in self.rules:
+            ids.update(stmt.head)
+            ids.update(abs(lit) for lit in stmt.body_literals())
+        for stmt in self.outputs:
+            ids.update(abs(lit) for lit in stmt.condition)
+        return frozenset(ids)
+
+    def atom_ids(self) -> frozenset[int]:
+        """Every atom id referenced by a structural statement."""
+        return self._atom_ids
 
     @cached_property
     def _positive_occurrences(self) -> tuple[list[RuleStatement],
@@ -178,26 +202,13 @@ class AspifProgram:
         """
         atoms = self.atom_ids()
         true: set[int] = set()
-        possible: set[int] = atoms
+        possible: frozenset[int] | set[int] = atoms
         while True:
             new_true = self.least_model(possible, None)
             new_possible = self.least_model(new_true, atoms)
             if new_true == true and new_possible == possible:
                 return frozenset(true), frozenset(atoms - possible)
             true, possible = new_true, new_possible
-
-    def atom_ids(self) -> set[int]:
-        """Every atom id referenced by a structural statement."""
-        ids: set[int] = set()
-        for stmt in self.statements:
-            if isinstance(stmt, RuleStatement):
-                ids.update(stmt.head)
-                ids.update(abs(lit) for lit in stmt.body_literals())
-            elif isinstance(stmt, OutputStatement):
-                ids.update(abs(lit) for lit in stmt.condition)
-            elif isinstance(stmt, ExternalStatement):
-                ids.add(stmt.atom)
-        return ids
 
 
 class _Fields:

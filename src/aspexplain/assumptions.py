@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import nodes
 from .constraints import constraint_preprocessing
 from .egraph import build_egraph, merge_supports
-from .errors import NoValidGraph
+from .errors import NoValidGraph, TooLarge
 from .ground import GroundProgram, _minimize_sets
 from .support import build_er
 
@@ -103,7 +103,8 @@ def _path_ds(er, start, ta, root):
     collected.  The search is depth-first with an explicit stack, so long
     chains do not meet the recursion limit.  ``on_path`` maps each node on
     the path to the number of non-negative-atom nodes above it, so closing
-    a cycle is checked in constant time.
+    a cycle is checked in constant time.  Raises TooLarge when one node's
+    D-sets, before minimisation, pass _PATH_CAP.
     """
     on_path: dict[nodes.ENode, int] = {}
     non_neg = 0
@@ -138,7 +139,10 @@ def _path_ds(er, start, ta, root):
                 for combo in itertools.product(*frame.lists):
                     frame.results.append(frozenset().union(*combo))
                     if len(frame.results) > _PATH_CAP:
-                        break
+                        raise TooLarge(
+                            f"the derivation paths below "
+                            f"{frame.node.render()} have more than "
+                            f"{_PATH_CAP} D-sets")
             support = next(frame.supports, None)
             if support is None:
                 frames.pop()
@@ -183,9 +187,12 @@ def min_cycle_break(da: dict) -> list[frozenset[str]]:
     participants = sorted(stuck)
     if len(participants) > _EXACT_SEARCH_LIMIT:
         return [_greedy_break(da, participants, stuck_after)]
-    found: list[frozenset[str]] = []
-    for size in range(1, len(participants) + 1):
-        for combo in itertools.combinations(participants, size):
+    found = [frozenset({p}) for p in participants
+             if not stuck_after(frozenset({p}))]
+    # A larger set holding a singleton break is not minimal.
+    pool = [p for p in participants if frozenset({p}) not in found]
+    for size in range(2, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
             candidate = frozenset(combo)
             if any(f <= candidate for f in found):
                 continue

@@ -101,11 +101,11 @@ class GroundProgram:
         self.choice_specs: list[ChoiceAtomSpec] = []
         self.warnings: list[str] = []
         self.nant: frozenset[int] = frozenset()
-        self.index: dict[tuple[int, int | None], list[GroundRule]] = {}
+        # Head atom -> its rules in statement order; None -> constraints.
+        self.index: dict[int | None, list[GroundRule]] = {}
         self.fact_order: list[int] = []
         self.symbol_order: list[int] = []
         self._by_name: dict[str, int] = {}
-        self._aux_defs: dict[int, list[RuleStatement]] = {}
         self._resolve_memo: dict[int, list[frozenset[int]]] = {}
 
     # --- naming -----------------------------------------------------------
@@ -155,14 +155,10 @@ class GroundProgram:
     # --- rule access ------------------------------------------------------
 
     def rules_for_head(self, aid: int) -> list[GroundRule]:
-        found = []
-        found.extend(self.index.get((0, aid), ()))
-        found.extend(self.index.get((1, aid), ()))
-        found.sort(key=lambda r: r.statement_index)
-        return found
+        return self.index.get(aid, [])
 
     def constraints(self) -> list[GroundRule]:
-        return list(self.index.get((0, None), ()))
+        return self.index.get(None, [])
 
     # --- evaluation -------------------------------------------------------
 
@@ -170,13 +166,15 @@ class GroundProgram:
                   _stack: frozenset[int] = frozenset()) -> bool:
         aid = abs(lit)
         atom = self.atoms.get(aid)
-        if atom is not None and (atom.name is not None or atom.is_fact):
+        if atom is not None and atom.name is not None:
             value = aid in answer
             return value if lit > 0 else not value
+        if atom is not None and atom.is_fact:  # an unnamed external
+            return lit > 0
         if aid in _stack:
             # Positive recursion through an auxiliary is unfounded.
             return lit < 0
-        defs = self._aux_defs.get(aid, [])
+        defs = self.aspif.definitions.get(aid, [])
         stack = _stack | {aid}
         value = False
         for stmt in defs:
@@ -207,28 +205,15 @@ class GroundProgram:
             return False
         return spec.upper is None or count <= spec.upper
 
-    def term_holds(self, term, positive: bool, answer: frozenset[int]) -> bool:
-        if isinstance(term, ChoiceAtomSpec):
-            value = self.spec_holds(term, answer)
-        else:
-            value = self.lit_holds(term, answer)
-        return value if positive else not value
-
-    def body_holds(self, rule: GroundRule, answer: frozenset[int]) -> bool:
-        if rule.raw_weight is not None:
-            raise UnsupportedWeightBody(
-                f"rule from statement {rule.statement_index} kept opaque: "
-                "heterogeneous weight body")
-        return (all(self.term_holds(t, True, answer) for t in rule.pos_body)
-                and all(self.term_holds(t, False, answer) for t in rule.neg_body))
-
     # --- auxiliary resolution --------------------------------------------
 
     def resolve_aux(self, lit: int) -> list[frozenset[int]]:
         """Resolve a literal to alternative conjunctions of named literals.
 
         Each frozenset is one alternative; its members are signed named
-        atom ids.  Named literals resolve to themselves.
+        atom ids.  Named literals resolve to themselves; an unnamed
+        external is a fact, so it holds with no condition and its negation
+        never holds.
         """
         return self._resolve(lit, frozenset())
 
@@ -237,11 +222,13 @@ class GroundProgram:
         atom = self.atoms.get(aid)
         if atom is not None and atom.name is not None:
             return [frozenset({lit})]
+        if atom is not None and atom.is_fact:
+            return [frozenset()] if lit > 0 else []
         if lit in self._resolve_memo:
             return self._resolve_memo[lit]
         if aid in stack:
             raise AuxCycle(f"auxiliary atom {aid} is defined through itself")
-        defs = self._aux_defs.get(aid, [])
+        defs = self.aspif.definitions.get(aid, [])
         for stmt in defs:
             if isinstance(stmt.body, WeightBody):
                 raise UnsupportedWeightBody(
@@ -328,7 +315,6 @@ def reconstruct(aspif_program: AspifProgram) -> GroundProgram:
     _read_symbols(gp)
     _read_externals(gp)
     _collect_atoms(gp)
-    _collect_aux_defs(gp)
     folder = _ChoiceFolder(gp)
     _build_rules(gp, folder)
     _attach_element_conditions(gp, folder)
@@ -367,13 +353,6 @@ def _collect_atoms(gp: GroundProgram) -> None:
         gp.atoms.setdefault(aid, GroundAtom(aid))
 
 
-def _collect_aux_defs(gp: GroundProgram) -> None:
-    for stmt in gp.aspif.rules:
-        for head in stmt.head:
-            if not gp.is_named(head):
-                gp._aux_defs.setdefault(head, []).append(stmt)
-
-
 class _ChoiceFolder:
     """Recognizes the compiled bound-test patterns around choice rules."""
 
@@ -401,7 +380,7 @@ class _ChoiceFolder:
     def _single_def(self, aid: int) -> RuleStatement | None:
         if self.gp.is_named(aid) or aid in self.choice_heads:
             return None
-        defs = self.gp._aux_defs.get(aid, [])
+        defs = self.gp.aspif.definitions.get(aid, [])
         if len(defs) != 1 or len(defs[0].head) != 1:
             return None
         return defs[0]
@@ -443,7 +422,8 @@ class _ChoiceFolder:
         if weight < 1:
             return None
         elements = []
-        consumed = [self.gp._aux_defs[aid][0]] if not self.gp.is_named(aid) else []
+        consumed = [] if self.gp.is_named(aid) \
+            else [self.gp.aspif.definitions[aid][0]]
         for lit, _ in body.elements:
             if lit <= 0:
                 return None
@@ -552,15 +532,12 @@ def _drop_consumed(gp: GroundProgram, folder: _ChoiceFolder,
 
 
 def _attach_element_conditions(gp: GroundProgram, folder: _ChoiceFolder) -> None:
-    specs: list[ChoiceAtomSpec] = []
-    for rule in gp.rules:
-        for term in rule.pos_body + rule.neg_body:
-            if isinstance(term, ChoiceAtomSpec) and term not in specs:
-                specs.append(term)
-    gp.choice_specs = specs
+    gp.choice_specs = list(dict.fromkeys(
+        term for rule in gp.rules for term in rule.pos_body + rule.neg_body
+        if isinstance(term, ChoiceAtomSpec)))
 
     by_element: dict[int, list[ChoiceElement]] = {}
-    for spec in specs:
+    for spec in gp.choice_specs:
         for element in spec.elements:
             if element.element is not None:
                 by_element.setdefault(element.element, []).append(element)
@@ -629,16 +606,9 @@ def _sibling_conditions(gp: GroundProgram, rule: GroundRule,
 
 
 def _build_index(gp: GroundProgram) -> None:
-    index: dict[tuple[int, int | None], list[GroundRule]] = {}
     for rule in gp.rules:
-        if rule.kind == CONSTRAINT:
-            index.setdefault((0, None), []).append(rule)
-        elif rule.kind == CHOICE:
-            for head in rule.heads:
-                index.setdefault((1, head), []).append(rule)
-        else:
-            index.setdefault((0, rule.heads[0]), []).append(rule)
-    gp.index = index
+        for head in (None,) if rule.kind == CONSTRAINT else rule.heads:
+            gp.index.setdefault(head, []).append(rule)
 
 
 def _compute_nant(gp: GroundProgram) -> set[int]:
@@ -655,7 +625,7 @@ def _compute_nant(gp: GroundProgram) -> set[int]:
         if (lit, negated) in visited:
             return
         visited.add((lit, negated))
-        for stmt in gp._aux_defs.get(aid, ()):
+        for stmt in gp.aspif.definitions.get(aid, ()):
             if isinstance(stmt.body, WeightBody):
                 for inner, _ in stmt.body.elements:
                     walk(inner, here)

@@ -21,7 +21,6 @@ from .aspif import (
     HEAD_CHOICE,
     HEAD_DISJUNCTIVE,
     AspifProgram,
-    RuleStatement,
     WeightBody,
     parse_aspif,
 )
@@ -57,14 +56,8 @@ class _Checker:
         self.names = _name_map(program)
         self.named_ids = set(self.names.values())
         self.externals = {s.atom for s in program.externals}
-        self.all_ids = program.atom_ids()
-        self.aux_ids = sorted(self.all_ids - self.named_ids - self.externals)
-        aux = set(self.aux_ids)
-        self.defs: dict[int, list[RuleStatement]] = {}
-        for stmt in program.rules:
-            for head in stmt.head:
-                if head in aux:
-                    self.defs.setdefault(head, []).append(stmt)
+        self.aux_ids = sorted(
+            program.atom_ids() - self.named_ids - self.externals)
 
     def complete(self, named_true: frozenset[int]) -> list[frozenset[int]]:
         """All total interpretations extending a guess over named atoms.
@@ -116,7 +109,7 @@ class _Checker:
         while changed:
             changed = False
             for aux in sorted(open_aux):
-                statements = self.defs.get(aux, [])
+                statements = self.program.definitions.get(aux, [])
                 body_values = [body_value(s.body) for s in statements]
                 derivable = any(
                     v is True and s.head_type != HEAD_CHOICE

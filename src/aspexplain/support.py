@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from . import nodes
-from .errors import NoSupport
+from .errors import NoSupport, UnsupportedWeightBody
 from .ground import (
     CHOICE,
     ChoiceAtomSpec,
@@ -68,7 +68,7 @@ def _holding_alternatives(g: GroundProgram, lit: int,
 
 def _term_true_options(g, term, positive, A, expansion):
     if isinstance(term, ChoiceAtomSpec):
-        if g.term_holds(term, positive, A):
+        if g.spec_holds(term, A) == positive:
             node, fragment = choice_body_support(g, term, A, positive)
             _merge_expansion(expansion, fragment)
             return [frozenset({node})]
@@ -78,7 +78,10 @@ def _term_true_options(g, term, positive, A, expansion):
 
 def _body_true_options(g, rule: GroundRule, A, expansion):
     """One supported set per way of satisfying the body; [] if unsatisfied."""
-    g.body_holds(rule, A)  # raises on opaque weight bodies
+    if rule.raw_weight is not None:
+        raise UnsupportedWeightBody(
+            f"rule from statement {rule.statement_index} kept opaque: "
+            "heterogeneous weight body")
     per_term = []
     for term in rule.pos_body:
         per_term.append(_term_true_options(g, term, True, A, expansion))

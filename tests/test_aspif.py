@@ -26,6 +26,17 @@ def test_typed_lists_are_computed_once(p1_text):
     assert program.rules is program.rules
     assert program.outputs is program.outputs
     assert program.externals is program.externals
+    assert program.atom_ids() is program.atom_ids()
+    assert program.definitions is program.definitions
+
+
+def test_definitions_follow_file_order(p1_program):
+    rules = p1_program.rules
+    definitions = p1_program.definitions
+    assert set(definitions) == {h for r in rules for h in r.head}
+    for head, stmts in definitions.items():
+        assert stmts == [r for r in rules if head in r.head]
+    assert p1_program.atom_ids() == frozenset(range(1, 14))
 
 
 def test_p1_symbols(p1_program):

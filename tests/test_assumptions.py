@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aspexplain import oracle
+from aspexplain import assumptions, oracle
 from aspexplain.aspif import parse_aspif
 from aspexplain.assumptions import (
     _EXACT_SEARCH_LIMIT,
+    _stuck_after,
     derivation_analysis,
     min_cycle_break,
     minimal_assumption_sets,
     tentative_assumptions,
     well_founded,
 )
+from aspexplain.errors import TooLarge
 from aspexplain.ground import reconstruct
 from aspexplain.support import build_er
 
@@ -47,6 +51,37 @@ def da_ring(n: int) -> str:
                       f"4 {len(str(i)) + 3} y({i}) 1 {n + i + 1}\n"
                       for i in range(n))
     return rules + symbols
+
+
+# a :- not b, not c.  b :- not d.  d :- not b.  c :- not e.  e :- not c.
+# z :- not a.  With b, c and z true, ~a derives from d or from e.
+TWO_D_SETS = (
+    "1 0 1 1 0 2 -2 -3\n"
+    "1 0 1 2 0 1 -4\n"
+    "1 0 1 4 0 1 -2\n"
+    "1 0 1 3 0 1 -5\n"
+    "1 0 1 5 0 1 -3\n"
+    "1 0 1 6 0 1 -1\n"
+    + "".join(f"4 1 {n} 1 {i}\n" for i, n in enumerate("abcdez", start=1))
+)
+
+
+def reference_min_cycle_break(da: dict) -> list[frozenset[str]]:
+    """The exhaustive min(B) search: every combination of every size of
+    the DA cycle participants, smallest first, kept unless a found set
+    lies inside it."""
+    stuck_after = _stuck_after(da)
+    participants = sorted(stuck_after(frozenset()))
+    if not participants:
+        return [frozenset()]
+    found: list[frozenset[str]] = []
+    for size in range(1, len(participants) + 1):
+        for combo in itertools.combinations(participants, size):
+            candidate = frozenset(combo)
+            if not any(f <= candidate for f in found) \
+                    and not stuck_after(candidate):
+                found.append(candidate)
+    return found
 
 
 class TestWellFounded:
@@ -118,6 +153,18 @@ class TestDerivationAnalysis:
         assert t_must == {"b"}
         assert t_deferred == frozenset()
         assert da == {}
+
+    def test_d_sets_past_the_path_cap_raise(self, monkeypatch):
+        g = build(TWO_D_SETS)
+        answer = g.answer_from_names(["b", "c", "z"])
+        er = build_er(g, answer)
+        ta = tentative_assumptions(g, answer)
+        monkeypatch.setattr(assumptions, "_PATH_CAP", 2)
+        assert derivation_analysis(er, ta)[2] == {
+            "a": [frozenset({"d"}), frozenset({"e"})]}
+        monkeypatch.setattr(assumptions, "_PATH_CAP", 1)
+        with pytest.raises(TooLarge, match="below ~a"):
+            derivation_analysis(er, ta)
 
     def test_tentative_atoms_collected_from_both_answer_sets(self):
         g = build(EVEN_LOOP)
@@ -274,6 +321,49 @@ class TestMinCycleBreak:
         result = min_cycle_break(da)
         assert result
         assert set(result) == set(winners)
+
+
+class TestMinCycleBreakReference:
+    def test_random_da_relations(self):
+        # Breaks of singletons alongside larger ones, and larger ones only.
+        rng = random.Random(0)
+        mixed = larger = 0
+        for _ in range(3000):
+            keys = rng.sample("abcdefghij", rng.randint(1, 10))
+            atoms = keys + ["u", "v"]
+            da = {k: [frozenset(rng.sample(atoms, rng.randint(1, 2)))
+                      for _ in range(rng.randint(1, 2))] for k in keys}
+            found = min_cycle_break(da)
+            assert found == reference_min_cycle_break(da)
+            sizes = {len(f) for f in found}
+            mixed += 1 in sizes and len(sizes) > 1
+            larger += min(sizes) > 1
+        assert mixed > 100 and larger > 500
+
+    def test_random_programs(self):
+        cyclic = 0
+        for n_atoms in (6, 8, 10):
+            for seed in range(60):
+                g = oracle.random_program(seed, n_atoms=n_atoms)
+                try:
+                    models = oracle.enumerate_answer_sets(g)
+                except oracle.TooLarge:
+                    continue
+                for model in models:
+                    answer = g.answer_from_names(sorted(model))
+                    ta = tentative_assumptions(g, answer)
+                    _, _, da = derivation_analysis(build_er(g, answer), ta)
+                    assert min_cycle_break(da) == reference_min_cycle_break(da)
+                    cyclic += bool(_stuck_after(da)(frozenset()))
+        assert cyclic >= 3
+
+    @pytest.mark.parametrize("n", range(16, _EXACT_SEARCH_LIMIT + 1))
+    def test_da_rings(self, n):
+        g = build(da_ring(n))
+        answer = g.answer_from_names([f"y({i})" for i in range(n)])
+        ta = tentative_assumptions(g, answer)
+        _, _, da = derivation_analysis(build_er(g, answer), ta)
+        assert min_cycle_break(da) == reference_min_cycle_break(da)
 
 
 class TestMinimalAssumptionSets:

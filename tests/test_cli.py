@@ -13,7 +13,7 @@ import pytest
 from aspexplain import cli
 from aspexplain.egraph import egraph_from_json
 
-from test_assumptions import da_ring
+from test_assumptions import TWO_D_SETS, da_ring
 
 DATA = Path(__file__).parent / "data"
 P1 = str(DATA / "p1.aspif")
@@ -221,6 +221,20 @@ class TestExplain:
             outs.append(pair[0])
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("body, answer, root, edge", [
+        ("1 0 1 1 0 1 3\n", "p", "p", "p -> ⊤ [circ]"),
+        ("1 0 1 1 0 1 -3\n", "", "~p", "~p -> ⊥ [circ]"),
+    ])
+    def test_unnamed_external_is_a_fact(self, capsys, tmp_path, body,
+                                        answer, root, edge):
+        path = write(tmp_path, "ext.aspif",
+                     "asp 1 0 0\n5 3 2\n" + body + "4 1 p 1 1\n0\n")
+        code, out, _ = run(capsys, "answersets", path)
+        assert (code, out) == (0, answer + "\n")
+        code, out, err = run(capsys, "explain", path, "--answer", answer,
+                             "--root", root, "--format", "text")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"graph {root}:\n{edge}\n")
 
     def test_long_forward_chain_tip(self, capsys, tmp_path):
         # x(i) :- x(i-1) from the fact x(1): the graph search goes one
@@ -349,6 +363,19 @@ class TestAssumptions:
         else:
             assert err.count("\n") == 1
             assert err.startswith("note: min(B) is one greedy cycle break")
+
+    def test_d_sets_past_the_path_cap_exit_6(self, capsys, tmp_path,
+                                             monkeypatch):
+        path = write(tmp_path, "two.aspif",
+                     "asp 1 0 0\n" + TWO_D_SETS + "0\n")
+        argv = ("assumptions", path, "--answer", "b c z")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "a : [{d}, {e}]\n" in out
+        monkeypatch.setattr("aspexplain.assumptions._PATH_CAP", 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 6
+        assert out == ""
+        assert err.startswith("error: the derivation paths below ~a")
 
 
 class TestAnswersets:

@@ -89,6 +89,28 @@ def test_p1_evaluation(p1, p1_answer):
     assert not p1.spec_holds(spec, p1_answer | {p1.atom_id("m(2)")})
 
 
+def test_rules_for_head_follow_statement_order():
+    # h heads a normal rule, a choice rule and another normal rule.
+    gp = build(
+        "1 0 1 1 0 1 2\n"
+        "1 1 1 1 0 0\n"
+        "1 0 1 1 0 1 -2\n"
+        "1 0 0 0 2 1 2\n"
+        "4 1 h 1 1\n4 1 q 1 2\n"
+    )
+    rules = gp.rules_for_head(gp.atom_id("h"))
+    assert [r.kind for r in rules] == [NORMAL, CHOICE, NORMAL]
+    assert [r.statement_index for r in rules] == [0, 1, 2]
+    assert [r.statement_index for r in gp.constraints()] == [3]
+
+
+def test_unnamed_external_is_a_fact():
+    gp = build("5 3 2\n1 0 1 1 0 1 3\n4 1 p 1 1\n")
+    assert gp.lit_holds(3, frozenset()) and not gp.lit_holds(-3, frozenset())
+    assert gp.resolve_aux(3) == [frozenset()]
+    assert gp.resolve_aux(-3) == []
+
+
 def test_unknown_atom_name(p1):
     with pytest.raises(UnknownLiteral):
         p1.atom_id("zzz")
