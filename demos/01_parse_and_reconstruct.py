@@ -62,8 +62,8 @@ for aid in g.symbol_order:
     print(f"  {g.display_atom(aid)} = atom {aid}")
 print("\nnegated atoms:", ", ".join(g.nant_names()))
 
-# Step 4: the program has three answer sets; the brute-force checker
-# enumerates them in a deterministic order.
+# Step 4: the program has three answer sets; the exact search of the
+# oracle enumerates them in a deterministic order.
 print("\nanswer sets:")
 for model in enumerate_answer_sets(g):
     print(" ", "{" + ", ".join(sorted(model)) + "}")

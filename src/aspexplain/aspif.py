@@ -124,91 +124,121 @@ class AspifProgram:
         return self._atom_ids
 
     @cached_property
-    def _positive_occurrences(self) -> tuple[list[RuleStatement],
-                                             dict[int, list[tuple[int, int]]]]:
-        """The non-constraint rules, and for each atom the (rule index,
-        weight) pairs of its positive body occurrences; a normal body
-        literal weighs 1, and a repeated literal counts per occurrence."""
-        rules = [s for s in self.rules if not s.is_constraint]
+    def _counters(self) -> tuple[list[tuple],
+                                 dict[int, list[tuple[int, int]]]]:
+        """The non-constraint rules as weight rules, and for each atom the
+        (rule index, weight) pairs of its positive body occurrences.
+
+        A rule is (statement, is choice, lower bound, negative (atom,
+        weight) pairs).  A normal body reads as a weight body whose
+        literals weigh 1 and whose lower bound is its length, so it holds
+        iff every literal does; a repeated literal counts per occurrence.
+        """
+        rules = []
         occurrences: dict[int, list[tuple[int, int]]] = {}
-        for index, stmt in enumerate(rules):
+        for stmt in self.rules:
+            if stmt.is_constraint:
+                continue
             body = stmt.body
-            elements = body.elements if isinstance(body, WeightBody) \
-                else [(lit, 1) for lit in body.literals]
+            if isinstance(body, WeightBody):
+                lower, elements = body.lower, body.elements
+            else:
+                lower = len(body.literals)
+                elements = tuple((lit, 1) for lit in body.literals)
             for lit, weight in elements:
                 if lit > 0:
-                    occurrences.setdefault(lit, []).append((index, weight))
+                    occurrences.setdefault(lit, []).append(
+                        (len(rules), weight))
+            negatives = tuple((-lit, w) for lit, w in elements if lit < 0)
+            rules.append((stmt, stmt.is_choice, lower, negatives))
         return rules, occurrences
 
-    def least_model(self, interpretation, choosable) -> set[int]:
+    def least_model(self, interpretation, choosable, facts=(),
+                    blocked=frozenset()) -> set[int]:
         """Least model of the rules with their negative literals fixed.
 
-        ``~a`` holds iff ``a`` is not in ``interpretation``; externals are
-        facts.  A choice rule derives only its heads in ``choosable``, and
-        none when ``choosable`` is None; constraints are ignored.  Each rule
-        keeps a counter of the body weight still missing, so every positive
-        occurrence is visited once (Dowling & Gallier 1984): linear in the
-        program size, whatever the statement order.  Weights are assumed
-        non-negative, as grounders emit them.
+        ``~a`` holds iff ``a`` is not in ``interpretation``; externals and
+        the atoms of ``facts`` are facts, and no atom of ``blocked`` is
+        derived.  A choice rule derives only its heads in ``choosable``,
+        and none when ``choosable`` is None; constraints are ignored.  Each
+        rule keeps a counter of the body weight still missing, so every
+        positive occurrence is visited once (Dowling & Gallier 1984):
+        linear in the program size, whatever the statement order.  Weights
+        are assumed non-negative, as grounders emit them.
         """
-        rules, occurrences = self._positive_occurrences
+        rules, occurrences = self._counters
         missing: list[float] = []
         queue = [s.atom for s in self.externals]
+        queue.extend(facts)
 
-        def fire(stmt: RuleStatement) -> None:
-            if stmt.is_choice:
+        def fire(stmt: RuleStatement, choice: bool) -> None:
+            if choice:
                 queue.extend(h for h in stmt.head if h in choosable)
             else:
                 queue.extend(stmt.head)
 
-        for stmt in rules:
-            body = stmt.body
-            if stmt.is_choice and choosable is None:
+        for stmt, choice, lower, negatives in rules:
+            if choice and choosable is None:
                 need: float = math.inf
-            elif isinstance(body, WeightBody):
-                need = body.lower - sum(
-                    w for lit, w in body.elements
-                    if lit < 0 and -lit not in interpretation)
-            elif any(lit < 0 and -lit in interpretation
-                     for lit in body.literals):
-                need = math.inf
+            elif negatives:
+                need = lower - sum(w for atom, w in negatives
+                                   if atom not in interpretation)
             else:
-                need = sum(1 for lit in body.literals if lit > 0)
+                need = lower
             missing.append(need)
             if need <= 0:
-                fire(stmt)
+                fire(stmt, choice)
         derived: set[int] = set()
         while queue:
             atom = queue.pop()
-            if atom in derived:
+            if atom in derived or atom in blocked:
                 continue
             derived.add(atom)
             for index, weight in occurrences.get(atom, ()):
                 need = missing[index] - weight
                 missing[index] = need
                 if need <= 0 < need + weight:
-                    fire(rules[index])
+                    stmt, choice, _, _ = rules[index]
+                    fire(stmt, choice)
         return derived
 
-    def well_founded(self) -> tuple[frozenset[int], frozenset[int]]:
-        """(true, false) atom ids of the well-founded model.
+    def alternating_fixpoint(self, true=frozenset(), false=frozenset(),
+                             possible=None) -> tuple[set[int], set[int]]:
+        """(lower, upper) bounds of the answer sets that contain ``true``
+        and miss ``false``.
 
-        The alternating fixpoint of Van Gelder, Ross & Schlipf: the true
-        atoms are the least model with negation read against the possible
-        atoms, choice rules off; the possible atoms are the least model
-        with negation read against the true atoms, every choice head
-        allowed.  Every answer set contains the true atoms and none of the
-        false ones.
+        The alternating fixpoint of Van Gelder, Ross & Schlipf under these
+        assumptions: the lower bound is the least model with negation read
+        against the upper bound, choice rules off and ``true`` as facts;
+        the upper bound is the least model with negation read against the
+        lower bound, every choice head allowed and ``false`` blocked.  Every
+        such answer set lies between the two.  The upper bound starts at
+        ``possible``, by default every atom; the upper bound of weaker
+        assumptions is a sound start, and both steps are monotone, so it
+        reaches the same fixpoint sooner.
         """
         atoms = self.atom_ids()
-        true: set[int] = set()
-        possible: frozenset[int] | set[int] = atoms
+        upper = atoms if possible is None else possible
+        lower = None
         while True:
-            new_true = self.least_model(possible, None)
-            new_possible = self.least_model(new_true, atoms)
-            if new_true == true and new_possible == possible:
-                return frozenset(true), frozenset(atoms - possible)
-            true, possible = new_true, new_possible
+            new_lower = self.least_model(upper, None, true)
+            if new_lower == lower:
+                return lower, upper
+            lower = new_lower
+            upper = self.least_model(lower, atoms, (), false)
+
+    @cached_property
+    def _well_founded(self) -> tuple[frozenset[int], frozenset[int]]:
+        true, possible = self.alternating_fixpoint()
+        return frozenset(true), self.atom_ids() - possible
+
+    def well_founded(self) -> tuple[frozenset[int], frozenset[int]]:
+        """(true, false) atom ids of the well-founded model, computed once.
+
+        This is the alternating fixpoint without assumptions: every answer
+        set contains the true atoms and none of the false ones.
+        """
+        return self._well_founded
 
 
 class _Fields:

@@ -38,7 +38,8 @@ class AssumptionReport:
 
 
 def well_founded(g: GroundProgram) -> tuple[frozenset[int], frozenset[int]]:
-    """(true, false) atom ids of the well-founded model of ``g``'s program."""
+    """(true, false) atom ids of the well-founded model of ``g``'s program,
+    computed once per program."""
     return g.aspif.well_founded()
 
 

@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_assumptions)
 
     p = sub.add_parser("answersets",
-                       help="enumerate all answer sets (brute force)")
+                       help="enumerate all answer sets (exhaustive search)")
     common(p)
     p.set_defaults(func=cmd_answersets)
     return parser

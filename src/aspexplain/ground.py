@@ -612,36 +612,31 @@ def _build_index(gp: GroundProgram) -> None:
 
 
 def _compute_nant(gp: GroundProgram) -> set[int]:
+    """Named atoms that occur negated in a rule body, directly or through
+    auxiliary definitions.  The walk keeps an explicit stack, so a deep
+    auxiliary chain costs no recursion."""
     nant: set[int] = set()
     visited: set[tuple[int, bool]] = set()
-
-    def walk(lit: int, negated: bool) -> None:
+    stack: list[tuple[int, bool]] = []
+    for rule in gp.rules:
+        if rule.raw_weight is not None:
+            stack.extend((lit, False) for lit in rule.raw_weight.literals)
+            continue
+        stack.extend((term, False) for term in rule.pos_body
+                     if isinstance(term, int))
+        stack.extend((term, True) for term in rule.neg_body
+                     if isinstance(term, int))
+    while stack:
+        lit, negated = stack.pop()
         aid = abs(lit)
         here = negated != (lit < 0)
         if gp.is_named(aid):
             if here:
                 nant.add(aid)
-            return
+            continue
         if (lit, negated) in visited:
-            return
+            continue
         visited.add((lit, negated))
         for stmt in gp.aspif.definitions.get(aid, ()):
-            if isinstance(stmt.body, WeightBody):
-                for inner, _ in stmt.body.elements:
-                    walk(inner, here)
-            else:
-                for inner in stmt.body.literals:
-                    walk(inner, here)
-
-    for rule in gp.rules:
-        if rule.raw_weight is not None:
-            for lit, _ in rule.raw_weight.elements:
-                walk(lit, False)
-            continue
-        for term in rule.pos_body:
-            if isinstance(term, int):
-                walk(term, False)
-        for term in rule.neg_body:
-            if isinstance(term, int):
-                walk(term, True)
+            stack.extend((inner, here) for inner in stmt.body.literals)
     return nant

@@ -1,12 +1,14 @@
-"""Brute-force stable-model semantics for small ground programs.
+"""Exact stable-model semantics for small ground programs.
 
 This module deliberately works on the raw parsed statements rather than the
 reconstructed rule view, so its verdicts are independent of the folding and
 support machinery it is used to cross-check.  The reduct's least model comes
-from the aspif-level operator :meth:`AspifProgram.least_model`, and the
-guesses of :func:`enumerate_answer_sets` are bounded by the well-founded
-model :meth:`AspifProgram.well_founded` built on it, the same model the
-assumption analysis uses; both read only the parsed statements, so the
+from the aspif-level operator :meth:`AspifProgram.least_model`.
+:func:`enumerate_answer_sets` searches the named atoms the well-founded
+model leaves undecided, branching on one at a time and propagating with
+:meth:`AspifProgram.alternating_fixpoint`, the operator behind the
+well-founded model the assumption analysis uses; every assignment it
+reaches is checked exactly.  Both read only the parsed statements, so the
 oracle stays independent of folding.  Choice bounds need no special
 treatment here: the grounder encodes them as ordinary weight bodies and
 integrity constraints, which are checked directly.
@@ -14,7 +16,6 @@ integrity constraints, which are checked directly.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .aspif import (
@@ -58,17 +59,23 @@ class _Checker:
         self.externals = {s.atom for s in program.externals}
         self.aux_ids = sorted(
             program.atom_ids() - self.named_ids - self.externals)
+        self.constraints = [s for s in program.rules if s.is_constraint]
 
-    def complete(self, named_true: frozenset[int]) -> list[frozenset[int]]:
+    def complete(self, named_true: frozenset[int], lower=frozenset(),
+                 upper=None) -> list[frozenset[int]]:
         """All total interpretations extending a guess over named atoms.
 
         Auxiliary atoms are fixed by a clamped alternating pass; the rare
-        leftovers (cyclic auxiliary definitions) are enumerated.
+        leftovers (cyclic auxiliary definitions) are enumerated.  The pass
+        starts with the auxiliary atoms in ``lower`` true and those outside
+        ``upper`` false, bounds that every answer set extending the guess
+        lies between.
         """
-        true: set[int] = {a for a in self.externals
-                          if a not in self.named_ids}
-        false: set[int] = set()
         open_aux = set(self.aux_ids)
+        true: set[int] = {a for a in self.externals
+                          if a not in self.named_ids} | (open_aux & lower)
+        false: set[int] = set() if upper is None else open_aux - upper
+        open_aux -= true | false
 
         def value(atom: int) -> bool | None:
             if atom in self.named_ids:
@@ -158,6 +165,14 @@ class _Checker:
         return self.classically_satisfied(total) \
             and self.program.least_model(total, total) == total
 
+    def violated(self, lower, upper) -> bool:
+        """True iff a constraint body holds in every interpretation that
+        contains ``lower`` and lies inside ``upper``."""
+        def holds(lit: int) -> bool:
+            return lit in lower if lit > 0 else -lit not in upper
+
+        return any(_body_true(s.body, holds) for s in self.constraints)
+
 
 def check_answer_set(g, answer_names) -> bool:
     """True iff the named atoms form an answer set of the program."""
@@ -177,36 +192,56 @@ def check_answer_set(g, answer_names) -> bool:
 def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpretation]:
     """All answer sets, projected to named atoms, in deterministic order.
 
-    Every answer set contains the well-founded true atoms, the named facts
-    among them, and no well-founded false atom, so guesses cover only the
-    named atoms the well-founded model leaves undecided and the true ones
-    join every guess.  Guesses come by size, then lexicographically; adding
-    the same names to each keeps that order, since it is set by the
-    smallest name in which two guesses of one size differ.
+    A depth-first search over the named atoms the well-founded model leaves
+    undecided, as in the ``expand`` step of Smodels (Simons, Niemelä &
+    Soininen 2002).  A node assumes some of them true and some false and
+    holds the bounds :meth:`AspifProgram.alternating_fixpoint` gives under
+    these assumptions, starting from its parent's upper bound; the root
+    holds the well-founded model.  A node is cut when an assumed-false atom
+    is in the lower bound, an assumed-true one is outside the upper bound,
+    or a constraint body holds between the bounds: no answer set extends
+    it.  Otherwise it branches on the first atom it leaves undecided, and
+    once it decides them all it checks its named atoms exactly, with the
+    bounds as the seed of :meth:`_Checker.complete`.  The answer sets come
+    by size, then by the positions of their undecided atoms in name order,
+    as subsets come from :func:`itertools.combinations`.
     """
-    checker = _Checker(g.aspif)
+    program = g.aspif
+    checker = _Checker(program)
     candidates = sorted(n for n, i in checker.names.items()
                         if i not in checker.externals)
     if len(candidates) > max_named:
         raise TooLarge(
             f"{len(candidates)} named atoms exceed the enumeration cap "
             f"of {max_named}")
-    wf_true, wf_false = g.aspif.well_founded()
+    wf_true, wf_false = program.well_founded()
     decided = wf_true | wf_false
-    forced = frozenset(n for n, i in checker.names.items() if i in wf_true)
-    free = [n for n in candidates if checker.names[n] not in decided]
-    found: list[Interpretation] = []
-    for subset in _subsets_by_size(free):
-        names = forced | frozenset(subset)
-        ids = frozenset(checker.names[n] for n in names)
-        if any(checker.is_stable(total) for total in checker.complete(ids)):
-            found.append(names)
-    return found
-
-
-def _subsets_by_size(items: list[str]):
-    for size in range(len(items) + 1):
-        yield from itertools.combinations(items, size)
+    free = [checker.names[n] for n in candidates
+            if checker.names[n] not in decided]
+    root = (wf_true, program.atom_ids() - wf_false)
+    stack = [] if checker.violated(*root) else [(frozenset(), frozenset(),
+                                                root)]
+    found: list[tuple[list[int], Interpretation]] = []
+    while stack:
+        true, false, (lower, upper) = stack.pop()
+        atom = next((a for a in free if a in upper and a not in lower), None)
+        if atom is None:
+            ids = frozenset(i for i in checker.named_ids if i in lower)
+            if any(checker.is_stable(total)
+                   for total in checker.complete(ids, lower, upper)):
+                chosen = [k for k, a in enumerate(free) if a in lower]
+                found.append(([len(chosen), *chosen], frozenset(
+                    n for n, i in checker.names.items() if i in ids)))
+            continue
+        for child_true, child_false in ((true | {atom}, false),
+                                        (true, false | {atom})):
+            bounds = program.alternating_fixpoint(child_true, child_false,
+                                                  upper)
+            if not (child_false & bounds[0] or child_true - bounds[1]
+                    or checker.violated(*bounds)):
+                stack.append((child_true, child_false, bounds))
+    found.sort(key=lambda item: item[0])
+    return [names for _, names in found]
 
 
 def random_program(seed: int, n_atoms: int = 8, n_rules: int = 10,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -309,6 +311,15 @@ class TestUsage:
         assert exit_info.value.code == 0
         assert "usage: aspexplain parse" in capsys.readouterr().out
 
+    def test_module_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "aspexplain", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: aspexplain ")
+
 
 class TestAssumptions:
     def test_running_example(self, capsys):
@@ -410,6 +421,31 @@ class TestAnswersets:
         code, out, err = run(capsys, "answersets", path)
         assert code == 6
         assert "error:" in err
+
+
+class TestDeepAuxChain:
+    @pytest.mark.parametrize("command, expected", [
+        ("parse", "p :- l(3).\n"), ("answersets", "p\n")])
+    def test_long_aux_chain(self, capsys, tmp_path, command, expected):
+        # p :- l(3).  l(i) :- l(i+1).  l(n) :- not q.  Each auxiliary
+        # definition level is one level deeper, and the recursion limit is
+        # set below the chain length.
+        n = 2000
+        lines = ["asp 1 0 0", "1 0 1 1 0 1 3"]
+        lines += [f"1 0 1 {i} 0 1 {i + 1}" for i in range(3, n)]
+        lines += [f"1 0 1 {n} 0 1 -2", "4 1 p 1 1", "4 1 q 1 2", "0\n"]
+        path = write(tmp_path, "aux_chain.aspif", "\n".join(lines))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + n // 2)
+        try:
+            code, out, err = run(capsys, command, path)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, err
+        assert expected in out
 
 
 class TestGroundCmd:

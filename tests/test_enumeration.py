@@ -1,13 +1,16 @@
-"""Answer-set enumeration bounded by the well-founded model, against the
-full-subset enumeration.
+"""The branch-and-propagate answer-set search against two guess loops.
 
 ``reference_enumerate_answer_sets`` is the enumerator before guesses were
 bounded by the well-founded model: it tries every subset of the non-fact
-named atoms.  It stays here as the slow reference; the fast enumerator must
-return the same list in the same order.
+named atoms.  ``reference_bounded_enumerate_answer_sets`` is the enumerator
+before the search: it tries every subset of the named atoms the
+well-founded model leaves undecided.  Both stay here as slow references;
+the search must return the same list in the same order.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -15,6 +18,11 @@ from aspexplain import oracle
 from aspexplain.aspif import WeightBody, parse_aspif
 from aspexplain.errors import TooLarge
 from aspexplain.ground import reconstruct
+
+
+def _subsets_by_size(items: list[str]):
+    for size in range(len(items) + 1):
+        yield from itertools.combinations(items, size)
 
 
 def reference_enumerate_answer_sets(g, max_named: int = oracle.MAX_NAMED_ATOMS):
@@ -28,8 +36,30 @@ def reference_enumerate_answer_sets(g, max_named: int = oracle.MAX_NAMED_ATOMS):
             f"{len(candidates)} named atoms exceed the enumeration cap "
             f"of {max_named}")
     found = []
-    for subset in oracle._subsets_by_size(candidates):
+    for subset in _subsets_by_size(candidates):
         names = frozenset(named_facts) | frozenset(subset)
+        ids = frozenset(checker.names[n] for n in names)
+        if any(checker.is_stable(total) for total in checker.complete(ids)):
+            found.append(names)
+    return found
+
+
+def reference_bounded_enumerate_answer_sets(
+        g, max_named: int = oracle.MAX_NAMED_ATOMS):
+    checker = oracle._Checker(g.aspif)
+    candidates = sorted(n for n, i in checker.names.items()
+                        if i not in checker.externals)
+    if len(candidates) > max_named:
+        raise TooLarge(
+            f"{len(candidates)} named atoms exceed the enumeration cap "
+            f"of {max_named}")
+    wf_true, wf_false = g.aspif.well_founded()
+    decided = wf_true | wf_false
+    forced = frozenset(n for n, i in checker.names.items() if i in wf_true)
+    free = [n for n in candidates if checker.names[n] not in decided]
+    found = []
+    for subset in _subsets_by_size(free):
+        names = forced | frozenset(subset)
         ids = frozenset(checker.names[n] for n in names)
         if any(checker.is_stable(total) for total in checker.complete(ids)):
             found.append(names)
@@ -96,6 +126,28 @@ def test_random_programs_match_reference():
     assert [] in fast and any(len(found) > 1 for found in fast)
 
 
+def sweep_programs():
+    for seed in range(600):
+        for n_atoms in (8, 9, 10):
+            yield oracle.random_program(seed, n_atoms=n_atoms)
+
+
+def choice_programs():
+    for seed in range(200):
+        for n_atoms in (6, 8, 10):
+            yield oracle.random_program(seed, n_atoms=n_atoms, n_rules=12,
+                                        p_choice=0.5)
+
+
+@pytest.mark.parametrize("source", [sweep_programs, choice_programs])
+def test_search_matches_bounded_reference(source):
+    programs = list(source())
+    fast = [oracle.enumerate_answer_sets(g) for g in programs]
+    assert fast == [reference_bounded_enumerate_answer_sets(g)
+                    for g in programs]
+    assert [] in fast and any(len(found) > 2 for found in fast)
+
+
 @pytest.mark.parametrize("body", [EVEN_LOOPS_WITH_D, ALL_DECIDED, NAMED_FACT],
                          ids=["even_loops_with_d", "all_decided",
                               "named_fact"])
@@ -113,13 +165,61 @@ def test_even_loops_with_d():
                for m in found)
 
 
+def counted_guesses(monkeypatch) -> list:
+    """The named atoms of each call to ``_Checker.complete`` from now on."""
+    guesses = []
+    complete = oracle._Checker.complete
+
+    def counting(self, named_true, *bounds):
+        guesses.append(named_true)
+        return complete(self, named_true, *bounds)
+
+    monkeypatch.setattr(oracle._Checker, "complete", counting)
+    return guesses
+
+
+def test_even_loops_with_d_checks_only_answer_sets(monkeypatch):
+    # The ten named atoms are all undecided at the root; the bounded loop
+    # tried all 2^10 subsets, the search reaches one leaf per answer set.
+    guesses = counted_guesses(monkeypatch)
+    assert len(oracle.enumerate_answer_sets(build(EVEN_LOOPS_WITH_D))) == 16
+    assert len(guesses) == 16
+    guesses.clear()
+    reference_bounded_enumerate_answer_sets(build(EVEN_LOOPS_WITH_D))
+    assert len(guesses) == 1024
+
+
+# a :- not b.  b :- a.  Both are undecided at the root.  Assuming a true
+# derives b, so a is outside the upper bound; assuming a false derives a.
+ODD_LOOP = "1 0 1 1 0 1 -2\n1 0 1 2 0 1 1\n" + named((1, "a"), (2, "b"))
+
+# a :- not b.  b :- not a.  :- a.  Assuming a true violates the constraint.
+EVEN_LOOP_WITHOUT_A = ("1 0 1 1 0 1 -2\n1 0 1 2 0 1 -1\n1 0 0 0 1 1\n"
+                       + named((1, "a"), (2, "b")))
+
+
+@pytest.mark.parametrize("body, leaves", [(ODD_LOOP, 0),
+                                          (EVEN_LOOP_WITHOUT_A, 1)],
+                         ids=["odd_loop", "even_loop_without_a"])
+def test_cut_branches_reach_no_leaf(monkeypatch, body, leaves):
+    expected = reference_bounded_enumerate_answer_sets(build(body))
+    guesses = counted_guesses(monkeypatch)
+    assert oracle.enumerate_answer_sets(build(body)) == expected
+    assert len(guesses) == leaves == len(expected)
+
+
+def test_well_founded_model_is_computed_once():
+    g = build(EVEN_LOOPS_WITH_D)
+    assert g.aspif.well_founded() is g.aspif.well_founded()
+
+
 def test_decided_program_makes_one_guess(monkeypatch):
     guesses = []
     complete = oracle._Checker.complete
 
-    def counting(self, named_true):
+    def counting(self, named_true, *bounds):
         guesses.append(named_true)
-        return complete(self, named_true)
+        return complete(self, named_true, *bounds)
 
     monkeypatch.setattr(oracle._Checker, "complete", counting)
     assert oracle.enumerate_answer_sets(build(ALL_DECIDED)) \
@@ -169,4 +269,17 @@ def test_free_aux_cap_skips_guesses_the_well_founded_model_excludes():
     g = build(free_aux_text(7))
     with pytest.raises(TooLarge, match="14 auxiliary atoms"):
         reference_enumerate_answer_sets(g)
+    assert oracle.enumerate_answer_sets(g) == [frozenset({"q"})]
+
+
+def test_free_aux_cap_counts_only_atoms_the_search_leaves_open():
+    # p :- x(1).  x(i) :- x(i+1).  x(13) :- x(1).  q :- not p.  The clamped
+    # pass of complete() cannot refute the unfounded loop, the well-founded
+    # bounds the search passes as its seed make every x(i) false.
+    lines = ["1 0 1 1 0 1 10", "1 0 1 2 0 1 -1"]
+    lines += [f"1 0 1 {10 + i} 0 1 {11 + i}" for i in range(12)]
+    lines += ["1 0 1 22 0 1 10"]
+    g = build("\n".join(lines) + "\n" + named((1, "p"), (2, "q")))
+    with pytest.raises(TooLarge, match="13 auxiliary atoms"):
+        reference_bounded_enumerate_answer_sets(g)
     assert oracle.enumerate_answer_sets(g) == [frozenset({"q"})]
