@@ -19,6 +19,7 @@ from .constraints import classify_choice_support, constraint_preprocessing
 from .egraph import (
     EEdge,
     ExplanationGraph,
+    SupportTable,
     build_egraph,
     egraph_from_json,
     merge_supports,
@@ -84,6 +85,7 @@ __all__ = [
     "NotApplicable",
     "NoValidGraph",
     "ReconstructionError",
+    "SupportTable",
     "TooLarge",
     "TruncatedStatement",
     "UnknownLiteral",

@@ -260,15 +260,25 @@ def _shrink_against_graphs(g, A, er, table, chosen: frozenset[str]):
     out of the graph of ~X, so every cycle lies inside one part and stays
     safe, and no other node's options change, since no graph under U holds
     the atom X.  So each candidate costs one build.
+
+    In the first pass a literal that is a node of a graph built earlier in
+    the pass needs no build: the part of a valid graph reachable from any
+    of its nodes is a valid graph for that node.
     """
     if not chosen:
         return chosen
     if table is None:
         table = merge_supports(er, constraint_preprocessing(g, A))
+    covered: set[nodes.ENode] = set()
     for aid in sorted(g.named_ids()):
         root = nodes.literal_node(g.display_atom(aid), aid in A)
-        if not _explainable(table, chosen, root):
+        if root in covered:
+            continue
+        try:
+            graph = build_egraph(table, chosen, root, max_graphs=1)[0]
+        except NoValidGraph:
             return chosen
+        covered.update(graph.nodes)
     for name in sorted(chosen):
         if _explainable(table, chosen - {name}, nodes.neg_atom_node(name)):
             chosen = chosen - {name}

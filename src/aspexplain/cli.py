@@ -11,7 +11,13 @@ from . import nodes, oracle
 from .aspif import parse_aspif
 from .assumptions import _EXACT_SEARCH_LIMIT, minimal_assumption_sets
 from .constraints import constraint_preprocessing
-from .egraph import build_egraph, merge_supports, to_dot, to_json
+from .egraph import (
+    SupportTable,
+    build_egraph,
+    merge_supports,
+    to_dot,
+    to_json,
+)
 from .errors import (
     AspifError,
     NoSupport,
@@ -225,9 +231,15 @@ def cmd_explain(args) -> int:
     if loaded is None:
         return EXIT_NOT_ANSWER_SET
     g, answer = loaded
-    er = build_er(g, answer)
-    ec = constraint_preprocessing(g, answer)
-    table = merge_supports(er, ec)
+    if args.format == "text" or args.no_check:
+        # The report prints both tables whole, and an unchecked answer may
+        # fail in any row, so every row is built first.
+        er = build_er(g, answer)
+        ec = constraint_preprocessing(g, answer)
+        table = merge_supports(er, ec)
+    else:
+        table = SupportTable(g, answer)
+        er = table.er
     report = minimal_assumption_sets(g, answer, er=er, table=table)
     graph = build_egraph(table, report.chosen_u, parse_root(args.root),
                          max_graphs=1)[0]

@@ -10,10 +10,8 @@ bound node as its savior when the bound test fails on the firing side.
 
 from __future__ import annotations
 
-import itertools
-
 from . import nodes
-from .errors import NotApplicable, UnsupportedWeightBody, UnviolableConstraint
+from .errors import NotApplicable, UnviolableConstraint
 from .ground import ChoiceAtomSpec, GroundProgram, GroundRule, _dedupe_sets
 from .support import _merge_expansion, choice_body_support
 
@@ -39,45 +37,33 @@ def classify_choice_support(g: GroundProgram, x: ChoiceAtomSpec, side: str,
         f"constraint on side {side}")
 
 
-def _resolved_bodies(g: GroundProgram, rule: GroundRule):
-    """Expand auxiliary body atoms into alternatives of named literals.
-
-    Each alternative behaves like a separate constraint with the same
-    choice occurrences.
-    """
-    if rule.raw_weight is not None:
-        raise UnsupportedWeightBody(
-            f"constraint from statement {rule.statement_index} kept opaque: "
-            "heterogeneous weight body")
-    per_term: list[list[frozenset[int]]] = []
-    specs: list[tuple[ChoiceAtomSpec, str]] = []
-    for term in rule.pos_body:
-        if isinstance(term, ChoiceAtomSpec):
-            specs.append((term, POS_BODY))
-        else:
-            per_term.append(g.resolve_aux(term))
-    for term in rule.neg_body:
-        if isinstance(term, ChoiceAtomSpec):
-            specs.append((term, NEG_BODY))
-        else:
-            per_term.append(g.resolve_aux(-term))
-    bodies = [frozenset()]
-    for alternatives in per_term:
-        bodies = [b | alt for b, alt in itertools.product(bodies, alternatives)]
-    return _dedupe_sets(bodies), specs
+def _choice_occurrences(rule: GroundRule) -> list[tuple[ChoiceAtomSpec, str]]:
+    return [(t, POS_BODY) for t in rule.pos_body
+            if isinstance(t, ChoiceAtomSpec)] \
+        + [(t, NEG_BODY) for t in rule.neg_body
+           if isinstance(t, ChoiceAtomSpec)]
 
 
-def constraint_preprocessing(g: GroundProgram, A: frozenset[int]):
-    """Build E_c for every constraint of the program under A."""
-    ec: dict[nodes.ENode, list[frozenset[nodes.ENode]]] = {}
+def check_constraints(g: GroundProgram, A: frozenset[int]) -> None:
+    """Raise the first UnsupportedWeightBody, AuxCycle or
+    ReconstructionError that constraint_preprocessing would raise: each
+    constraint's body is resolved, and its choice occurrences are evaluated
+    when it has a resolved body."""
     for rule in g.constraints():
-        bodies, specs = _resolved_bodies(g, rule)
-        for body in bodies:
-            _process_constraint(g, A, rule, body, specs, ec)
-    return {key: _dedupe_sets(value) for key, value in ec.items()}
+        if g.constraint_bodies(rule):
+            for spec, _ in _choice_occurrences(rule):
+                g.satisfied_elements(spec, A)
 
 
-def _process_constraint(g, A, rule, body, specs, ec) -> None:
+def constraint_saviors(g: GroundProgram, A: frozenset[int], rule: GroundRule,
+                      body: frozenset[int]):
+    """The violating literals of one resolved constraint body under A, its
+    saviors, and the table rows of the bound nodes among them.
+
+    The saviors are the negations of the body literals that fail, in node
+    order, then the bound nodes of the choice occurrences that falsify the
+    body.  Raises UnviolableConstraint when there is none.
+    """
     violation: list[int] = []
     support: list[int] = []
     for lit in sorted(body, key=lambda l: g.lit_node(l).sort_key()):
@@ -88,7 +74,7 @@ def _process_constraint(g, A, rule, body, specs, ec) -> None:
 
     choice_support: list[nodes.ENode] = []
     expansion: dict = {}
-    for spec, side in specs:
+    for spec, side in _choice_occurrences(rule):
         try:
             node = classify_choice_support(g, spec, side, A)
         except NotApplicable:
@@ -102,15 +88,27 @@ def _process_constraint(g, A, rule, body, specs, ec) -> None:
         raise UnviolableConstraint(
             f"constraint \"{g.rule_text(rule)}\" fires under the given "
             "interpretation; it is not an answer set")
-    if not violation:
-        return
-
     saviors = [g.lit_node(lit) for lit in support] + choice_support
-    for lit in violation:
-        v_node = g.lit_node(lit)
-        name = g.display_atom(abs(lit))
-        tc = nodes.constraint_node(name, lit > 0)
-        ec.setdefault(v_node, []).append(frozenset({tc}))
-        prior = ec.get(tc, [frozenset()])
-        ec[tc] = [c | {s} for c in prior for s in saviors]
-    _merge_expansion(ec, expansion)
+    return violation, saviors, expansion
+
+
+def constraint_preprocessing(g: GroundProgram, A: frozenset[int]):
+    """Build E_c for every constraint of the program under A.
+
+    Each violating literal L gets the row {triggered_constraint(L)}, whose
+    own row takes one savior from each body that L violates.
+    """
+    ec: dict[nodes.ENode, list[frozenset[nodes.ENode]]] = {}
+    for rule in g.constraints():
+        for body in g.constraint_bodies(rule):
+            violation, saviors, expansion = constraint_saviors(g, A, rule,
+                                                               body)
+            if not violation:
+                continue
+            for lit in violation:
+                tc = nodes.constraint_node(g.display_atom(abs(lit)), lit > 0)
+                ec.setdefault(g.lit_node(lit), []).append(frozenset({tc}))
+                prior = ec.get(tc, [frozenset()])
+                ec[tc] = [c | {s} for c in prior for s in saviors]
+            _merge_expansion(ec, expansion)
+    return {key: _dedupe_sets(value) for key, value in ec.items()}

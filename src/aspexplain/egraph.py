@@ -15,8 +15,10 @@ import json
 from dataclasses import dataclass, field
 
 from . import nodes
+from .constraints import check_constraints, constraint_saviors
 from .errors import NoValidGraph, UnknownLiteral
 from .ground import _dedupe_sets
+from .support import _merge_expansion, check_rules, er_row
 
 DEFAULT_MAX_GRAPHS = 64
 
@@ -76,6 +78,102 @@ def merge_supports(er: dict, ec: dict) -> dict:
             combined = [r | c for r in left for c in right]
         merged[key] = _dedupe_sets(combined)
     return merged
+
+
+class _Rows:
+    """The reading side of a table whose rows come from a function that
+    gives None for a node that is not a key."""
+
+    def __init__(self, row):
+        self._row = row
+
+    def get(self, node: nodes.ENode, default=None):
+        row = self._row(node)
+        return default if row is None else row
+
+    def __contains__(self, node: nodes.ENode) -> bool:
+        return self._row(node) is not None
+
+
+class SupportTable(_Rows):
+    """The table merge_supports(build_er(g, A), constraint_preprocessing(g,
+    A)) builds, with each row built when it is first read.
+
+    A literal's row is its E_r row; where the literal L holds in constraint
+    bodies, each set also holds triggered_constraint(L), whose row takes
+    one savior from each of those bodies, in constraint order.  A choice or
+    tuple row depends only on its key and is kept when a row holding the
+    node is built.  ``er`` reads the E_r rows alone, as build_er gives
+    them.  Building the table raises the first reconstruction error the
+    full build would raise, so a query fails as the full build does.
+    """
+
+    def __init__(self, g, A: frozenset[int]):
+        check_rules(g, A)
+        check_constraints(g, A)
+        super().__init__(self._row)
+        self.er = _Rows(self._er_row)
+        self._g = g
+        self._A = A
+        self._index = g.constraint_index
+        self._er: dict = {}
+        self._rows: dict = {}
+        self._expansions: dict = {}
+
+    def _holding(self, name: str, positive: bool) -> int | None:
+        """The signed id of a named literal that holds under A, or None."""
+        try:
+            aid = self._g.atom_id(name)
+        except UnknownLiteral:
+            return None
+        if (aid in self._A) != positive:
+            return None
+        return aid if positive else -aid
+
+    def _er_row(self, node: nodes.ENode):
+        if node.kind == nodes.CONSTRAINT:
+            return None
+        if node.kind not in (nodes.ATOM, nodes.NEG_ATOM):
+            return self._expansions.get(node)
+        if node not in self._er:
+            lit = self._holding(node.payload[0], node.kind == nodes.ATOM)
+            row = None
+            if lit is not None:
+                expansion: dict = {}
+                _, row = er_row(self._g, self._A, abs(lit), expansion)
+                _merge_expansion(self._expansions, expansion)
+            self._er[node] = row
+        return self._er[node]
+
+    def _row(self, node: nodes.ENode):
+        if node.kind not in (nodes.ATOM, nodes.NEG_ATOM, nodes.CONSTRAINT):
+            return self._expansions.get(node)
+        if node not in self._rows:
+            if node.kind == nodes.CONSTRAINT:
+                self._rows[node] = self._constraint_row(*node.payload[0])
+            else:
+                self._rows[node] = self._literal_row(node)
+        return self._rows[node]
+
+    def _literal_row(self, node: nodes.ENode):
+        name, positive = node.payload[0], node.kind == nodes.ATOM
+        row = self._er_row(node)
+        if row is None or self._holding(name, positive) not in self._index:
+            return row
+        tc = nodes.constraint_node(name, positive)
+        return _dedupe_sets([s | {tc} for s in row])
+
+    def _constraint_row(self, name: str, positive: bool):
+        bodies = self._index.get(self._holding(name, positive))
+        if bodies is None:
+            return None
+        rows = [frozenset()]
+        for rule, body in bodies:
+            _, saviors, expansion = constraint_saviors(self._g, self._A,
+                                                       rule, body)
+            _merge_expansion(self._expansions, expansion)
+            rows = [c | {s} for c in rows for s in saviors]
+        return _dedupe_sets(rows)
 
 
 def build_egraph(e: dict, u, root: nodes.ENode,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import nodes
 from .aspif import (
@@ -107,6 +108,7 @@ class GroundProgram:
         self.symbol_order: list[int] = []
         self._by_name: dict[str, int] = {}
         self._resolve_memo: dict[int, list[frozenset[int]]] = {}
+        self._body_memo: dict[int, list[frozenset[int]]] = {}
 
     # --- naming -----------------------------------------------------------
 
@@ -260,6 +262,38 @@ class GroundProgram:
             resolved = self._resolve(lit, stack)
             alts = [a | r for a in alts for r in resolved]
         return alts
+
+    def constraint_bodies(self, rule: GroundRule) -> list[frozenset[int]]:
+        """A constraint's body with its auxiliary atoms resolved.
+
+        Each alternative is a set of signed named atom ids and acts as a
+        separate constraint with the same choice occurrences, which are
+        left out here.  Memoised per constraint.
+        """
+        bodies = self._body_memo.get(rule.statement_index)
+        if bodies is None:
+            if rule.raw_weight is not None:
+                raise UnsupportedWeightBody(
+                    f"constraint from statement {rule.statement_index} kept "
+                    "opaque: heterogeneous weight body")
+            lits = [t for t in rule.pos_body if isinstance(t, int)] \
+                + [-t for t in rule.neg_body if isinstance(t, int)]
+            bodies = _dedupe_sets(self._conjoin(lits, frozenset()))
+            self._body_memo[rule.statement_index] = bodies
+        return bodies
+
+    @cached_property
+    def constraint_index(self) -> dict[int, list[tuple[GroundRule,
+                                                       frozenset[int]]]]:
+        """Signed named atom id -> each constraint with a resolved body that
+        holds the literal, and that body, in constraint order.  It does not
+        depend on the answer set, so it is built once per program."""
+        index: dict[int, list[tuple[GroundRule, frozenset[int]]]] = {}
+        for rule in self.constraints():
+            for body in self.constraint_bodies(rule):
+                for lit in body:
+                    index.setdefault(lit, []).append((rule, body))
+        return index
 
     # --- rendering --------------------------------------------------------
 

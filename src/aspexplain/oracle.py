@@ -175,15 +175,22 @@ class _Checker:
 
 
 def check_answer_set(g, answer_names) -> bool:
-    """True iff the named atoms form an answer set of the program."""
+    """True iff the named atoms form an answer set of the program.
+
+    Every answer set lies between the bounds of the well-founded model, so
+    they seed :meth:`_Checker.complete` without changing the verdict; the
+    model is cached per program, and the explanation reuses it.
+    """
     checker = _Checker(g.aspif)
     named_true = set()
     for name in answer_names:
         if name not in checker.names:
             raise UnknownLiteral(f"unknown atom {name!r} in answer set")
         named_true.add(checker.names[name])
+    wf_true, wf_false = g.aspif.well_founded()
     # Every named atom not listed is false; the guess must also cover facts.
-    for total in checker.complete(frozenset(named_true)):
+    for total in checker.complete(frozenset(named_true), wf_true,
+                                  g.aspif.atom_ids() - wf_false):
         if checker.is_stable(total):
             return True
     return False

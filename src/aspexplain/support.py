@@ -76,17 +76,20 @@ def _term_true_options(g, term, positive, A, expansion):
     return _holding_alternatives(g, term if positive else -term, A)
 
 
-def _body_true_options(g, rule: GroundRule, A, expansion):
-    """One supported set per way of satisfying the body; [] if unsatisfied."""
+def _body_terms(rule: GroundRule) -> list[tuple]:
+    """The body terms of a rule with their signs, the positive body first."""
     if rule.raw_weight is not None:
         raise UnsupportedWeightBody(
             f"rule from statement {rule.statement_index} kept opaque: "
             "heterogeneous weight body")
-    per_term = []
-    for term in rule.pos_body:
-        per_term.append(_term_true_options(g, term, True, A, expansion))
-    for term in rule.neg_body:
-        per_term.append(_term_true_options(g, term, False, A, expansion))
+    return [(term, True) for term in rule.pos_body] \
+        + [(term, False) for term in rule.neg_body]
+
+
+def _body_true_options(g, rule: GroundRule, A, expansion):
+    """One supported set per way of satisfying the body; [] if unsatisfied."""
+    per_term = [_term_true_options(g, term, positive, A, expansion)
+                for term, positive in _body_terms(rule)]
     if any(not options for options in per_term):
         return []
     return _cross_union(per_term)
@@ -136,10 +139,9 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
                                | _companions(g, rule, c))
         elif not body_options:
             # A body fails through any one term that does not hold.
-            for term in rule.pos_body:
-                options.extend(_term_true_options(g, term, False, A, expansion))
-            for term in rule.neg_body:
-                options.extend(_term_true_options(g, term, True, A, expansion))
+            for term, positive in _body_terms(rule):
+                options.extend(_term_true_options(g, term, not positive, A,
+                                                  expansion))
             options = _minimize_sets(options)
         per_rule.append(options)
     combined = _minimize_sets(_cross_union(per_rule))
@@ -167,20 +169,43 @@ def er_key_order(g: GroundProgram) -> list[int]:
     return order
 
 
+def er_row(g: GroundProgram, A: frozenset[int], aid: int, expansion: dict):
+    """The E_r key of a named atom, its literal under A, and its row; the
+    rows of the choice and tuple nodes the row holds go to ``expansion``."""
+    if aid in A:
+        return (nodes.atom_node(g.display_atom(aid)),
+                supported_sets_true(g, A, aid, expansion))
+    return (nodes.neg_atom_node(g.display_atom(aid)),
+            supported_sets_false(g, A, aid, expansion))
+
+
 def build_er(g: GroundProgram, A: frozenset[int]):
     """The full supported-set table for every named atom."""
     table: dict[nodes.ENode, list[frozenset[nodes.ENode]]] = {}
     for aid in er_key_order(g):
         expansion: dict = {}
-        if aid in A:
-            key = nodes.atom_node(g.display_atom(aid))
-            value = supported_sets_true(g, A, aid, expansion)
-        else:
-            key = nodes.neg_atom_node(g.display_atom(aid))
-            value = supported_sets_false(g, A, aid, expansion)
+        key, value = er_row(g, A, aid, expansion)
         table[key] = value
         _merge_expansion(table, expansion)
     return table
+
+
+def check_rules(g: GroundProgram, A: frozenset[int]) -> None:
+    """Raise the first UnsupportedWeightBody, AuxCycle or
+    ReconstructionError that build_er would raise, without building a row.
+
+    build_er reads the rules of the named atoms in er_key_order, and each
+    rule's terms in body order; an auxiliary atom raises when it is
+    resolved and a choice occurrence when its elements are evaluated.
+    Resolution is memoised per program, so the rows built later reuse it.
+    """
+    for aid in er_key_order(g):
+        for rule in g.rules_for_head(aid):
+            for term, positive in _body_terms(rule):
+                if isinstance(term, ChoiceAtomSpec):
+                    g.satisfied_elements(term, A)
+                else:
+                    g.resolve_aux(term if positive else -term)
 
 
 def dump_table(table, ascii_only: bool = False) -> str:

@@ -289,6 +289,79 @@ class TestExplain:
         assert sorted(edges.splitlines()) == sorted(expected)
 
 
+def named(*names: str) -> str:
+    return "".join(f"4 {len(n)} {n} 1 {i}\n" for i, n in enumerate(names, 1))
+
+
+class TestExplainExitCodes:
+    """An error anywhere in the support tables fails every query, also
+    where the queried literal's graph never reaches it."""
+
+    @pytest.mark.parametrize("body, names, answer, message", [
+        # b :- 1 <= {c=1, d=2}.
+        ("1 0 1 1 0 0\n1 0 1 2 1 1 2 3 1 4 2\n", "abcd", "a",
+         "rule from statement 1 kept opaque: heterogeneous weight body"),
+        # b :- l(5).  l(5) :- l(6).  l(6) :- l(5).
+        ("1 0 1 1 0 0\n1 0 1 2 0 1 5\n1 0 1 5 0 1 6\n1 0 1 6 0 1 5\n",
+         "ab", "a", "auxiliary atom 5 is defined through itself"),
+        # b :- l(5).  l(5) :- 1 <= {c=1, d=2}.
+        ("1 0 1 1 0 0\n1 0 1 2 0 1 5\n1 0 1 5 1 1 2 3 1 4 2\n", "abcd",
+         "a", "auxiliary atom 5 is defined by a weight body"),
+        # {l(5)}.  b :- l(5).
+        ("1 0 1 1 0 0\n1 1 1 5 0 0\n1 0 1 2 0 1 5\n", "ab", "a",
+         "auxiliary atom 5 occurs in a choice head"),
+        # :- l(5).  l(5) :- l(6).  l(6) :- l(5).
+        ("1 0 1 1 0 0\n1 0 0 0 1 5\n1 0 1 5 0 1 6\n1 0 1 6 0 1 5\n",
+         "ab", "a", "auxiliary atom 5 is defined through itself"),
+        # :- 1 <= {c=1, d=2}.
+        ("1 0 1 1 0 0\n1 0 0 1 1 2 3 1 4 2\n", "abcd", "a",
+         "constraint from statement 1 kept opaque: heterogeneous weight "
+         "body"),
+        # {x}.  {l(9)}.  b :- 1 <= {(x, l(9))}: evaluating the element
+        # reaches l(9) only when x is true.
+        ("1 0 1 1 0 0\n1 1 1 3 0 0\n1 1 1 9 0 0\n1 0 1 5 0 2 9 3\n"
+         "1 0 1 6 1 1 1 5 1\n1 0 1 2 0 1 6\n", "abx", "a x",
+         "auxiliary atom 9 occurs in a choice head"),
+        # The same element in a constraint: :- not 1 <= {(x, l(9))}.
+        ("1 0 1 1 0 0\n1 1 1 3 0 0\n1 1 1 9 0 0\n1 0 1 5 0 2 9 3\n"
+         "1 0 1 6 1 1 1 5 1\n1 0 0 0 1 -6\n", "abx", "a x",
+         "auxiliary atom 9 occurs in a choice head"),
+    ])
+    @pytest.mark.parametrize("fmt", ["dot", "json", "text"])
+    def test_unreached_reconstruction_error_exits_2(
+            self, capsys, tmp_path, body, names, answer, message, fmt):
+        path = write(tmp_path, "p.aspif",
+                     "asp 1 0 0\n" + body + named(*names) + "0\n")
+        code, out, err = run(capsys, "explain", path, "--answer", answer,
+                             "--root", "a", "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unchecked_unsupported_atom_exits_3(self, capsys, tmp_path):
+        # a.  b :- c.  The answer {a, b} is not checked, and b, which the
+        # root does not reach, has no support.
+        path = write(tmp_path, "p.aspif", "asp 1 0 0\n1 0 1 1 0 0\n"
+                     "1 0 1 2 0 1 3\n" + named("a", "b", "c") + "0\n")
+        code, out, err = run(capsys, "explain", path, "--answer", "a b",
+                             "--root", "a", "--no-check")
+        assert (code, out) == (3, "")
+        assert err == ("error: b is in the answer set but no rule supports "
+                       "it; the interpretation is not an answer set\n")
+
+    @pytest.mark.parametrize("root, message", [
+        ("zzz", "cannot explain zzz: not a literal of the program"),
+        ("~zzz", "cannot explain ~zzz: not a literal of the program"),
+        ("~m(1)", "cannot explain ~m(1): m(1) is true in the answer set; "
+                  "query m(1) instead"),
+        ("m(2)", "cannot explain m(2): m(2) is false in the answer set; "
+                 "query ~m(2) instead"),
+    ])
+    @pytest.mark.parametrize("extra", [[], ["--no-check"]])
+    def test_bad_root_exits_4(self, capsys, root, message, extra):
+        code, out, err = run(capsys, "explain", P1, "--answer-set",
+                             P1_ANSWER, "--root", root, *extra)
+        assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 class TestUsage:
     def test_unknown_flag_exits_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

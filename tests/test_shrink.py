@@ -128,3 +128,39 @@ def test_shrink_builds_scale_linearly(monkeypatch):
     small = shrink_builds(monkeypatch, 40)
     large = shrink_builds(monkeypatch, 80)
     assert large <= 2.5 * small, (small, large)
+
+
+def false_chain(n: int):
+    """x(i) :- x(i+1) for i < n.  x(n) :- not y.  y :- not x(1)."""
+    lines = ["asp 1 0 0"]
+    lines += [f"1 0 1 {i} 0 1 {i + 1}" for i in range(1, n)]
+    lines += [f"1 0 1 {n} 0 1 -{n + 1}", f"1 0 1 {n + 1} 0 1 -1"]
+    lines += [f"4 {len(f'x({i})')} x({i}) 1 {i}" for i in range(1, n + 1)]
+    lines += [f"4 1 y 1 {n + 1}", "0\n"]
+    return reconstruct(parse_aspif("\n".join(lines)))
+
+
+@pytest.mark.parametrize("n", [50, 600])
+def test_first_pass_skips_literals_of_earlier_graphs(monkeypatch, n):
+    # Under U = {x(1)} the graph of ~x(2) runs down the chain to y and back
+    # to ~x(1), so it covers every literal but ~x(1), whose graph is built
+    # first; the one candidate, U = {}, costs one more build.  Building a
+    # graph for every literal took n + 2 builds, each walking the chain.
+    g = false_chain(n)
+    A = g.answer_from_names(["y"])
+    er = build_er(g, A)
+    table = merge_supports(er, constraint_preprocessing(g, A))
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return build_egraph(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assumptions, "build_egraph", counting)
+        report = assumptions.minimal_assumption_sets(g, A, er=er, table=table)
+    assert report.chosen_u == frozenset({"x(1)"})
+    assert calls == 3
+    if n < 100:  # the reference builds n + 2 graphs of up to n + 2 nodes
+        check_against_reference(g, A)

@@ -1,0 +1,105 @@
+"""The demand-driven SupportTable against the full merged table.
+
+Every key of ``merge_supports(build_er, constraint_preprocessing)`` must
+read the same row from the table, whatever order the rows are built in,
+and the table's E_r view must read the rows of ``build_er``.  A cold
+``explain`` must build only the rows its search reaches.
+"""
+
+from __future__ import annotations
+
+import pathlib
+
+import pytest
+
+from aspexplain import cli, nodes, oracle, support
+from aspexplain.aspif import parse_aspif
+from aspexplain.constraints import constraint_preprocessing
+from aspexplain.egraph import SupportTable, merge_supports
+from aspexplain.errors import TooLarge
+from aspexplain.ground import reconstruct
+from aspexplain.support import build_er
+
+from test_shrink import families
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def check_table(g, A) -> int:
+    """Compares a fresh table with the full tables; returns the keys."""
+    er = build_er(g, A)
+    merged = merge_supports(er, constraint_preprocessing(g, A))
+    table = SupportTable(g, A)
+    # The literal rows first, in reverse key order, so that expansion rows
+    # are kept in another order than the full build keeps them.
+    literal_kinds = (nodes.ATOM, nodes.NEG_ATOM)
+    for key in reversed(merged):
+        if key.kind in literal_kinds:
+            assert table.get(key) == merged[key], key
+    for key, row in merged.items():
+        assert key in table, key
+        assert table.get(key) == row, key
+    for key, row in er.items():
+        assert table.er.get(key) == row, key
+    for aid in g.named_ids():
+        name = g.display_atom(aid)
+        opposite = nodes.literal_node(name, aid not in A)
+        assert opposite not in table
+        assert table.er.get(opposite) is None
+        for positive in (True, False):
+            tc = nodes.constraint_node(name, positive)
+            assert (tc in table) == (tc in merged)
+            assert table.er.get(tc) is None
+    assert nodes.atom_node("no such atom") not in table
+    return len(merged)
+
+
+@pytest.mark.parametrize("n_atoms", [6, 8, 10])
+@pytest.mark.parametrize("p_choice", [0.0, 0.5])
+def test_random_programs_match_full_table(n_atoms, p_choice):
+    answers = 0
+    for seed in range(200):
+        g = oracle.random_program(seed, n_atoms=n_atoms, n_rules=12,
+                                  p_choice=p_choice)
+        try:
+            models = oracle.enumerate_answer_sets(g)
+        except TooLarge:
+            continue
+        for model in models:
+            check_table(g, g.answer_from_names(sorted(model)))
+            answers += 1
+    assert answers > 80, answers
+
+
+@pytest.mark.parametrize("name", ["p1", "coloring"])
+def test_bundled_examples_match_full_table(name):
+    g = reconstruct(parse_aspif((DATA / f"{name}.aspif").read_text()))
+    for model in oracle.enumerate_answer_sets(g):
+        assert check_table(g, g.answer_from_names(sorted(model))) > 0
+
+
+def test_cold_explain_builds_few_rows(monkeypatch, tmp_path, capsys):
+    # The ring's colour of vertex 1 reaches its rule, the edge constraints
+    # on it and the neighbours' colours; U is empty, so the assumption
+    # analysis reads no row.
+    inst = families.ring(120)
+    path = tmp_path / "ring.aspif"
+    path.write_text(inst.text)
+    g = reconstruct(parse_aspif(inst.text))
+    assert len(g.named_ids()) == 603
+    rows = 0
+
+    def counting(*args, **kwargs):
+        nonlocal rows
+        rows += 1
+        return support.er_row(*args, **kwargs)
+
+    monkeypatch.setattr("aspexplain.egraph.er_row", counting)
+    for root in ("colored(1,green)", "~colored(1,red)"):
+        rows = 0
+        code = cli.main(["explain", str(path), "--answer",
+                         " ".join(inst.answer), "--root", root])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("digraph explanation {")
+        assert 0 < rows <= 20, (root, rows)
