@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import shlex
-import subprocess
 import sys
 
 from . import nodes, oracle
@@ -136,6 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_program_text(args) -> str:
     if args.ground_cmd:
+        import shlex
+        import subprocess
+
         cmd = shlex.split(args.ground_cmd)
         if "{}" in cmd:
             cmd = [args.input if part == "{}" else part for part in cmd]

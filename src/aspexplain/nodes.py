@@ -1,13 +1,13 @@
 """Node vocabulary for support tables and explanation graphs.
 
-A node is a frozen (kind, payload) pair.  Payloads hold display names, not
-atom ids, so tables and graphs can be rendered and serialized without the
-program they came from.
+A node is a (kind, payload) named tuple, so it hashes and compares by its
+fields in C.  Payloads hold display names, not atom ids, so tables and
+graphs can be rendered and serialized without the program they came from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ATOM = "atom"
 NEG_ATOM = "neg_atom"
@@ -60,8 +60,7 @@ _FIXED_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class ENode:
+class ENode(NamedTuple):
     kind: str
     payload: tuple = ()
     # Set on nodes rebuilt from serialized graphs, where only the rendered

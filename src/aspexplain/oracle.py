@@ -16,8 +16,6 @@ integrity constraints, which are checked directly.
 
 from __future__ import annotations
 
-import random
-
 from .aspif import (
     HEAD_CHOICE,
     HEAD_DISJUNCTIVE,
@@ -259,6 +257,8 @@ def random_program(seed: int, n_atoms: int = 8, n_rules: int = 10,
     same compilation scheme grounders use for choice bounds, so every call
     exercises the parse/reconstruct round trip.
     """
+    import random
+
     from .ground import reconstruct
 
     rng = random.Random(seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -392,6 +393,30 @@ class TestUsage:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: aspexplain ")
+
+    def test_modules_import_no_rarely_used_stdlib_module_at_load(self):
+        # Each of these is imported inside the function that uses it: the
+        # external grounder, node ids and JSON, and the random program
+        # generator.  Only statements run at load time are checked, so
+        # function bodies are skipped.
+        lazy = {"shlex", "subprocess", "hashlib", "json", "random"}
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            pending = list(ast.parse(path.read_text()).body)
+            while pending:
+                node = pending.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    names = []
+                found += [(path.name, name) for name in names
+                          if name.split(".")[0] in lazy]
+                pending.extend(ast.iter_child_nodes(node))
+        assert found == []
 
 
 class TestAssumptions:

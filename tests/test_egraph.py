@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -13,6 +14,8 @@ from aspexplain.constraints import constraint_preprocessing
 from aspexplain.egraph import (
     EEdge,
     ExplanationGraph,
+    _cycle_safe,
+    _scc_index,
     build_egraph,
     egraph_from_json,
     merge_supports,
@@ -374,3 +377,40 @@ class TestOracleProperty:
                     assert validate_egraph(graphs[0], e, u)
                     checked += 1
         assert checked > 20
+
+
+def non_diamond(edges):
+    kept = [edge for edge in edges if edge.label != "diamond"]
+    adjacency: dict = {}
+    for edge in kept:
+        adjacency.setdefault(edge.source, []).append(edge.target)
+    return kept, adjacency
+
+
+def reference_cycle_safe(edges) -> bool:
+    """_cycle_safe without its acyclic fast path: Tarjan on every graph."""
+    kept, adjacency = non_diamond(edges)
+    component = _scc_index(adjacency)
+    return all(
+        edge.label == "minus"
+        for edge in kept
+        if component.get(edge.source) is not None
+        and component.get(edge.source) == component.get(edge.target))
+
+
+def test_cycle_safe_matches_tarjan_reference():
+    rng = random.Random(11)
+    verdicts = {}
+    for _ in range(4000):
+        names = [nodes.atom_node(str(i)) for i in range(rng.randint(1, 8))]
+        edges = [
+            EEdge(rng.choice(names), rng.choice(names),
+                  rng.choice(("plus", "minus", "diamond", "circ")))
+            for _ in range(rng.randint(0, 12))]
+        expected = reference_cycle_safe(edges)
+        assert _cycle_safe(edges) == expected, edges
+        cyclic = bool(_scc_index(non_diamond(edges)[1]))
+        verdicts[expected, cyclic] = verdicts.get((expected, cyclic), 0) + 1
+    # Acyclic graphs, safe cyclic ones and unsafe ones all occur.
+    assert set(verdicts) == {(True, False), (True, True), (False, True)}
+    assert min(verdicts.values()) > 100, verdicts
