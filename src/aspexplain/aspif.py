@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import MalformedHeader, MissingTerminator, TruncatedStatement
 
@@ -22,13 +23,11 @@ BODY_NORMAL = 0
 BODY_WEIGHT = 1
 
 
-@dataclass(frozen=True)
-class NormalBody:
+class NormalBody(NamedTuple):
     literals: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class WeightBody:
+class WeightBody(NamedTuple):
     lower: int
     elements: tuple[tuple[int, int], ...]  # (literal, weight) pairs
 
@@ -37,8 +36,7 @@ class WeightBody:
         return tuple(lit for lit, _ in self.elements)
 
 
-@dataclass(frozen=True)
-class RuleStatement:
+class RuleStatement(NamedTuple):
     head_type: int
     head: tuple[int, ...]
     body: NormalBody | WeightBody
@@ -55,20 +53,17 @@ class RuleStatement:
         return self.body.literals
 
 
-@dataclass(frozen=True)
-class OutputStatement:
+class OutputStatement(NamedTuple):
     symbol: str
     condition: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExternalStatement:
+class ExternalStatement(NamedTuple):
     atom: int
     value: int
 
 
-@dataclass(frozen=True)
-class OpaqueStatement:
+class OpaqueStatement(NamedTuple):
     """A statement with a tag we do not interpret, kept verbatim."""
 
     raw: str
@@ -114,9 +109,9 @@ class AspifProgram:
         ids = {stmt.atom for stmt in self.externals}
         for stmt in self.rules:
             ids.update(stmt.head)
-            ids.update(abs(lit) for lit in stmt.body_literals())
+            ids.update(map(abs, stmt.body.literals))
         for stmt in self.outputs:
-            ids.update(abs(lit) for lit in stmt.condition)
+            ids.update(map(abs, stmt.condition))
         return frozenset(ids)
 
     def atom_ids(self) -> frozenset[int]:
@@ -242,59 +237,97 @@ class AspifProgram:
 
 
 class _Fields:
-    """Cursor over the whitespace-separated integer fields of one line."""
+    """The whitespace-separated integer fields of one line.
 
-    def __init__(self, line: str, lineno: int):
-        self.tokens = line.split()
-        self.pos = 0
+    The tokens are converted at once; ``ints`` holds them all, or, if one is
+    not an integer, the integers before it.  Readers take fields by position
+    and in field order, and a read past ``ints`` raises the error of that
+    first missing or non-integer field.
+    """
+
+    __slots__ = ("tokens", "line", "lineno", "ints")
+
+    def __init__(self, tokens: list[str], line: str, lineno: int):
+        self.tokens = tokens
         self.line = line
         self.lineno = lineno
-
-    def take(self, what: str) -> int:
-        if self.pos >= len(self.tokens):
-            raise TruncatedStatement(
-                f"line {self.lineno}: expected {what}, statement ends early: {self.line!r}")
-        token = self.tokens[self.pos]
-        self.pos += 1
         try:
-            return int(token)
+            self.ints = tuple(map(int, tokens))
         except ValueError:
-            raise TruncatedStatement(
-                f"line {self.lineno}: expected integer {what}, got {token!r}") from None
+            ints = []
+            for token in tokens:
+                try:
+                    ints.append(int(token))
+                except ValueError:
+                    break
+            self.ints = tuple(ints)
 
-    def finish(self) -> None:
-        if self.pos != len(self.tokens):
-            extra = " ".join(self.tokens[self.pos:])
+    def missing(self, what: str) -> TruncatedStatement:
+        """The error of reading ``what`` just past the integer prefix."""
+        pos = len(self.ints)
+        if pos < len(self.tokens):
+            return TruncatedStatement(
+                f"line {self.lineno}: expected integer {what}, "
+                f"got {self.tokens[pos]!r}")
+        return TruncatedStatement(
+            f"line {self.lineno}: expected {what}, statement ends early: "
+            f"{self.line!r}")
+
+    def take(self, pos: int, what: str) -> int:
+        if pos < len(self.ints):
+            return self.ints[pos]
+        raise self.missing(what)
+
+    def count(self, pos: int, what: str) -> int:
+        if pos >= len(self.ints):
+            raise self.missing(what)
+        n = self.ints[pos]
+        if n < 0:
+            raise TruncatedStatement(f"line {self.lineno}: negative {what} {n}")
+        return n
+
+    def span(self, pos: int, end: int, what: str) -> tuple[int, ...]:
+        if end > len(self.ints):
+            raise self.missing(what)
+        return self.ints[pos:end]
+
+    def finish(self, pos: int) -> None:
+        if pos != len(self.tokens):
+            extra = " ".join(self.tokens[pos:])
             raise TruncatedStatement(
                 f"line {self.lineno}: trailing tokens {extra!r} after statement")
 
 
 def _parse_rule(fields: _Fields) -> RuleStatement:
-    head_type = fields.take("head type")
+    # Field 0 is the tag.
+    head_type = fields.take(1, "head type")
     if head_type not in (HEAD_DISJUNCTIVE, HEAD_CHOICE):
         raise TruncatedStatement(
             f"line {fields.lineno}: unknown head type {head_type}")
-    n_head = fields.take("head atom count")
-    head = tuple(fields.take("head atom") for _ in range(n_head))
-    body_type = fields.take("body type")
+    pos = 3 + fields.count(2, "head atom count")
+    head = fields.span(3, pos, "head atom")
+    body_type = fields.take(pos, "body type")
     if body_type == BODY_NORMAL:
-        n_body = fields.take("body literal count")
-        literals = tuple(fields.take("body literal") for _ in range(n_body))
-        body: NormalBody | WeightBody = NormalBody(literals)
+        end = pos + 2 + fields.count(pos + 1, "body literal count")
+        body: NormalBody | WeightBody = NormalBody(
+            fields.span(pos + 2, end, "body literal"))
     elif body_type == BODY_WEIGHT:
-        lower = fields.take("lower bound")
-        n_body = fields.take("weight element count")
-        elements = tuple(
-            (fields.take("weight literal"), fields.take("weight"))
-            for _ in range(n_body))
-        if any(weight < 0 for _, weight in elements):
+        lower = fields.take(pos + 1, "lower bound")
+        start = pos + 3
+        end = start + 2 * fields.count(pos + 2, "weight element count")
+        ints = fields.ints
+        if end > len(ints):
+            raise fields.missing(
+                "weight" if (len(ints) - start) % 2 else "weight literal")
+        weights = ints[start + 1:end:2]
+        if any(weight < 0 for weight in weights):
             raise TruncatedStatement(
                 f"line {fields.lineno}: negative weight in a weight body")
-        body = WeightBody(lower, elements)
+        body = WeightBody(lower, tuple(zip(ints[start:end:2], weights)))
     else:
         raise TruncatedStatement(
             f"line {fields.lineno}: unknown body type {body_type}")
-    fields.finish()
+    fields.finish(end)
     return RuleStatement(head_type, head, body)
 
 
@@ -313,10 +346,11 @@ def _parse_output(line: str, lineno: int) -> OutputStatement:
     if len(tail) < length:
         raise TruncatedStatement(f"line {lineno}: symbol shorter than declared length")
     symbol = tail[:length]
-    fields = _Fields(tail[length:], lineno)
-    n_cond = fields.take("condition literal count")
-    condition = tuple(fields.take("condition literal") for _ in range(n_cond))
-    fields.finish()
+    tail = tail[length:]
+    fields = _Fields(tail.split(), tail, lineno)
+    end = 1 + fields.count(0, "condition literal count")
+    condition = fields.span(1, end, "condition literal")
+    fields.finish(end)
     return OutputStatement(symbol, condition)
 
 
@@ -327,6 +361,7 @@ def parse_aspif(text: str) -> AspifProgram:
     """
     lines = text.splitlines()
     program = AspifProgram()
+    append = program.statements.append
     saw_header = False
     saw_terminator = False
     for lineno, raw in enumerate(lines, start=1):
@@ -345,22 +380,20 @@ def parse_aspif(text: str) -> AspifProgram:
         if line == "0":
             saw_terminator = True
             continue
-        tag = line.split(None, 1)[0]
+        tokens = line.split()
+        tag = tokens[0]
         if tag == "1":
-            fields = _Fields(line, lineno)
-            fields.take("tag")
-            program.statements.append(_parse_rule(fields))
+            append(_parse_rule(_Fields(tokens, line, lineno)))
         elif tag == "4":
-            program.statements.append(_parse_output(line, lineno))
+            append(_parse_output(line, lineno))
         elif tag == "5":
-            fields = _Fields(line, lineno)
-            fields.take("tag")
-            atom = fields.take("atom")
-            value = fields.take("external value")
-            fields.finish()
-            program.statements.append(ExternalStatement(atom, value))
+            fields = _Fields(tokens, line, lineno)
+            atom = fields.take(1, "atom")
+            value = fields.take(2, "external value")
+            fields.finish(3)
+            append(ExternalStatement(atom, value))
         else:
-            program.statements.append(OpaqueStatement(line))
+            append(OpaqueStatement(line))
     if not saw_header:
         raise MalformedHeader("empty input: no 'asp 1 0 0' header")
     if not saw_terminator:

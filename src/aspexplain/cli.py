@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import nodes, oracle
@@ -72,7 +73,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process on first use: a caller
+    that runs several commands in one process reuses it."""
     parser = _Parser(
         prog="aspexplain",
         description="Explain why literals hold in an answer set of a "

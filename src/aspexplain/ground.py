@@ -85,6 +85,7 @@ class ChoiceAtomSpec:
 class GroundRule:
     kind: str
     heads: tuple[int, ...]
+    # Atom ids (positive, also in neg_body) and ChoiceAtomSpec occurrences.
     pos_body: tuple = ()
     neg_body: tuple = ()
     statement_index: int = -1
@@ -98,6 +99,8 @@ class GroundProgram:
     def __init__(self, aspif_program: AspifProgram):
         self.aspif = aspif_program
         self.atoms: dict[int, GroundAtom] = {}
+        # The ids of the named atoms, which the per-statement passes test.
+        self.named: set[int] = set()
         self.rules: list[GroundRule] = []
         self.choice_specs: list[ChoiceAtomSpec] = []
         self.warnings: list[str] = []
@@ -127,8 +130,7 @@ class GroundProgram:
             raise UnknownLiteral(f"unknown atom {name!r}") from None
 
     def is_named(self, aid: int) -> bool:
-        atom = self.atoms.get(aid)
-        return atom is not None and atom.name is not None
+        return aid in self.named
 
     def named_ids(self) -> list[int]:
         return list(self.symbol_order)
@@ -371,20 +373,26 @@ def _read_symbols(gp: GroundProgram) -> None:
                 f"atom {aid} named twice ({gp.atoms[aid].name!r} and "
                 f"{stmt.symbol!r})")
         gp.atoms[aid] = GroundAtom(aid, stmt.symbol)
+        gp.named.add(aid)
         gp._by_name[stmt.symbol] = aid
         gp.symbol_order.append(aid)
 
 
 def _read_externals(gp: GroundProgram) -> None:
+    atoms = gp.atoms
     for stmt in gp.aspif.externals:
-        atom = gp.atoms.setdefault(stmt.atom, GroundAtom(stmt.atom))
+        atom = atoms.get(stmt.atom)
+        if atom is None:
+            atom = atoms[stmt.atom] = GroundAtom(stmt.atom)
         atom.is_fact = True
         gp.fact_order.append(stmt.atom)
 
 
 def _collect_atoms(gp: GroundProgram) -> None:
+    atoms = gp.atoms
     for aid in sorted(gp.aspif.atom_ids()):
-        gp.atoms.setdefault(aid, GroundAtom(aid))
+        if aid not in atoms:
+            atoms[aid] = GroundAtom(aid)
 
 
 class _ChoiceFolder:
@@ -392,6 +400,7 @@ class _ChoiceFolder:
 
     def __init__(self, gp: GroundProgram):
         self.gp = gp
+        self.named = gp.named
         self.choice_heads = {
             h for stmt in gp.aspif.rules if stmt.head_type == HEAD_CHOICE
             for h in stmt.head}
@@ -412,7 +421,7 @@ class _ChoiceFolder:
         return self._fold_weight(stmt.head[0], stmt.body, upper_arm=None)
 
     def _single_def(self, aid: int) -> RuleStatement | None:
-        if self.gp.is_named(aid) or aid in self.choice_heads:
+        if aid in self.named or aid in self.choice_heads:
             return None
         defs = self.gp.aspif.definitions.get(aid, [])
         if len(defs) != 1 or len(defs[0].head) != 1:
@@ -456,7 +465,7 @@ class _ChoiceFolder:
         if weight < 1:
             return None
         elements = []
-        consumed = [] if self.gp.is_named(aid) \
+        consumed = [] if aid in self.named \
             else [self.gp.aspif.definitions[aid][0]]
         for lit, _ in body.elements:
             if lit <= 0:
@@ -474,7 +483,7 @@ class _ChoiceFolder:
         return ChoiceAtomSpec(lower, upper, tuple(elements))
 
     def _element_for(self, aid: int):
-        if self.gp.is_named(aid):
+        if aid in self.named:
             return ChoiceElement((aid,), aid), None
         stmt = self._single_def(aid)
         if stmt is None or not isinstance(stmt.body, NormalBody):
@@ -498,71 +507,63 @@ class _ChoiceFolder:
 
 
 def _build_rules(gp: GroundProgram, folder: _ChoiceFolder) -> None:
+    named = gp.named
     rules: list[GroundRule] = []
     for idx, stmt in enumerate(gp.aspif.rules):
-        if stmt.head_type == HEAD_DISJUNCTIVE and len(stmt.head) > 1:
+        head_type, head, body = stmt
+        if head_type == HEAD_DISJUNCTIVE and len(head) > 1:
             raise ReconstructionError(
                 f"statement {idx}: disjunctive heads are not supported")
-        kind = CHOICE if stmt.head_type == HEAD_CHOICE else (
-            CONSTRAINT if not stmt.head else NORMAL)
-        if isinstance(stmt.body, WeightBody):
+        kind = CHOICE if head_type == HEAD_CHOICE else (
+            CONSTRAINT if not head else NORMAL)
+        if isinstance(body, WeightBody):
             # A named atom defined directly by a weight body becomes a
             # lower-bound-only choice occurrence; aux heads of the same
             # shape stay as-is and fold at their use sites instead.
             spec = None
-            if len(stmt.head) == 1 and gp.is_named(stmt.head[0]):
+            if len(head) == 1 and head[0] in named:
                 spec = folder.direct_spec(stmt)
             if spec is not None:
-                rules.append(GroundRule(kind, stmt.head, (spec,), (), idx))
-                folder.used.add(stmt.head[0])
+                rules.append(GroundRule(kind, head, (spec,), (), idx))
+                folder.used.add(head[0])
             else:
-                rules.append(GroundRule(kind, stmt.head, statement_index=idx,
-                                        raw_weight=stmt.body))
+                rules.append(GroundRule(kind, head, statement_index=idx,
+                                        raw_weight=body))
             continue
         pos: list = []
         neg: list = []
-        for lit in stmt.body.literals:
+        for lit in body.literals:
             aid = abs(lit)
-            spec = None
-            if not gp.is_named(aid):
-                spec = folder.spec_for(aid)
+            spec = None if aid in named else folder.spec_for(aid)
             if spec is not None:
                 folder.used.add(aid)
-                (pos if lit > 0 else neg).append(spec)
-            else:
-                (pos if lit > 0 else neg).append(lit if lit > 0 else aid)
-        rules.append(GroundRule(kind, stmt.head, tuple(pos), tuple(neg), idx))
+            (pos if lit > 0 else neg).append(aid if spec is None else spec)
+        rules.append(GroundRule(kind, head, tuple(pos), tuple(neg), idx))
     _drop_consumed(gp, folder, rules)
 
 
 def _drop_consumed(gp: GroundProgram, folder: _ChoiceFolder,
                    rules: list[GroundRule]) -> None:
-    consumed_stmts: set[int] = set()
-    for aid in folder.used:
-        for stmt in folder.clusters.get(aid, ()):
-            consumed_stmts.add(id(stmt))
+    consumed_stmts = {id(stmt) for aid in folder.used
+                      for stmt in folder.clusters.get(aid, ())}
     if not consumed_stmts:
         gp.rules = rules
         return
+    stmts = gp.aspif.rules
+    consumed = [id(stmts[rule.statement_index]) in consumed_stmts
+                for rule in rules]
     # A consumed definition must stay if its head is still referenced by a
     # surviving rule body.
     referenced: set[int] = set()
-    for rule in rules:
-        stmt = gp.aspif.rules[rule.statement_index]
-        if id(stmt) in consumed_stmts:
+    for rule, gone in zip(rules, consumed):
+        if gone:
             continue
-        for term in rule.pos_body + rule.neg_body:
-            if isinstance(term, int):
-                referenced.add(abs(term))
+        referenced.update(term for term in rule.pos_body + rule.neg_body
+                          if isinstance(term, int))
         if rule.raw_weight is not None:
             referenced.update(abs(l) for l in rule.raw_weight.literals)
-    kept = []
-    for rule in rules:
-        stmt = gp.aspif.rules[rule.statement_index]
-        if id(stmt) in consumed_stmts and not (set(stmt.head) & referenced):
-            continue
-        kept.append(rule)
-    gp.rules = kept
+    gp.rules = [rule for rule, gone in zip(rules, consumed)
+                if not gone or not referenced.isdisjoint(rule.heads)]
 
 
 def _attach_element_conditions(gp: GroundProgram, folder: _ChoiceFolder) -> None:
@@ -594,23 +595,25 @@ def _attach_element_conditions(gp: GroundProgram, folder: _ChoiceFolder) -> None
 
 
 def _aux_signature(gp: GroundProgram, rule: GroundRule) -> tuple:
+    named = gp.named
     sig = []
     for term in rule.pos_body:
-        if isinstance(term, int) and not gp.is_named(abs(term)):
+        if isinstance(term, int) and term not in named:
             sig.append(term)
     for term in rule.neg_body:
-        if isinstance(term, int) and not gp.is_named(abs(term)):
+        if isinstance(term, int) and term not in named:
             sig.append(-term)
     return tuple(sorted(sig))
 
 
 def _named_body_lits(gp: GroundProgram, rule: GroundRule) -> set[int]:
+    named = gp.named
     out = set()
     for term in rule.pos_body:
-        if isinstance(term, int) and gp.is_named(abs(term)):
+        if isinstance(term, int) and term in named:
             out.add(term)
     for term in rule.neg_body:
-        if isinstance(term, int) and gp.is_named(abs(term)):
+        if isinstance(term, int) and term in named:
             out.add(-term)
     return out
 
@@ -649,6 +652,7 @@ def _compute_nant(gp: GroundProgram) -> set[int]:
     """Named atoms that occur negated in a rule body, directly or through
     auxiliary definitions.  The walk keeps an explicit stack, so a deep
     auxiliary chain costs no recursion."""
+    named = gp.named
     nant: set[int] = set()
     visited: set[tuple[int, bool]] = set()
     stack: list[tuple[int, bool]] = []
@@ -656,15 +660,21 @@ def _compute_nant(gp: GroundProgram) -> set[int]:
         if rule.raw_weight is not None:
             stack.extend((lit, False) for lit in rule.raw_weight.literals)
             continue
+        # A named atom is in NANT when it occurs under "not"; only the
+        # auxiliary atoms need the walk.
         stack.extend((term, False) for term in rule.pos_body
-                     if isinstance(term, int))
-        stack.extend((term, True) for term in rule.neg_body
-                     if isinstance(term, int))
+                     if isinstance(term, int) and term not in named)
+        for term in rule.neg_body:
+            if isinstance(term, int):
+                if term in named:
+                    nant.add(term)
+                else:
+                    stack.append((term, True))
     while stack:
         lit, negated = stack.pop()
         aid = abs(lit)
         here = negated != (lit < 0)
-        if gp.is_named(aid):
+        if aid in named:
             if here:
                 nant.add(aid)
             continue

@@ -110,6 +110,219 @@ def test_content_after_terminator():
         parse_aspif("asp 1 0 0\n0\n1 0 1 2 0 0\n")
 
 
+# Every parse error with its class and full message, recorded before the
+# line reader converted each line's fields at once.  Reads run in field
+# order, so where a line has several faults the first field's error wins.
+PARSE_ERRORS = [
+    pytest.param(
+        "asp 2 0 0\n0\n", MalformedHeader,
+        "line 1: expected 'asp 1 0 0' header, got 'asp 2 0 0'",
+        id="bad_header"),
+    pytest.param(
+        "1 0 1 2 0 0\n0\n", MalformedHeader,
+        "line 1: expected 'asp 1 0 0' header, got '1 0 1 2 0 0'",
+        id="statement_before_header"),
+    pytest.param(
+        "% only a comment\n", MalformedHeader,
+        "empty input: no 'asp 1 0 0' header",
+        id="empty_input"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 0 0\n", MissingTerminator,
+        "input ended without the '0' terminator",
+        id="no_terminator"),
+    pytest.param(
+        "asp 1 0 0\n0\n1 0 1 2 0 0\n", TruncatedStatement,
+        "line 3: content after the '0' terminator: '1 0 1 2 0 0'",
+        id="after_terminator"),
+    pytest.param(
+        "asp 1 0 0\n1 2 0 0 0\n0\n", TruncatedStatement,
+        "line 2: unknown head type 2",
+        id="unknown_head_type"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 2 0\n0\n", TruncatedStatement,
+        "line 2: unknown body type 2",
+        id="unknown_body_type"),
+    pytest.param(
+        "asp 1 0 0\n1 x 1 2 0 0\n0\n", TruncatedStatement,
+        "line 2: expected integer head type, got 'x'",
+        id="head_type_token"),
+    pytest.param(
+        "asp 1 0 0\n1\n0\n", TruncatedStatement,
+        "line 2: expected head type, statement ends early: '1'",
+        id="head_type_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 x\n0\n", TruncatedStatement,
+        "line 2: expected integer head atom count, got 'x'",
+        id="head_count_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0\n0\n", TruncatedStatement,
+        "line 2: expected head atom count, statement ends early: '1 0'",
+        id="head_count_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 2 2 x 0 0\n0\n", TruncatedStatement,
+        "line 2: expected integer head atom, got 'x'",
+        id="head_atom_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0 2 2\n0\n", TruncatedStatement,
+        "line 2: expected head atom, statement ends early: '1 0 2 2'",
+        id="head_atom_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 x 0\n0\n", TruncatedStatement,
+        "line 2: expected integer body type, got 'x'",
+        id="body_type_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2\n0\n", TruncatedStatement,
+        "line 2: expected body type, statement ends early: '1 0 1 2'",
+        id="body_type_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 0 x\n0\n", TruncatedStatement,
+        "line 2: expected integer body literal count, got 'x'",
+        id="body_count_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 0\n0\n", TruncatedStatement,
+        "line 2: expected body literal count, statement ends early: '1 0 1 2 0'",
+        id="body_count_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 0 2 3 y\n0\n", TruncatedStatement,
+        "line 2: expected integer body literal, got 'y'",
+        id="body_literal_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 0 2 3\n0\n", TruncatedStatement,
+        "line 2: expected body literal, statement ends early: '1 0 1 2 0 2 3'",
+        id="body_literal_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 x 1 3 1\n0\n", TruncatedStatement,
+        "line 2: expected integer lower bound, got 'x'",
+        id="lower_bound_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1\n0\n", TruncatedStatement,
+        "line 2: expected lower bound, statement ends early: '1 0 1 2 1'",
+        id="lower_bound_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 1 x 3 1\n0\n", TruncatedStatement,
+        "line 2: expected integer weight element count, got 'x'",
+        id="weight_count_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 1\n0\n", TruncatedStatement,
+        "line 2: expected weight element count, statement ends early: '1 0 1 2 1 1'",
+        id="weight_count_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 1 2 3 1 z 1\n0\n", TruncatedStatement,
+        "line 2: expected integer weight literal, got 'z'",
+        id="weight_literal_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 1 2 3 1\n0\n", TruncatedStatement,
+        "line 2: expected weight literal, statement ends early: '1 0 1 2 1 1 2 3 1'",
+        id="weight_literal_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 1 2 3 1 4 w\n0\n", TruncatedStatement,
+        "line 2: expected integer weight, got 'w'",
+        id="weight_token"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 1 2 3 1 4\n0\n", TruncatedStatement,
+        "line 2: expected weight, statement ends early: '1 0 1 2 1 1 2 3 1 4'",
+        id="weight_end"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 0 0 7 x\n0\n", TruncatedStatement,
+        "line 2: trailing tokens '7 x' after statement",
+        id="rule_trailing"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 0 2 3 1 -4 -1\n0\n", TruncatedStatement,
+        "line 2: negative weight in a weight body",
+        id="negative_weight"),
+    pytest.param(
+        "asp 1 0 0\n4 1\n0\n", TruncatedStatement,
+        "line 2: output statement too short: '4 1'",
+        id="output_too_short"),
+    pytest.param(
+        "asp 1 0 0\n4 x a 0\n0\n", TruncatedStatement,
+        "line 2: bad symbol length 'x'",
+        id="output_bad_length"),
+    pytest.param(
+        "asp 1 0 0\n4 9 abc 0\n0\n", TruncatedStatement,
+        "line 2: symbol shorter than declared length",
+        id="output_short_symbol"),
+    pytest.param(
+        "asp 1 0 0\n4 1 a x\n0\n", TruncatedStatement,
+        "line 2: expected integer condition literal count, got 'x'",
+        id="condition_count_token"),
+    pytest.param(
+        "asp 1 0 0\n4 3 abc\n0\n", TruncatedStatement,
+        "line 2: expected condition literal count, statement ends early: ''",
+        id="condition_count_end"),
+    pytest.param(
+        "asp 1 0 0\n4 1 a 2 3 q\n0\n", TruncatedStatement,
+        "line 2: expected integer condition literal, got 'q'",
+        id="condition_literal_token"),
+    pytest.param(
+        "asp 1 0 0\n4 1 a 2 3\n0\n", TruncatedStatement,
+        "line 2: expected condition literal, statement ends early: ' 2 3'",
+        id="condition_literal_end"),
+    pytest.param(
+        "asp 1 0 0\n4 1 a 1 3 4\n0\n", TruncatedStatement,
+        "line 2: trailing tokens '4' after statement",
+        id="output_trailing"),
+    pytest.param(
+        "asp 1 0 0\n5 x 2\n0\n", TruncatedStatement,
+        "line 2: expected integer atom, got 'x'",
+        id="external_atom_token"),
+    pytest.param(
+        "asp 1 0 0\n5\n0\n", TruncatedStatement,
+        "line 2: expected atom, statement ends early: '5'",
+        id="external_atom_end"),
+    pytest.param(
+        "asp 1 0 0\n5 3 v\n0\n", TruncatedStatement,
+        "line 2: expected integer external value, got 'v'",
+        id="external_value_token"),
+    pytest.param(
+        "asp 1 0 0\n5 3\n0\n", TruncatedStatement,
+        "line 2: expected external value, statement ends early: '5 3'",
+        id="external_value_end"),
+    pytest.param(
+        "asp 1 0 0\n5 3 2 1\n0\n", TruncatedStatement,
+        "line 2: trailing tokens '1' after statement",
+        id="external_trailing"),
+    pytest.param(
+        "asp 1 0 0\n1 7 x\n0\n", TruncatedStatement,
+        "line 2: unknown head type 7",
+        id="first_error_wins"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 0 2 3 -1 4\n0\n", TruncatedStatement,
+        "line 2: expected weight, statement ends early: '1 0 1 2 1 0 2 3 -1 4'",
+        id="negative_weight_then_truncated"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 1 0 1 3 -1 9\n0\n", TruncatedStatement,
+        "line 2: negative weight in a weight body",
+        id="negative_weight_before_trailing"),
+    pytest.param(
+        "asp 1 0 0\n1 0 1 2 3 0 0 0\n0\n", TruncatedStatement,
+        "line 2: unknown body type 3",
+        id="unknown_body_type_before_trailing"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", PARSE_ERRORS)
+def test_parse_error_message(text, error, message):
+    with pytest.raises(error) as info:
+        parse_aspif(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# A negative count read nothing before, so these lines parsed as `:- .`, a
+# fact, a rule with an empty weight body, and an output with no condition.
+@pytest.mark.parametrize("line, what", [
+    ("1 0 -1 0 0", "head atom count -1"),
+    ("1 0 1 1 0 -2", "body literal count -2"),
+    ("1 0 1 1 1 0 -3", "weight element count -3"),
+    ("4 1 a -1", "condition literal count -1"),
+])
+def test_negative_count_is_rejected(line, what):
+    with pytest.raises(TruncatedStatement) as info:
+        parse_aspif(f"asp 1 0 0\n{line}\n0\n")
+    assert str(info.value) == f"line 2: negative {what}"
+
+
 def test_output_symbol_length_is_respected():
     text = "asp 1 0 0\n4 6 p(a,b) 1 3\n0\n"
     program = parse_aspif(text)

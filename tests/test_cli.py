@@ -75,6 +75,12 @@ class TestParse:
         assert err.startswith("error:")
         assert "2" in err
 
+    def test_negative_count_exits_1(self, capsys, tmp_path):
+        path = write(tmp_path, "neg.aspif", "asp 1 0 0\n1 0 -1 0 0\n0\n")
+        code, out, err = run(capsys, "parse", path)
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: negative head atom count -1\n"
+
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(capsys, "parse", "no-such-file.aspif")
         assert code == 1
@@ -384,6 +390,35 @@ class TestUsage:
             cli.main(["parse", "--help"])
         assert exit_info.value.code == 0
         assert "usage: aspexplain parse" in capsys.readouterr().out
+
+    def test_parser_built_once_gives_first_run_results(self, capsys):
+        commands = [
+            ["explain", P1, "--answer-set", P1_ANSWER, "--root", "m(1)",
+             "--ascii"],
+            ["explain", P1, "--answer-set", P1_ANSWER, "--root", "~m(2)",
+             "--format", "json"],
+            ["parse", COLORING],
+            ["explain", P1, "--answer-set", P1_ANSWER],
+        ]
+
+        def outcome(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit_info:
+                code = exit_info.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = []
+        for argv in commands:
+            cli._build_parser.cache_clear()
+            first.append(outcome(argv))
+        assert [code for code, _, _ in first] == [0, 0, 0, cli.EXIT_USAGE]
+        cli._build_parser.cache_clear()
+        parser = cli._build_parser()
+        for _ in range(2):
+            assert [outcome(argv) for argv in commands] == first
+        assert cli._build_parser() is parser
 
     def test_module_runs_the_cli(self):
         src = Path(__file__).resolve().parent.parent / "src"

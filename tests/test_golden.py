@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from aspexplain import cli, nodes
+from aspexplain import cli, nodes, oracle
 from aspexplain.aspif import parse_aspif
 from aspexplain.egraph import EEdge
 from aspexplain.ground import reconstruct
@@ -124,3 +124,41 @@ def test_edge_hashes_as_its_field_tuple():
     fields = (source, target, "plus")
     assert tuple(edge) == fields
     assert hash(edge) == hash(tuple(edge)) == hash(fields)
+
+
+# sha256 of `aspexplain parse` stdout: the reconstructed rules, the symbol
+# table and NANT.
+GOLDEN_PARSE = {
+    "p1": "bad85e3947dacf2601d67583e248d813a53085819e892d87df8861a0cdcb3006",
+    "coloring":
+        "05f6111d03a792bf77db80beef107b1390ea7dc9106df2c97b6cbd767e131e78",
+}
+
+# One sha256 over the reconstruction of random_program seeds 0..199 with
+# 6, 8 and 10 atoms: every rule's text, kind, heads, statement index and
+# element conditions, then NANT and the warnings of each program.
+GOLDEN_RECONSTRUCTION = \
+    "7c217fc0546aaffee8f1e80fda5a14ed73d6dfc7b81f6ea6e5df4d6ef1f7db50"
+
+
+@pytest.mark.parametrize("example", sorted(GOLDEN_PARSE))
+def test_parse_output_matches_golden_digest(capsys, example):
+    code = cli.main(["parse", str(DATA / EXAMPLES[example][0])])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == GOLDEN_PARSE[example]
+
+
+def test_random_reconstructions_match_golden_digest():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        for n_atoms in (6, 8, 10):
+            g = oracle.random_program(seed, n_atoms=n_atoms, p_choice=0.5)
+            for rule in g.rules:
+                digest.update(repr((
+                    g.rule_text(rule), rule.kind, rule.heads,
+                    rule.statement_index,
+                    sorted(rule.element_conditions.items()))).encode())
+            digest.update(repr((g.nant_names(), g.warnings)).encode())
+    assert digest.hexdigest() == GOLDEN_RECONSTRUCTION
