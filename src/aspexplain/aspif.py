@@ -10,6 +10,7 @@ and the well-founded model built on it work on these parsed statements.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -124,28 +125,33 @@ class AspifProgram:
         """The non-constraint rules as weight rules, and for each atom the
         (rule index, weight) pairs of its positive body occurrences.
 
-        A rule is (statement, is choice, lower bound, negative (atom,
+        A rule is (head atoms, is choice, lower bound, negative (atom,
         weight) pairs).  A normal body reads as a weight body whose
         literals weigh 1 and whose lower bound is its length, so it holds
         iff every literal does; a repeated literal counts per occurrence.
         """
         rules = []
-        occurrences: dict[int, list[tuple[int, int]]] = {}
-        for stmt in self.rules:
-            if stmt.is_constraint:
+        occurrences: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for head_type, head, body in self.rules:
+            if head_type == HEAD_DISJUNCTIVE and not head:
                 continue
-            body = stmt.body
+            index = len(rules)
+            negatives = []
             if isinstance(body, WeightBody):
-                lower, elements = body.lower, body.elements
+                lower = body.lower
+                for lit, weight in body.elements:
+                    if lit > 0:
+                        occurrences[lit].append((index, weight))
+                    else:
+                        negatives.append((-lit, weight))
             else:
                 lower = len(body.literals)
-                elements = tuple((lit, 1) for lit in body.literals)
-            for lit, weight in elements:
-                if lit > 0:
-                    occurrences.setdefault(lit, []).append(
-                        (len(rules), weight))
-            negatives = tuple((-lit, w) for lit, w in elements if lit < 0)
-            rules.append((stmt, stmt.is_choice, lower, negatives))
+                for lit in body.literals:
+                    if lit > 0:
+                        occurrences[lit].append((index, 1))
+                    else:
+                        negatives.append((-lit, 1))
+            rules.append((head, head_type == HEAD_CHOICE, lower, negatives))
         return rules, occurrences
 
     def least_model(self, interpretation, choosable, facts=(),
@@ -160,19 +166,19 @@ class AspifProgram:
         positive occurrence is visited once (Dowling & Gallier 1984):
         linear in the program size, whatever the statement order.  Weights
         are assumed non-negative, as grounders emit them.
+
+        With ``interpretation`` and ``choosable`` both a total
+        interpretation M, this is the least model of M's reduct.  If M
+        equals it, M holds every external and satisfies every rule that is
+        not a constraint, since a body that holds in M fires in the reduct
+        and puts its head in M; so M is an answer set iff, in addition, no
+        constraint body holds in M.
         """
         rules, occurrences = self._counters
         missing: list[float] = []
         queue = [s.atom for s in self.externals]
         queue.extend(facts)
-
-        def fire(stmt: RuleStatement, choice: bool) -> None:
-            if choice:
-                queue.extend(h for h in stmt.head if h in choosable)
-            else:
-                queue.extend(stmt.head)
-
-        for stmt, choice, lower, negatives in rules:
+        for head, choice, lower, negatives in rules:
             if choice and choosable is None:
                 need: float = math.inf
             elif negatives:
@@ -182,7 +188,10 @@ class AspifProgram:
                 need = lower
             missing.append(need)
             if need <= 0:
-                fire(stmt, choice)
+                if choice:
+                    queue.extend(h for h in head if h in choosable)
+                else:
+                    queue.extend(head)
         derived: set[int] = set()
         while queue:
             atom = queue.pop()
@@ -193,8 +202,11 @@ class AspifProgram:
                 need = missing[index] - weight
                 missing[index] = need
                 if need <= 0 < need + weight:
-                    stmt, choice, _, _ = rules[index]
-                    fire(stmt, choice)
+                    head, choice, _, _ = rules[index]
+                    if choice:
+                        queue.extend(h for h in head if h in choosable)
+                    else:
+                        queue.extend(head)
         return derived
 
     def alternating_fixpoint(self, true=frozenset(), false=frozenset(),

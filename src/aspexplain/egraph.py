@@ -80,6 +80,10 @@ def merge_supports(er: dict, ec: dict) -> dict:
     return merged
 
 
+_LITERAL_KINDS = (nodes.ATOM, nodes.NEG_ATOM)
+_UNBUILT = object()  # a row not built yet; a built row may be None
+
+
 class _Rows:
     """The reading side of a table whose rows come from a function that
     gives None for a node that is not a key."""
@@ -131,34 +135,50 @@ class SupportTable(_Rows):
         return aid if positive else -aid
 
     def _er_row(self, node: nodes.ENode):
-        if node.kind == nodes.CONSTRAINT:
+        kind = node.kind
+        if kind == nodes.CONSTRAINT:
             return None
-        if node.kind not in (nodes.ATOM, nodes.NEG_ATOM):
+        if kind not in _LITERAL_KINDS:
             return self._expansions.get(node)
-        if node not in self._er:
-            lit = self._holding(node.payload[0], node.kind == nodes.ATOM)
-            row = None
-            if lit is not None:
-                expansion: dict = {}
-                _, row = er_row(self._g, self._A, abs(lit), expansion)
+        row = self._er.get(node, _UNBUILT)
+        if row is _UNBUILT:
+            row = self._build_er(node, self._holding(node.payload[0],
+                                                     kind == nodes.ATOM))
+        return row
+
+    def _build_er(self, node: nodes.ENode, lit: int | None):
+        """The E_r row of a literal node whose holding signed id is
+        ``lit``, None if it does not hold; kept once built."""
+        row = None
+        if lit is not None:
+            expansion: dict = {}
+            _, row = er_row(self._g, self._A, abs(lit), expansion)
+            if expansion:
                 _merge_expansion(self._expansions, expansion)
-            self._er[node] = row
-        return self._er[node]
+        self._er[node] = row
+        return row
 
     def _row(self, node: nodes.ENode):
-        if node.kind not in (nodes.ATOM, nodes.NEG_ATOM, nodes.CONSTRAINT):
+        row = self._rows.get(node, _UNBUILT)
+        if row is not _UNBUILT:
+            return row
+        kind = node.kind
+        if kind == nodes.CONSTRAINT:
+            row = self._constraint_row(*node.payload[0])
+        elif kind in _LITERAL_KINDS:
+            row = self._literal_row(node)
+        else:
             return self._expansions.get(node)
-        if node not in self._rows:
-            if node.kind == nodes.CONSTRAINT:
-                self._rows[node] = self._constraint_row(*node.payload[0])
-            else:
-                self._rows[node] = self._literal_row(node)
-        return self._rows[node]
+        self._rows[node] = row
+        return row
 
     def _literal_row(self, node: nodes.ENode):
         name, positive = node.payload[0], node.kind == nodes.ATOM
-        row = self._er_row(node)
-        if row is None or self._holding(name, positive) not in self._index:
+        lit = self._holding(name, positive)
+        row = self._er.get(node, _UNBUILT)
+        if row is _UNBUILT:
+            row = self._build_er(node, lit)
+        if row is None or lit not in self._index:
             return row
         tc = nodes.constraint_node(name, positive)
         return _dedupe_sets([s | {tc} for s in row])
@@ -195,6 +215,7 @@ def build_egraph(e: dict, u, root: nodes.ENode,
     # A frame holds a node, the nodes pending after it, and its untried
     # supports; the node is in ``chosen`` while a support of it is tried.
     chosen: dict[nodes.ENode, frozenset] = {}
+    keys = _SortKeys()
     frames: list[tuple] = []
     pending: tuple = (root,)
     while True:
@@ -206,7 +227,7 @@ def build_egraph(e: dict, u, root: nodes.ENode,
                 frames.append((pending[0], pending[1:],
                                iter(options(pending[0]))))
             else:
-                graph = _assemble(root, chosen)
+                graph = _assemble(root, chosen, keys)
                 if _cycle_safe(graph.edges):
                     results.append(graph)
         while frames:
@@ -221,7 +242,10 @@ def build_egraph(e: dict, u, root: nodes.ENode,
                 frames.pop()
                 continue
             chosen[node] = support
-            pending = rest + tuple(nodes.sorted_nodes(support))
+            if len(support) == 1:
+                pending = rest + tuple(support)
+            else:
+                pending = rest + tuple(sorted(support, key=keys.__getitem__))
             break
         else:
             break
@@ -249,23 +273,32 @@ def _check_root(e: dict, root: nodes.ENode) -> None:
         f"cannot explain {root.render()}: not a literal of the program")
 
 
-def _assemble(root: nodes.ENode, chosen: dict) -> ExplanationGraph:
+class _SortKeys(dict):
+    """Each node's sort key, computed on first use."""
+
+    def __missing__(self, node: nodes.ENode) -> tuple:
+        key = self[node] = node.sort_key()
+        return key
+
+
+def _assemble(root: nodes.ENode, chosen: dict,
+              keys: _SortKeys) -> ExplanationGraph:
     edges = []
     node_set = {root}
     for source, support in chosen.items():
         node_set.add(source)
         for target in support:
             node_set.add(target)
-            edges.append(EEdge(source, target, nodes.edge_label(target)))
-    return _sorted_graph(root, node_set, edges)
+            edges.append(EEdge(source, target, nodes.EDGE_LABEL[target.kind]))
+    return _sorted_graph(root, node_set, edges, keys)
 
 
-def _sorted_graph(root: nodes.ENode, node_set, edges: list) -> ExplanationGraph:
-    """The graph with nodes and edges in sort-key order, each node's key
-    computed once."""
-    keys = {node: node.sort_key() for node in node_set}
-    edges.sort(key=lambda e: (keys[e.source], keys[e.target]))
-    return ExplanationGraph(root, tuple(sorted(node_set, key=keys.__getitem__)),
+def _sorted_graph(root: nodes.ENode, node_set, edges: list,
+                  keys: _SortKeys) -> ExplanationGraph:
+    """The graph with nodes and edges in sort-key order."""
+    key = keys.__getitem__
+    edges.sort(key=lambda e: (key(e.source), key(e.target)))
+    return ExplanationGraph(root, tuple(sorted(node_set, key=key)),
                             tuple(edges))
 
 
@@ -280,11 +313,12 @@ def _cycle_safe(edges) -> bool:
     indegree: dict[nodes.ENode, int] = {}
     kept = []
     for edge in edges:
-        if edge.label == "diamond":
+        source, target, label = edge
+        if label == "diamond":
             continue
         kept.append(edge)
-        adjacency.setdefault(edge.source, []).append(edge.target)
-        indegree[edge.target] = indegree.get(edge.target, 0) + 1
+        adjacency.setdefault(source, []).append(target)
+        indegree[target] = indegree.get(target, 0) + 1
     ready = [node for node in adjacency if node not in indegree]
     while ready:
         for target in adjacency.get(ready.pop(), ()):
@@ -447,4 +481,5 @@ def egraph_from_json(text: str) -> ExplanationGraph:
     edges = [
         EEdge(by_id[entry["from"]], by_id[entry["to"]], entry["label"])
         for entry in doc["edges"]]
-    return _sorted_graph(by_id[doc["root"]], by_id.values(), edges)
+    return _sorted_graph(by_id[doc["root"]], by_id.values(), edges,
+                         _SortKeys())

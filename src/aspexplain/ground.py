@@ -112,6 +112,7 @@ class GroundProgram:
         self._by_name: dict[str, int] = {}
         self._resolve_memo: dict[int, list[frozenset[int]]] = {}
         self._body_memo: dict[int, list[frozenset[int]]] = {}
+        self._lit_nodes: dict[int, nodes.ENode] = {}
 
     # --- naming -----------------------------------------------------------
 
@@ -144,7 +145,12 @@ class GroundProgram:
     # --- node construction ------------------------------------------------
 
     def lit_node(self, lit: int) -> nodes.ENode:
-        return nodes.literal_node(self.display_atom(abs(lit)), lit > 0)
+        """The node of a signed atom id, memoised per literal."""
+        node = self._lit_nodes.get(lit)
+        if node is None:
+            node = self._lit_nodes[lit] = nodes.literal_node(
+                self.display_atom(abs(lit)), lit > 0)
+        return node
 
     def element_payload(self, element: ChoiceElement) -> tuple:
         return tuple((self.display_atom(abs(lit)), lit > 0) for lit in element.lits)
@@ -217,20 +223,64 @@ class GroundProgram:
         Each frozenset is one alternative; its members are signed named
         atom ids.  Named literals resolve to themselves; an unnamed
         external is a fact, so it holds with no condition and its negation
-        never holds.
+        never holds.  An auxiliary literal resolves through its
+        definitions: a positive one to the alternatives of each body, a
+        negative one to every way of falsifying one literal of each body.
+        The walk is depth-first with an explicit stack, so a deep
+        auxiliary chain costs no recursion.  It checks an atom's
+        definitions before it resolves their literals, and resolves those
+        in body order, so the first error raised is the one a recursive
+        walk would meet.  Results are memoised per program and shared, so
+        callers must not change them.
         """
-        return self._resolve(lit, frozenset())
+        alts = self._resolve_memo.get(lit)
+        if alts is None:
+            alts = self._resolve_leaf(lit)
+        if alts is not None:
+            return alts
+        path: set[int] = set()
+        # A frame: an auxiliary literal, its definitions, the literals its
+        # alternatives are built from, and their alternatives so far.
+        frames = [self._open_aux(lit, path)]
+        while True:
+            lit, defs, parts, done = frames[-1]
+            if len(done) < len(parts):
+                part = parts[len(done)]
+                alts = self._resolve_memo.get(part)
+                if alts is None:
+                    alts = self._resolve_leaf(part)
+                if alts is None:
+                    frames.append(self._open_aux(part, path))
+                else:
+                    done.append(alts)
+                continue
+            frames.pop()
+            path.discard(abs(lit))
+            alts = self._resolve_memo[lit] = _dedupe_sets(
+                _combine_definitions(lit > 0, defs, done))
+            if not frames:
+                return alts
+            frames[-1][3].append(alts)
 
-    def _resolve(self, lit: int, stack: frozenset[int]) -> list[frozenset[int]]:
-        aid = abs(lit)
-        atom = self.atoms.get(aid)
+    def _resolve_leaf(self, lit: int) -> list[frozenset[int]] | None:
+        """The alternatives of a named literal or an unnamed external,
+        which it memoises; None for an auxiliary literal."""
+        atom = self.atoms.get(abs(lit))
         if atom is not None and atom.name is not None:
-            return [frozenset({lit})]
-        if atom is not None and atom.is_fact:
-            return [frozenset()] if lit > 0 else []
-        if lit in self._resolve_memo:
-            return self._resolve_memo[lit]
-        if aid in stack:
+            alts = [frozenset({lit})]
+        elif atom is not None and atom.is_fact:
+            alts = [frozenset()] if lit > 0 else []
+        else:
+            return None
+        self._resolve_memo[lit] = alts
+        return alts
+
+    def _open_aux(self, lit: int, path: set[int]) -> tuple:
+        """The frame of an auxiliary literal that is about to be resolved,
+        after checking that its atom is not on ``path`` and that its
+        definitions are plain normal rules."""
+        aid = abs(lit)
+        if aid in path:
             raise AuxCycle(f"auxiliary atom {aid} is defined through itself")
         defs = self.aspif.definitions.get(aid, [])
         for stmt in defs:
@@ -240,30 +290,11 @@ class GroundProgram:
             if stmt.head_type == HEAD_CHOICE:
                 raise ReconstructionError(
                     f"auxiliary atom {aid} occurs in a choice head")
-        inner = stack | {aid}
-        if lit > 0:
-            # aux holds if some definition body holds.
-            alts: list[frozenset[int]] = []
-            for stmt in defs:
-                alts.extend(self._conjoin(stmt.body.literals, inner))
-        else:
-            # not aux: every definition body must fail.
-            alts = [frozenset()]
-            for stmt in defs:
-                failures: list[frozenset[int]] = []
-                for body_lit in stmt.body.literals:
-                    failures.extend(self._resolve(-body_lit, inner))
-                alts = [a | f for a in alts for f in failures]
-        alts = _dedupe_sets(alts)
-        self._resolve_memo[lit] = alts
-        return alts
-
-    def _conjoin(self, literals, stack) -> list[frozenset[int]]:
-        alts = [frozenset()]
-        for lit in literals:
-            resolved = self._resolve(lit, stack)
-            alts = [a | r for a in alts for r in resolved]
-        return alts
+        path.add(aid)
+        sign = 1 if lit > 0 else -1
+        parts = [sign * body_lit for stmt in defs
+                 for body_lit in stmt.body.literals]
+        return lit, defs, parts, []
 
     def constraint_bodies(self, rule: GroundRule) -> list[frozenset[int]]:
         """A constraint's body with its auxiliary atoms resolved.
@@ -280,7 +311,8 @@ class GroundProgram:
                     "opaque: heterogeneous weight body")
             lits = [t for t in rule.pos_body if isinstance(t, int)] \
                 + [-t for t in rule.neg_body if isinstance(t, int)]
-            bodies = _dedupe_sets(self._conjoin(lits, frozenset()))
+            bodies = _dedupe_sets(_conjoin_alternatives(
+                map(self.resolve_aux, lits)))
             self._body_memo[rule.statement_index] = bodies
         return bodies
 
@@ -320,6 +352,31 @@ class GroundProgram:
         if rule.kind == CHOICE:
             head = "{" + head + "}"
         return f"{head} :- {body}." if body else f"{head}."
+
+
+def _conjoin_alternatives(resolved) -> list[frozenset[int]]:
+    """Every union of one alternative per conjunct, in product order."""
+    alts = [frozenset()]
+    for options in resolved:
+        alts = [a | r for a in alts for r in options]
+    return alts
+
+
+def _combine_definitions(positive: bool, defs, resolved: list) -> list:
+    """The alternatives of an auxiliary literal from those of the literals
+    of its definition bodies, listed body by body.  The atom holds if some
+    body holds; it is false if each body has a literal that fails."""
+    alts: list[frozenset[int]] = [] if positive else [frozenset()]
+    start = 0
+    for stmt in defs:
+        end = start + len(stmt.body.literals)
+        if positive:
+            alts.extend(_conjoin_alternatives(resolved[start:end]))
+        else:
+            failures = [f for options in resolved[start:end] for f in options]
+            alts = [a | f for a in alts for f in failures]
+        start = end
+    return alts
 
 
 def _dedupe_sets(sets) -> list[frozenset]:

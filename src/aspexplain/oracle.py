@@ -3,7 +3,11 @@
 This module deliberately works on the raw parsed statements rather than the
 reconstructed rule view, so its verdicts are independent of the folding and
 support machinery it is used to cross-check.  The reduct's least model comes
-from the aspif-level operator :meth:`AspifProgram.least_model`.
+from the aspif-level operator :meth:`AspifProgram.least_model`.  A total
+interpretation M is stable iff it equals the least model of its reduct and
+no constraint body holds in it: once M is that least model, it holds every
+external and satisfies every other rule, so no separate classical check is
+needed (see :meth:`_Checker.is_stable`).
 :func:`enumerate_answer_sets` searches the named atoms the well-founded
 model leaves undecided, branching on one at a time and propagating with
 :meth:`AspifProgram.alternating_fixpoint`, the operator behind the
@@ -142,26 +146,25 @@ class _Checker:
             completions.append(base | extra)
         return completions
 
-    def classically_satisfied(self, total: frozenset[int]) -> bool:
+    def is_stable(self, total: frozenset[int]) -> bool:
+        """True iff ``total`` is an answer set.
+
+        Suppose ``total`` equals the least model of its reduct.  That model
+        holds every external, which the least model takes as a fact, and
+        satisfies every rule that is not a constraint: a body that holds in
+        ``total`` holds in the reduct, weights being non-negative, so the
+        rule fires there and puts its head in the least model, which is
+        ``total``; a choice rule is satisfied whatever it derives, and
+        disjunctive heads are rejected when the checker is built.  So only
+        the constraint bodies are left to check.
+        """
+        if self.program.least_model(total, total) != total:
+            return False
+
         def holds(lit: int) -> bool:
             return (abs(lit) in total) == (lit > 0)
 
-        for atom in self.externals:
-            if atom not in total:
-                return False
-        for stmt in self.program.rules:
-            if not _body_true(stmt.body, holds):
-                continue
-            if stmt.is_constraint:
-                return False
-            if stmt.head_type == HEAD_DISJUNCTIVE \
-                    and not any(h in total for h in stmt.head):
-                return False
-        return True
-
-    def is_stable(self, total: frozenset[int]) -> bool:
-        return self.classically_satisfied(total) \
-            and self.program.least_model(total, total) == total
+        return not any(_body_true(s.body, holds) for s in self.constraints)
 
     def violated(self, lower, upper) -> bool:
         """True iff a constraint body holds in every interpretation that

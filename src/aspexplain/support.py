@@ -27,8 +27,10 @@ _CROSS_CAP = 4096
 
 def _cross_union(option_lists) -> list[frozenset]:
     """Cross product of choices, unioned; deterministic order, capped."""
-    out = [frozenset()]
-    for options in option_lists:
+    if not option_lists:
+        return [frozenset()]
+    out = option_lists[0][:_CROSS_CAP]
+    for options in option_lists[1:]:
         out = [acc | opt for acc, opt in itertools.product(out, options)]
         if len(out) > _CROSS_CAP:
             out = out[:_CROSS_CAP]
@@ -58,11 +60,16 @@ def _merge_expansion(table, expansion) -> None:
 
 def _holding_alternatives(g: GroundProgram, lit: int,
                           A: frozenset[int]) -> list[frozenset[nodes.ENode]]:
-    """Ways the literal holds under A, as sets of literal nodes."""
+    """Ways the literal holds under A, as sets of literal nodes.  A
+    resolved alternative holds named literals only, so each is tested by
+    membership in A."""
     out = []
     for alt in g.resolve_aux(lit):
-        if all(g.lit_holds(l, A) for l in alt):
-            out.append(frozenset(g.lit_node(l) for l in alt))
+        for l in alt:
+            if (l not in A) if l > 0 else (-l in A):
+                break
+        else:
+            out.append(frozenset(map(g.lit_node, alt)))
     return out
 
 
@@ -76,21 +83,27 @@ def _term_true_options(g, term, positive, A, expansion):
     return _holding_alternatives(g, term if positive else -term, A)
 
 
-def _body_terms(rule: GroundRule) -> list[tuple]:
-    """The body terms of a rule with their signs, the positive body first."""
+def _check_interpreted(rule: GroundRule) -> None:
+    """Raise UnsupportedWeightBody for a rule whose body was kept opaque."""
     if rule.raw_weight is not None:
         raise UnsupportedWeightBody(
             f"rule from statement {rule.statement_index} kept opaque: "
             "heterogeneous weight body")
-    return [(term, True) for term in rule.pos_body] \
-        + [(term, False) for term in rule.neg_body]
 
 
 def _body_true_options(g, rule: GroundRule, A, expansion):
-    """One supported set per way of satisfying the body; [] if unsatisfied."""
-    per_term = [_term_true_options(g, term, positive, A, expansion)
-                for term, positive in _body_terms(rule)]
-    if any(not options for options in per_term):
+    """One supported set per way of satisfying the body; [] if unsatisfied.
+    Every term is evaluated, so that the first error is the one the body
+    order meets."""
+    _check_interpreted(rule)
+    per_term = []
+    for term in rule.pos_body:
+        per_term.append(_term_true_options(g, term, True, A, expansion))
+    for term in rule.neg_body:
+        per_term.append(_term_true_options(g, term, False, A, expansion))
+    if len(per_term) == 1:
+        return per_term[0][:_CROSS_CAP]
+    if not all(per_term):
         return []
     return _cross_union(per_term)
 
@@ -113,8 +126,9 @@ def supported_sets_true(g: GroundProgram, A: frozenset[int], c: int,
                 option = option | {nodes.plus_choice_node()} | _companions(g, rule, c)
             # An empty-bodied rule supports its head unconditionally.
             sets.append(option or frozenset({nodes.top_node()}))
-    sets = _dedupe_sets(sets)
-    if not sets:
+    if len(sets) > 1:
+        sets = _dedupe_sets(sets)
+    elif not sets:
         raise NoSupport(
             f"{g.display_atom(c)} is in the answer set but no rule supports "
             "it; the interpretation is not an answer set")
@@ -139,9 +153,11 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
                                | _companions(g, rule, c))
         elif not body_options:
             # A body fails through any one term that does not hold.
-            for term, positive in _body_terms(rule):
-                options.extend(_term_true_options(g, term, not positive, A,
-                                                  expansion))
+            for terms, positive in ((rule.pos_body, False),
+                                    (rule.neg_body, True)):
+                for term in terms:
+                    options.extend(_term_true_options(g, term, positive, A,
+                                                      expansion))
             options = _minimize_sets(options)
         per_rule.append(options)
     combined = _minimize_sets(_cross_union(per_rule))
@@ -173,10 +189,8 @@ def er_row(g: GroundProgram, A: frozenset[int], aid: int, expansion: dict):
     """The E_r key of a named atom, its literal under A, and its row; the
     rows of the choice and tuple nodes the row holds go to ``expansion``."""
     if aid in A:
-        return (nodes.atom_node(g.display_atom(aid)),
-                supported_sets_true(g, A, aid, expansion))
-    return (nodes.neg_atom_node(g.display_atom(aid)),
-            supported_sets_false(g, A, aid, expansion))
+        return g.lit_node(aid), supported_sets_true(g, A, aid, expansion)
+    return g.lit_node(-aid), supported_sets_false(g, A, aid, expansion)
 
 
 def build_er(g: GroundProgram, A: frozenset[int]):
@@ -199,13 +213,17 @@ def check_rules(g: GroundProgram, A: frozenset[int]) -> None:
     resolved and a choice occurrence when its elements are evaluated.
     Resolution is memoised per program, so the rows built later reuse it.
     """
+    named = g.named
     for aid in er_key_order(g):
         for rule in g.rules_for_head(aid):
-            for term, positive in _body_terms(rule):
-                if isinstance(term, ChoiceAtomSpec):
-                    g.satisfied_elements(term, A)
-                else:
-                    g.resolve_aux(term if positive else -term)
+            _check_interpreted(rule)
+            for terms, sign in ((rule.pos_body, 1), (rule.neg_body, -1)):
+                for term in terms:
+                    if isinstance(term, ChoiceAtomSpec):
+                        g.satisfied_elements(term, A)
+                    elif term not in named:
+                        # A named literal resolves to itself.
+                        g.resolve_aux(sign * term)
 
 
 def dump_table(table, ascii_only: bool = False) -> str:

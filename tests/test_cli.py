@@ -558,7 +558,10 @@ class TestAnswersets:
 
 class TestDeepAuxChain:
     @pytest.mark.parametrize("command, expected", [
-        ("parse", "p :- l(3).\n"), ("answersets", "p\n")])
+        ("parse", "p :- l(3).\n"), ("answersets", "p\n"),
+        ("assumptions --answer p", "U = {}\n"),
+        ("explain --answer p --root p", '"p" -> "~q" [style=dashed];\n'),
+        ("explain --answer p --root ~q", '"~q" -> "⊥" [style=dotted];\n')])
     def test_long_aux_chain(self, capsys, tmp_path, command, expected):
         # p :- l(3).  l(i) :- l(i+1).  l(n) :- not q.  Each auxiliary
         # definition level is one level deeper, and the recursion limit is
@@ -574,7 +577,8 @@ class TestDeepAuxChain:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + n // 2)
         try:
-            code, out, err = run(capsys, command, path)
+            name, *options = command.split()
+            code, out, err = run(capsys, name, path, *options)
         finally:
             sys.setrecursionlimit(limit)
         assert code == 0, err

@@ -19,6 +19,8 @@ from aspexplain.aspif import WeightBody, parse_aspif
 from aspexplain.errors import TooLarge
 from aspexplain.ground import reconstruct
 
+from test_oracle import reference_is_stable
+
 
 def _subsets_by_size(items: list[str]):
     for size in range(len(items) + 1):
@@ -39,7 +41,8 @@ def reference_enumerate_answer_sets(g, max_named: int = oracle.MAX_NAMED_ATOMS):
     for subset in _subsets_by_size(candidates):
         names = frozenset(named_facts) | frozenset(subset)
         ids = frozenset(checker.names[n] for n in names)
-        if any(checker.is_stable(total) for total in checker.complete(ids)):
+        if any(reference_is_stable(checker, total)
+               for total in checker.complete(ids)):
             found.append(names)
     return found
 
@@ -61,7 +64,8 @@ def reference_bounded_enumerate_answer_sets(
     for subset in _subsets_by_size(free):
         names = forced | frozenset(subset)
         ids = frozenset(checker.names[n] for n in names)
-        if any(checker.is_stable(total) for total in checker.complete(ids)):
+        if any(reference_is_stable(checker, total)
+               for total in checker.complete(ids)):
             found.append(names)
     return found
 

@@ -4,7 +4,8 @@ set and dict iteration orders of nodes and edges fixed.
 Each digest is a sha256 over every named literal of an example, each
 explained in the polarity that holds: the root, the exit code, stdout and
 stderr of one ``explain`` run.  A change in any graph, label or edge order
-shows here.
+shows here.  Further digests pin the reconstruction of random programs, their
+support tables, U and graphs, and the graph of a long positive chain.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ import pytest
 
 from aspexplain import cli, nodes, oracle
 from aspexplain.aspif import parse_aspif
-from aspexplain.egraph import EEdge
+from aspexplain.assumptions import minimal_assumption_sets
+from aspexplain.constraints import constraint_preprocessing
+from aspexplain.egraph import EEdge, SupportTable, build_egraph, to_dot
+from aspexplain.errors import AspExplainError
 from aspexplain.ground import reconstruct
+from aspexplain.support import build_er, dump_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,3 +167,72 @@ def test_random_reconstructions_match_golden_digest():
                     sorted(rule.element_conditions.items()))).encode())
             digest.update(repr((g.nant_names(), g.warnings)).encode())
     assert digest.hexdigest() == GOLDEN_RECONSTRUCTION
+
+
+# One sha256 over the tables and graphs of random_program seeds 0..299 with
+# 6 and 8 atoms, for the first three answer sets of each (see _explained).
+GOLDEN_TABLES = \
+    "7f553c446b4bc55bf0524ef05194fa9ae94ca132f0969a53d88a41174cc2177a"
+
+# sha256 of the DOT that explains the tip of a 300-link positive chain; the
+# rules listed forward and in reverse give the same graph.
+GOLDEN_CHAIN = \
+    "180790c1368dc4192db52a555dbc883d51a05a17d928ef6f86f09f8541a39f0a"
+
+
+def _explained(g, A) -> bytes:
+    """E_r and E_c as ``dump_table`` prints them, U, and the DOT of up to
+    four graphs of every named literal in the polarity that holds, each
+    error by its class and message."""
+    parts: list[str] = []
+    try:
+        parts.append(dump_table(build_er(g, A)))
+        parts.append(dump_table(constraint_preprocessing(g, A)))
+        table = SupportTable(g, A)
+        u = minimal_assumption_sets(g, A, er=table.er, table=table).chosen_u
+    except AspExplainError as err:
+        return repr((type(err).__name__, str(err))).encode()
+    parts.append(repr(sorted(u)))
+    for aid in sorted(g.named_ids()):
+        root = nodes.literal_node(g.display_atom(aid), aid in A)
+        try:
+            graphs = build_egraph(table, u, root, max_graphs=4)
+        except AspExplainError as err:
+            parts.append(repr((type(err).__name__, str(err))))
+        else:
+            parts.extend(to_dot(graph) for graph in graphs)
+    return "\x00".join(parts).encode() + b"\x01"
+
+
+def test_random_tables_and_graphs_match_golden_digest():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        for n_atoms in (6, 8):
+            g = oracle.random_program(seed, n_atoms=n_atoms)
+            for model in oracle.enumerate_answer_sets(g)[:3]:
+                digest.update(_explained(g, g.answer_from_names(model)))
+    assert digest.hexdigest() == GOLDEN_TABLES
+
+
+def positive_chain(n: int, reverse: bool) -> str:
+    """x(1).  x(i) :- x(i-1) for 1 < i <= n, the rules forward or in
+    reverse."""
+    rules = [f"1 0 1 {i} 0 1 {i - 1}" for i in range(2, n + 1)]
+    if reverse:
+        rules.reverse()
+    lines = ["asp 1 0 0", "1 0 1 1 0 0", *rules]
+    lines += [f"4 {len(f'x({i})')} x({i}) 1 {i}" for i in range(1, n + 1)]
+    return "\n".join(lines + ["0\n"])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_chain_tip_matches_golden_digest(capsys, tmp_path, reverse):
+    path = tmp_path / "chain.aspif"
+    path.write_text(positive_chain(300, reverse))
+    answer = " ".join(f"x({i})" for i in range(1, 301))
+    code = cli.main(["explain", str(path), "--answer", answer,
+                     "--root", "x(300)"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == GOLDEN_CHAIN

@@ -1,11 +1,17 @@
 import gc
 import itertools
+import random
 import time
 
 import pytest
 
 from aspexplain import oracle
-from aspexplain.aspif import emit_aspif, parse_aspif
+from aspexplain.aspif import (
+    HEAD_DISJUNCTIVE,
+    WeightBody,
+    emit_aspif,
+    parse_aspif,
+)
 from aspexplain.errors import TooLarge, UnknownLiteral
 from aspexplain.ground import reconstruct
 from aspexplain.oracle import check_answer_set, enumerate_answer_sets, random_program
@@ -134,13 +140,69 @@ def test_generator_answer_sets_verify():
     assert seen_models > 0
 
 
+def reference_is_stable(checker, total) -> bool:
+    """The stability test that does not trust the least model: a classical
+    pass over every external and rule, then the least model of the
+    reduct."""
+    def holds(lit: int) -> bool:
+        return (abs(lit) in total) == (lit > 0)
+
+    if any(atom not in total for atom in checker.externals):
+        return False
+    for stmt in checker.program.rules:
+        body = stmt.body
+        if isinstance(body, WeightBody):
+            fires = sum(w for lit, w in body.elements if holds(lit)) \
+                >= body.lower
+        else:
+            fires = all(holds(lit) for lit in body.literals)
+        if not fires:
+            continue
+        if stmt.is_constraint:
+            return False
+        if stmt.head_type == HEAD_DISJUNCTIVE \
+                and not any(h in total for h in stmt.head):
+            return False
+    return checker.program.least_model(total, total) == total
+
+
 def reference_check_answer_set(gp, answer_names) -> bool:
     """The check with an unseeded completion: the clamped pass decides the
     auxiliary atoms from the named guess alone."""
     checker = oracle._Checker(gp.aspif)
     named_true = frozenset(checker.names[n] for n in answer_names)
-    return any(checker.is_stable(total)
+    return any(reference_is_stable(checker, total)
                for total in checker.complete(named_true))
+
+
+@pytest.mark.parametrize("n_atoms", [6, 8])
+@pytest.mark.parametrize("p_choice", [0.0, 0.5])
+def test_is_stable_matches_classical_reference(n_atoms, p_choice):
+    # Every guess over the named atoms when there are at most 64, otherwise
+    # 64 drawn from the seed, and the answer sets; every completion of each.
+    totals = stable = 0
+    for seed in range(200):
+        gp = random_program(seed, n_atoms=n_atoms, p_choice=p_choice)
+        checker = oracle._Checker(gp.aspif)
+        named = sorted(checker.named_ids)
+        guesses = [frozenset(itertools.compress(named, mask))
+                   for mask in itertools.product((0, 1), repeat=len(named))]
+        if len(guesses) > 64:
+            guesses = random.Random(seed).sample(guesses, 64)
+        guesses += [frozenset(checker.names[n] for n in model)
+                    for model in enumerate_answer_sets(gp)]
+        for guess in guesses:
+            try:
+                completions = checker.complete(guess)
+            except TooLarge:
+                continue
+            for total in completions:
+                verdict = checker.is_stable(total)
+                assert verdict == reference_is_stable(checker, total), \
+                    (seed, sorted(total))
+                totals += 1
+                stable += verdict
+    assert totals > 12000 and stable > 100, (totals, stable)
 
 
 def test_seeded_check_matches_unseeded():

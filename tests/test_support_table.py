@@ -20,6 +20,7 @@ from aspexplain.errors import TooLarge
 from aspexplain.ground import reconstruct
 from aspexplain.support import build_er
 
+from test_golden import positive_chain
 from test_shrink import families
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -103,3 +104,27 @@ def test_cold_explain_builds_few_rows(monkeypatch, tmp_path, capsys):
         assert code == 0
         assert out.startswith("digraph explanation {")
         assert 0 < rows <= 20, (root, rows)
+
+
+def test_cold_explain_of_a_chain_tip_builds_each_row_once(monkeypatch,
+                                                          tmp_path, capsys):
+    # x(1).  x(i) :- x(i-1).  The tip's graph holds every atom, so the
+    # search reads every row, and each must be built once.
+    n = 500
+    path = tmp_path / "chain.aspif"
+    path.write_text(positive_chain(n, reverse=False))
+    rows = 0
+
+    def counting(*args, **kwargs):
+        nonlocal rows
+        rows += 1
+        return support.er_row(*args, **kwargs)
+
+    monkeypatch.setattr("aspexplain.egraph.er_row", counting)
+    code = cli.main(["explain", str(path), "--answer",
+                     " ".join(f"x({i})" for i in range(1, n + 1)),
+                     "--root", f"x({n})"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count(" -> ") == n
+    assert rows == n
