@@ -50,9 +50,6 @@ class RuleStatement(NamedTuple):
     def is_choice(self) -> bool:
         return self.head_type == HEAD_CHOICE
 
-    def body_literals(self) -> tuple[int, ...]:
-        return self.body.literals
-
 
 class OutputStatement(NamedTuple):
     symbol: str

@@ -45,10 +45,6 @@ class GroundAtom:
     is_fact: bool = False
 
     @property
-    def is_aux(self) -> bool:
-        return self.name is None
-
-    @property
     def display(self) -> str:
         return self.name if self.name is not None else f"l({self.aid})"
 

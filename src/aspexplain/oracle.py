@@ -8,20 +8,24 @@ interpretation M is stable iff it equals the least model of its reduct and
 no constraint body holds in it: once M is that least model, it holds every
 external and satisfies every other rule, so no separate classical check is
 needed (see :meth:`_Checker.is_stable`).
-:func:`enumerate_answer_sets` searches the named atoms the well-founded
-model leaves undecided, branching on one at a time and propagating with
-:meth:`AspifProgram.alternating_fixpoint`, the operator behind the
-well-founded model the assumption analysis uses; every assignment it
-reaches is checked exactly.  Both read only the parsed statements, so the
-oracle stays independent of folding.  Choice bounds need no special
-treatment here: the grounder encodes them as ordinary weight bodies and
-integrity constraints, which are checked directly.
+
+Checking and enumerating answer sets are one depth-first search,
+:meth:`_Checker.search`, in the manner of the ``expand`` step of Smodels
+(Simons, Niemelä & Soininen 2002).  A node assumes some atoms true and some
+false and holds the bounds :meth:`AspifProgram.alternating_fixpoint` gives
+under these assumptions, the operator behind the well-founded model the
+assumption analysis uses.  It branches on the named atoms first, then on
+the auxiliary atoms the bounds leave undecided, and checks each total
+interpretation it reaches exactly.  :func:`enumerate_answer_sets` starts
+from the well-founded model; :func:`check_answer_set` assumes every named
+atom, so it branches on auxiliary atoms only.  Choice bounds need no
+special treatment here: the grounder encodes them as ordinary weight
+bodies and integrity constraints, which are checked directly.
 """
 
 from __future__ import annotations
 
 from .aspif import (
-    HEAD_CHOICE,
     HEAD_DISJUNCTIVE,
     AspifProgram,
     WeightBody,
@@ -63,89 +67,6 @@ class _Checker:
             program.atom_ids() - self.named_ids - self.externals)
         self.constraints = [s for s in program.rules if s.is_constraint]
 
-    def complete(self, named_true: frozenset[int], lower=frozenset(),
-                 upper=None) -> list[frozenset[int]]:
-        """All total interpretations extending a guess over named atoms.
-
-        Auxiliary atoms are fixed by a clamped alternating pass; the rare
-        leftovers (cyclic auxiliary definitions) are enumerated.  The pass
-        starts with the auxiliary atoms in ``lower`` true and those outside
-        ``upper`` false, bounds that every answer set extending the guess
-        lies between.
-        """
-        open_aux = set(self.aux_ids)
-        true: set[int] = {a for a in self.externals
-                          if a not in self.named_ids} | (open_aux & lower)
-        false: set[int] = set() if upper is None else open_aux - upper
-        open_aux -= true | false
-
-        def value(atom: int) -> bool | None:
-            if atom in self.named_ids:
-                return atom in named_true
-            if atom in self.externals:
-                return True
-            if atom in true:
-                return True
-            if atom in false:
-                return False
-            return None
-
-        def lit_value(lit: int) -> bool | None:
-            v = value(abs(lit))
-            if v is None:
-                return None
-            return v if lit > 0 else not v
-
-        def body_value(body) -> bool | None:
-            if isinstance(body, WeightBody):
-                floor = sum(w for lit, w in body.elements
-                            if lit_value(lit) is True)
-                ceiling = sum(w for lit, w in body.elements
-                              if lit_value(lit) is not False)
-                if floor >= body.lower:
-                    return True
-                if ceiling < body.lower:
-                    return False
-                return None
-            values = [lit_value(lit) for lit in body.literals]
-            if any(v is False for v in values):
-                return False
-            if all(v is True for v in values):
-                return True
-            return None
-
-        changed = True
-        while changed:
-            changed = False
-            for aux in sorted(open_aux):
-                statements = self.program.definitions.get(aux, [])
-                body_values = [body_value(s.body) for s in statements]
-                derivable = any(
-                    v is True and s.head_type != HEAD_CHOICE
-                    for s, v in zip(statements, body_values))
-                refutable = all(v is False for v in body_values) \
-                    if statements else True
-                if derivable:
-                    true.add(aux)
-                elif refutable:
-                    false.add(aux)
-                else:
-                    continue
-                open_aux.discard(aux)
-                changed = True
-
-        free = sorted(open_aux)
-        if len(free) > MAX_FREE_AUX:
-            raise TooLarge(
-                f"{len(free)} auxiliary atoms undetermined; enumeration cap "
-                f"is {MAX_FREE_AUX}")
-        base = frozenset(true) | named_true
-        completions = []
-        for mask in range(1 << len(free)):
-            extra = {free[i] for i in range(len(free)) if mask >> i & 1}
-            completions.append(base | extra)
-        return completions
-
     def is_stable(self, total: frozenset[int]) -> bool:
         """True iff ``total`` is an answer set.
 
@@ -174,13 +95,82 @@ class _Checker:
 
         return any(_body_true(s.body, holds) for s in self.constraints)
 
+    def bounds(self, true, false, parent):
+        """The bounds of the answer sets that contain ``true`` and miss
+        ``false``, or None when there is none: an assumption is
+        contradicted or a constraint body holds between the bounds.
+
+        ``parent`` holds the bounds under weaker assumptions.  When the
+        assumptions cover every atom they leave open, one interpretation
+        is left, and it is returned as both bounds for the search's leaf
+        to check.  When they already decide every assumption, the
+        alternating fixpoint would return them unchanged.  Otherwise it
+        is computed, starting from their upper bound less the atoms
+        assumed false.
+        """
+        lower, upper = parent
+        if upper - lower <= true | false:
+            lower = upper = lower | (true & upper)
+        elif true - lower or false & upper:
+            lower, upper = self.program.alternating_fixpoint(
+                true, false, upper - false)
+        if false & lower or true - upper or self.violated(lower, upper):
+            return None
+        return lower, upper
+
+    def search(self, true, false, bounds, free):
+        """Yield the answer sets that contain ``true``, miss ``false`` and
+        lie between ``bounds``, at most one per assignment of the named
+        atoms.
+
+        A depth-first search whose nodes hold assumptions and their
+        :meth:`bounds`, each child computing its own from its parent's;
+        ``bounds`` is the root's, None when it is cut.  A node branches on
+        the first atom of ``free``, the named atoms that may be open, that
+        its bounds leave undecided; once they decide every named atom, on
+        the auxiliary atoms left undecided, in id order.  A leaf decides
+        every atom, so its lower bound is the one interpretation to check.
+        The auxiliary atoms open at the node that first decides every named
+        atom are capped by :data:`MAX_FREE_AUX`, as cyclic auxiliary
+        definitions would branch on each.  Once one leaf below that node
+        is stable, the rest are skipped.
+        """
+        stack = [] if bounds is None else [(true, false, bounds, None)]
+        while stack:
+            true, false, (lower, upper), base = stack.pop()
+            atom = next((a for a in free if a in upper and a not in lower),
+                        None)
+            if atom is None:
+                open_aux = [a for a in self.aux_ids
+                            if a in upper and a not in lower]
+                if base is None:
+                    if len(open_aux) > MAX_FREE_AUX:
+                        raise TooLarge(
+                            f"{len(open_aux)} auxiliary atoms undetermined; "
+                            f"enumeration cap is {MAX_FREE_AUX}")
+                    # What this node's subtree leaves on the stack sits
+                    # above ``base``.
+                    base = len(stack)
+                if not open_aux:
+                    if self.is_stable(lower):
+                        yield lower
+                        del stack[base:]
+                    continue
+                atom = open_aux[0]
+            for child in ((true | {atom}, false), (true, false | {atom})):
+                child_bounds = self.bounds(*child, (lower, upper))
+                if child_bounds is not None:
+                    stack.append((*child, child_bounds, base))
+
 
 def check_answer_set(g, answer_names) -> bool:
     """True iff the named atoms form an answer set of the program.
 
-    Every answer set lies between the bounds of the well-founded model, so
-    they seed :meth:`_Checker.complete` without changing the verdict; the
-    model is cached per program, and the explanation reuses it.
+    The search of :meth:`_Checker.search` with every named atom assumed:
+    the listed ones true, the rest false.  Its root propagates these
+    assumptions from the well-founded model, which is cached per program
+    and reused by the explanation, and it branches only on the auxiliary
+    atoms left undecided.
     """
     checker = _Checker(g.aspif)
     named_true = set()
@@ -188,31 +178,21 @@ def check_answer_set(g, answer_names) -> bool:
         if name not in checker.names:
             raise UnknownLiteral(f"unknown atom {name!r} in answer set")
         named_true.add(checker.names[name])
+    true = frozenset(named_true)
+    false = frozenset(checker.named_ids - named_true)
     wf_true, wf_false = g.aspif.well_founded()
-    # Every named atom not listed is false; the guess must also cover facts.
-    for total in checker.complete(frozenset(named_true), wf_true,
-                                  g.aspif.atom_ids() - wf_false):
-        if checker.is_stable(total):
-            return True
-    return False
+    root = checker.bounds(true, false,
+                          (wf_true, g.aspif.atom_ids() - wf_false))
+    return next(checker.search(true, false, root, ()), None) is not None
 
 
 def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpretation]:
     """All answer sets, projected to named atoms, in deterministic order.
 
-    A depth-first search over the named atoms the well-founded model leaves
-    undecided, as in the ``expand`` step of Smodels (Simons, Niemelä &
-    Soininen 2002).  A node assumes some of them true and some false and
-    holds the bounds :meth:`AspifProgram.alternating_fixpoint` gives under
-    these assumptions, starting from its parent's upper bound; the root
-    holds the well-founded model.  A node is cut when an assumed-false atom
-    is in the lower bound, an assumed-true one is outside the upper bound,
-    or a constraint body holds between the bounds: no answer set extends
-    it.  Otherwise it branches on the first atom it leaves undecided, and
-    once it decides them all it checks its named atoms exactly, with the
-    bounds as the seed of :meth:`_Checker.complete`.  The answer sets come
-    by size, then by the positions of their undecided atoms in name order,
-    as subsets come from :func:`itertools.combinations`.
+    The search of :meth:`_Checker.search` from the well-founded model,
+    branching first on the named atoms it leaves undecided.  The answer
+    sets come by size, then by the positions of their undecided atoms in
+    name order, as subsets come from :func:`itertools.combinations`.
     """
     program = g.aspif
     checker = _Checker(program)
@@ -226,28 +206,13 @@ def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpret
     decided = wf_true | wf_false
     free = [checker.names[n] for n in candidates
             if checker.names[n] not in decided]
-    root = (wf_true, program.atom_ids() - wf_false)
-    stack = [] if checker.violated(*root) else [(frozenset(), frozenset(),
-                                                root)]
+    root = checker.bounds(frozenset(), frozenset(),
+                          (wf_true, program.atom_ids() - wf_false))
     found: list[tuple[list[int], Interpretation]] = []
-    while stack:
-        true, false, (lower, upper) = stack.pop()
-        atom = next((a for a in free if a in upper and a not in lower), None)
-        if atom is None:
-            ids = frozenset(i for i in checker.named_ids if i in lower)
-            if any(checker.is_stable(total)
-                   for total in checker.complete(ids, lower, upper)):
-                chosen = [k for k, a in enumerate(free) if a in lower]
-                found.append(([len(chosen), *chosen], frozenset(
-                    n for n, i in checker.names.items() if i in ids)))
-            continue
-        for child_true, child_false in ((true | {atom}, false),
-                                        (true, false | {atom})):
-            bounds = program.alternating_fixpoint(child_true, child_false,
-                                                  upper)
-            if not (child_false & bounds[0] or child_true - bounds[1]
-                    or checker.violated(*bounds)):
-                stack.append((child_true, child_false, bounds))
+    for lower in checker.search(frozenset(), frozenset(), root, free):
+        chosen = [k for k, a in enumerate(free) if a in lower]
+        found.append(([len(chosen), *chosen], frozenset(
+            n for n, i in checker.names.items() if i in lower)))
     found.sort(key=lambda item: item[0])
     return [names for _, names in found]
 

@@ -4,7 +4,8 @@
 bounded by the well-founded model: it tries every subset of the non-fact
 named atoms.  ``reference_bounded_enumerate_answer_sets`` is the enumerator
 before the search: it tries every subset of the named atoms the
-well-founded model leaves undecided.  Both stay here as slow references;
+well-founded model leaves undecided.  Both complete each guess with the
+clamped pass of ``reference_complete`` and stay here as slow references;
 the search must return the same list in the same order.
 """
 
@@ -14,12 +15,16 @@ import itertools
 
 import pytest
 
-from aspexplain import oracle
+from aspexplain import cli, oracle
 from aspexplain.aspif import WeightBody, parse_aspif
 from aspexplain.errors import TooLarge
 from aspexplain.ground import reconstruct
 
-from test_oracle import reference_is_stable
+from test_oracle import (
+    reference_check_answer_set,
+    reference_complete,
+    reference_is_stable,
+)
 
 
 def _subsets_by_size(items: list[str]):
@@ -42,7 +47,7 @@ def reference_enumerate_answer_sets(g, max_named: int = oracle.MAX_NAMED_ATOMS):
         names = frozenset(named_facts) | frozenset(subset)
         ids = frozenset(checker.names[n] for n in names)
         if any(reference_is_stable(checker, total)
-               for total in checker.complete(ids)):
+               for total in reference_complete(checker, ids)):
             found.append(names)
     return found
 
@@ -65,7 +70,7 @@ def reference_bounded_enumerate_answer_sets(
         names = forced | frozenset(subset)
         ids = frozenset(checker.names[n] for n in names)
         if any(reference_is_stable(checker, total)
-               for total in checker.complete(ids)):
+               for total in reference_complete(checker, ids)):
             found.append(names)
     return found
 
@@ -169,26 +174,41 @@ def test_even_loops_with_d():
                for m in found)
 
 
+def counted_leaves(monkeypatch) -> list:
+    """The interpretation of each call to ``_Checker.is_stable`` from now
+    on: one per leaf the search reaches."""
+    leaves = []
+    is_stable = oracle._Checker.is_stable
+
+    def counting(self, total):
+        leaves.append(total)
+        return is_stable(self, total)
+
+    monkeypatch.setattr(oracle._Checker, "is_stable", counting)
+    return leaves
+
+
 def counted_guesses(monkeypatch) -> list:
-    """The named atoms of each call to ``_Checker.complete`` from now on."""
+    """The named atoms of each call to ``reference_complete`` from now
+    on: one per guess a reference tries."""
     guesses = []
-    complete = oracle._Checker.complete
+    complete = reference_complete
 
-    def counting(self, named_true, *bounds):
+    def counting(checker, named_true):
         guesses.append(named_true)
-        return complete(self, named_true, *bounds)
+        return complete(checker, named_true)
 
-    monkeypatch.setattr(oracle._Checker, "complete", counting)
+    monkeypatch.setitem(globals(), "reference_complete", counting)
     return guesses
 
 
 def test_even_loops_with_d_checks_only_answer_sets(monkeypatch):
     # The ten named atoms are all undecided at the root; the bounded loop
     # tried all 2^10 subsets, the search reaches one leaf per answer set.
-    guesses = counted_guesses(monkeypatch)
+    leaves = counted_leaves(monkeypatch)
     assert len(oracle.enumerate_answer_sets(build(EVEN_LOOPS_WITH_D))) == 16
-    assert len(guesses) == 16
-    guesses.clear()
+    assert len(leaves) == 16
+    guesses = counted_guesses(monkeypatch)
     reference_bounded_enumerate_answer_sets(build(EVEN_LOOPS_WITH_D))
     assert len(guesses) == 1024
 
@@ -207,9 +227,9 @@ EVEN_LOOP_WITHOUT_A = ("1 0 1 1 0 1 -2\n1 0 1 2 0 1 -1\n1 0 0 0 1 1\n"
                          ids=["odd_loop", "even_loop_without_a"])
 def test_cut_branches_reach_no_leaf(monkeypatch, body, leaves):
     expected = reference_bounded_enumerate_answer_sets(build(body))
-    guesses = counted_guesses(monkeypatch)
+    counted = counted_leaves(monkeypatch)
     assert oracle.enumerate_answer_sets(build(body)) == expected
-    assert len(guesses) == leaves == len(expected)
+    assert len(counted) == leaves == len(expected)
 
 
 def test_well_founded_model_is_computed_once():
@@ -218,17 +238,10 @@ def test_well_founded_model_is_computed_once():
 
 
 def test_decided_program_makes_one_guess(monkeypatch):
-    guesses = []
-    complete = oracle._Checker.complete
-
-    def counting(self, named_true, *bounds):
-        guesses.append(named_true)
-        return complete(self, named_true, *bounds)
-
-    monkeypatch.setattr(oracle._Checker, "complete", counting)
+    leaves = counted_leaves(monkeypatch)
     assert oracle.enumerate_answer_sets(build(ALL_DECIDED)) \
         == [frozenset({"p", "q", "s"})]
-    assert len(guesses) == 1
+    assert len(leaves) == 1
 
 
 def test_named_fact_is_in_every_answer_set():
@@ -278,8 +291,8 @@ def test_free_aux_cap_skips_guesses_the_well_founded_model_excludes():
 
 def test_free_aux_cap_counts_only_atoms_the_search_leaves_open():
     # p :- x(1).  x(i) :- x(i+1).  x(13) :- x(1).  q :- not p.  The clamped
-    # pass of complete() cannot refute the unfounded loop, the well-founded
-    # bounds the search passes as its seed make every x(i) false.
+    # pass of reference_complete() cannot refute the unfounded loop, the
+    # well-founded bounds the search starts from make every x(i) false.
     lines = ["1 0 1 1 0 1 10", "1 0 1 2 0 1 -1"]
     lines += [f"1 0 1 {10 + i} 0 1 {11 + i}" for i in range(12)]
     lines += ["1 0 1 22 0 1 10"]
@@ -287,3 +300,46 @@ def test_free_aux_cap_counts_only_atoms_the_search_leaves_open():
     with pytest.raises(TooLarge, match="13 auxiliary atoms"):
         reference_bounded_enumerate_answer_sets(g)
     assert oracle.enumerate_answer_sets(g) == [frozenset({"q"})]
+
+
+def aux_pairs_text(pairs: int) -> str:
+    """{p}.  x :- p, not y.  y :- not x.  for each of ``pairs`` unnamed
+    pairs: with p true, every pair is an even loop propagation leaves
+    open, so the search branches on auxiliary atoms."""
+    lines = ["asp 1 0 0", "1 1 1 1 0 0"]
+    for i in range(pairs):
+        x, y = 10 + 2 * i, 11 + 2 * i
+        lines += [f"1 0 1 {x} 0 2 1 -{y}", f"1 0 1 {y} 0 1 -{x}"]
+    return "\n".join(lines) + "\n" + named((1, "p")) + "0\n"
+
+
+@pytest.mark.parametrize("pairs", [3, 6])
+def test_search_branches_on_open_auxiliary_atoms(monkeypatch, pairs):
+    g = reconstruct(parse_aspif(aux_pairs_text(pairs)))
+    assert reference_enumerate_answer_sets(g) \
+        == reference_bounded_enumerate_answer_sets(g) \
+        == [frozenset(), frozenset({"p"})]
+    assert reference_check_answer_set(g, ["p"])
+    leaves = counted_leaves(monkeypatch)
+    assert oracle.enumerate_answer_sets(g) == [frozenset(), frozenset({"p"})]
+    # One leaf for p false, and with p true the first completion tried,
+    # every x false, is stable: its siblings are skipped.
+    assert len(leaves) == 2
+    assert oracle.check_answer_set(g, ["p"])
+    assert oracle.check_answer_set(g, [])
+
+
+def test_open_auxiliary_atoms_past_the_cap(capsys, tmp_path):
+    g = reconstruct(parse_aspif(aux_pairs_text(7)))
+    message = "14 auxiliary atoms undetermined; enumeration cap is 12"
+    for call in (oracle.enumerate_answer_sets,
+                 reference_enumerate_answer_sets,
+                 lambda g: oracle.check_answer_set(g, ["p"]),
+                 lambda g: reference_check_answer_set(g, ["p"])):
+        with pytest.raises(TooLarge, match=message):
+            call(g)
+    path = tmp_path / "pairs.aspif"
+    path.write_text(aux_pairs_text(7))
+    code = cli.main(["explain", str(path), "--answer", "p", "--root", "p"])
+    assert code == 6
+    assert capsys.readouterr().err == f"error: {message}\n"
