@@ -2,17 +2,20 @@
 
 Only the statement kinds the explanation pipeline consumes are modelled
 structurally: rules (tag 1), outputs (tag 4) and externals (tag 5).  Any
-other tag is preserved opaquely and re-emitted verbatim.  The one
-least-model operator of the package, :meth:`AspifProgram.least_model`,
-and the well-founded model built on it work on these parsed statements.
+other tag is preserved opaquely and re-emitted verbatim.  A program files
+each statement once, as it is read: into the typed lists, the definitions,
+the atom ids and the counter rows of the one least-model operator of the
+package, :meth:`AspifProgram.least_model`.  The alternating fixpoint and
+the well-founded model built on that operator work on these parsed
+statements.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import MalformedHeader, MissingTerminator, TruncatedStatement
@@ -74,82 +77,154 @@ Statement = RuleStatement | OutputStatement | ExternalStatement | OpaqueStatemen
 class AspifProgram:
     """Parsed statements in file order.
 
-    The typed lists and the indexes over them are computed on first access
-    and then shared, so ``statements`` must not change once they have been
-    read.
+    Each statement is filed once, as the program gets it: into the typed
+    lists ``rules``, ``outputs`` and ``externals``, into ``definitions`` and
+    the atom ids, and into the counter rows of :meth:`least_model`.
+    :func:`parse_aspif` files each statement as it reads it, and a program
+    built from a list of statements files them in order, by the same
+    routine.  Equality compares ``statements`` alone.  The frozen atom ids
+    and the well-founded model are computed on first access and kept.
     """
 
     statements: list[Statement] = field(default_factory=list)
 
-    @cached_property
-    def rules(self) -> list[RuleStatement]:
-        return [s for s in self.statements if isinstance(s, RuleStatement)]
+    def __post_init__(self) -> None:
+        statements, self.statements = self.statements, []
+        self.rules: list[RuleStatement] = []
+        self.outputs: list[OutputStatement] = []
+        self.externals: list[ExternalStatement] = []
+        # Each head atom's rule statements, in file order.
+        self.definitions: dict[int, list[RuleStatement]] = {}
+        # The atoms of constraints, outputs and externals; the indexes
+        # below hold the others.
+        self._ids: set[int] = set()
+        # The counter rows: each rule that is not a constraint is a weight
+        # rule with its head atoms and whether it is a choice rule.  A
+        # normal body reads as a weight body whose literals weigh 1 and
+        # whose lower bound is its length, so it holds iff every literal
+        # does; a repeated literal counts per occurrence.
+        self._heads: list[tuple[tuple[int, ...], bool]] = []
+        # Per rule, the body weight missing while no negative literal holds.
+        self._template: list[int] = []
+        # The rules that fire with no literal at all, and the rules with
+        # negative literals.
+        self._ready: list[int] = []
+        self._negated: list[int] = []
+        # Per atom, the (rule, weight) pairs of its positive and of its
+        # negative body occurrences.
+        self._positive: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        self._negative: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        self._file(statements)
 
-    @cached_property
-    def outputs(self) -> list[OutputStatement]:
-        return [s for s in self.statements if isinstance(s, OutputStatement)]
-
-    @cached_property
-    def externals(self) -> list[ExternalStatement]:
-        return [s for s in self.statements if isinstance(s, ExternalStatement)]
-
-    @cached_property
-    def definitions(self) -> dict[int, list[RuleStatement]]:
-        """Each head atom's rule statements, in file order."""
-        defs: dict[int, list[RuleStatement]] = {}
-        for stmt in self.rules:
-            for head in stmt.head:
-                defs.setdefault(head, []).append(stmt)
-        return defs
+    def _file(self, statements) -> None:
+        """Append each statement and file it, in order."""
+        append = self.statements.append
+        rules, definitions, ids = self.rules, self.definitions, self._ids
+        heads, template = self._heads, self._template
+        positive, negative = self._positive, self._negative
+        for stmt in statements:
+            append(stmt)
+            if isinstance(stmt, RuleStatement):
+                rules.append(stmt)
+                head_type, head, body = stmt
+                for atom in head:
+                    if atom in definitions:
+                        definitions[atom].append(stmt)
+                    else:
+                        definitions[atom] = [stmt]
+                if head_type == HEAD_DISJUNCTIVE and not head:
+                    ids.update(map(abs, body.literals))
+                    continue
+                index = len(heads)
+                heads.append((head, head_type == HEAD_CHOICE))
+                if isinstance(body, WeightBody):
+                    lower, pairs = body.lower, body.elements
+                else:
+                    lower = len(body.literals)
+                    pairs = zip(body.literals, repeat(1))
+                template.append(lower)
+                negated = False
+                for lit, weight in pairs:
+                    if lit > 0:
+                        positive[lit].append((index, weight))
+                    else:
+                        negative[-lit].append((index, weight))
+                        negated = True
+                if negated:
+                    self._negated.append(index)
+                elif lower <= 0:
+                    self._ready.append(index)
+            elif isinstance(stmt, OutputStatement):
+                self.outputs.append(stmt)
+                ids.update(map(abs, stmt.condition))
+            elif isinstance(stmt, ExternalStatement):
+                self.externals.append(stmt)
+                ids.add(stmt.atom)
 
     @cached_property
     def _atom_ids(self) -> frozenset[int]:
-        ids = {stmt.atom for stmt in self.externals}
-        for stmt in self.rules:
-            ids.update(stmt.head)
-            ids.update(map(abs, stmt.body.literals))
-        for stmt in self.outputs:
-            ids.update(map(abs, stmt.condition))
-        return frozenset(ids)
+        return frozenset(self._ids).union(
+            self.definitions, self._positive, self._negative)
 
     def atom_ids(self) -> frozenset[int]:
         """Every atom id referenced by a structural statement."""
         return self._atom_ids
 
-    @cached_property
-    def _counters(self) -> tuple[list[tuple],
-                                 dict[int, list[tuple[int, int]]]]:
-        """The non-constraint rules as weight rules, and for each atom the
-        (rule index, weight) pairs of its positive body occurrences.
+    def _fired(self, index: int, choosable):
+        """The heads a rule derives when its body holds."""
+        head, choice = self._heads[index]
+        if not choice:
+            return head
+        if choosable is None:
+            return ()
+        return [h for h in head if h in choosable]
 
-        A rule is (head atoms, is choice, lower bound, negative (atom,
-        weight) pairs).  A normal body reads as a weight body whose
-        literals weigh 1 and whose lower bound is its length, so it holds
-        iff every literal does; a repeated literal counts per occurrence.
+    def _start(self, interpretation, choosable, facts):
+        """The counters of every rule with its negative literals read
+        against ``interpretation``, and the atoms derived before any body
+        atom is: one full pass over the program.
+
+        The counters start from the per-program template, in which no
+        negative literal holds, and only the negative occurrences are read
+        again.
         """
-        rules = []
-        occurrences: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for head_type, head, body in self.rules:
-            if head_type == HEAD_DISJUNCTIVE and not head:
+        missing = self._template.copy()
+        for atom, occurrences in self._negative.items():
+            if atom not in interpretation:
+                for index, weight in occurrences:
+                    missing[index] -= weight
+        queue = [s.atom for s in self.externals]
+        queue.extend(facts)
+        for index in self._ready:
+            queue.extend(self._fired(index, choosable))
+        for index in self._negated:
+            if missing[index] <= 0:
+                queue.extend(self._fired(index, choosable))
+        return missing, queue
+
+    def _propagate(self, missing, queue, derived, choosable,
+                   blocked=frozenset()) -> None:
+        """Add to ``derived`` the atoms of ``queue`` and all they derive.
+
+        Each derived atom lowers the counter of each of its positive body
+        occurrences; a rule fires when its counter first reaches zero.  No
+        atom of ``blocked`` is derived.
+        """
+        occurrences, heads = self._positive, self._heads
+        while queue:
+            atom = queue.pop()
+            if atom in derived or atom in blocked:
                 continue
-            index = len(rules)
-            negatives = []
-            if isinstance(body, WeightBody):
-                lower = body.lower
-                for lit, weight in body.elements:
-                    if lit > 0:
-                        occurrences[lit].append((index, weight))
-                    else:
-                        negatives.append((-lit, weight))
-            else:
-                lower = len(body.literals)
-                for lit in body.literals:
-                    if lit > 0:
-                        occurrences[lit].append((index, 1))
-                    else:
-                        negatives.append((-lit, 1))
-            rules.append((head, head_type == HEAD_CHOICE, lower, negatives))
-        return rules, occurrences
+            derived.add(atom)
+            for index, weight in occurrences.get(atom, ()):
+                need = missing[index] - weight
+                missing[index] = need
+                if need <= 0 < need + weight:
+                    head, choice = heads[index]
+                    if not choice:
+                        queue.extend(head)
+                    elif choosable is not None:
+                        queue.extend(h for h in head if h in choosable)
 
     def least_model(self, interpretation, choosable, facts=(),
                     blocked=frozenset()) -> set[int]:
@@ -161,8 +236,12 @@ class AspifProgram:
         and none when ``choosable`` is None; constraints are ignored.  Each
         rule keeps a counter of the body weight still missing, so every
         positive occurrence is visited once (Dowling & Gallier 1984):
-        linear in the program size, whatever the statement order.  Weights
-        are assumed non-negative, as grounders emit them.
+        linear in the program size, whatever the statement order.  The
+        counters start from per-program template counts, and only the
+        negative occurrences are read against ``interpretation``; the
+        propagation is the one the lower bound of
+        :meth:`alternating_fixpoint` continues.  Weights are assumed
+        non-negative; the parser rejects negative ones.
 
         With ``interpretation`` and ``choosable`` both a total
         interpretation M, this is the least model of M's reduct.  If M
@@ -171,39 +250,9 @@ class AspifProgram:
         and puts its head in M; so M is an answer set iff, in addition, no
         constraint body holds in M.
         """
-        rules, occurrences = self._counters
-        missing: list[float] = []
-        queue = [s.atom for s in self.externals]
-        queue.extend(facts)
-        for head, choice, lower, negatives in rules:
-            if choice and choosable is None:
-                need: float = math.inf
-            elif negatives:
-                need = lower - sum(w for atom, w in negatives
-                                   if atom not in interpretation)
-            else:
-                need = lower
-            missing.append(need)
-            if need <= 0:
-                if choice:
-                    queue.extend(h for h in head if h in choosable)
-                else:
-                    queue.extend(head)
+        missing, queue = self._start(interpretation, choosable, facts)
         derived: set[int] = set()
-        while queue:
-            atom = queue.pop()
-            if atom in derived or atom in blocked:
-                continue
-            derived.add(atom)
-            for index, weight in occurrences.get(atom, ()):
-                need = missing[index] - weight
-                missing[index] = need
-                if need <= 0 < need + weight:
-                    head, choice, _, _ = rules[index]
-                    if choice:
-                        queue.extend(h for h in head if h in choosable)
-                    else:
-                        queue.extend(head)
+        self._propagate(missing, queue, derived, choosable, blocked)
         return derived
 
     def alternating_fixpoint(self, true=frozenset(), false=frozenset(),
@@ -218,18 +267,43 @@ class AspifProgram:
         lower bound, every choice head allowed and ``false`` blocked.  Every
         such answer set lies between the two.  The upper bound starts at
         ``possible``, by default every atom; the upper bound of weaker
-        assumptions is a sound start, and both steps are monotone, so it
-        reaches the same fixpoint sooner.
+        assumptions less ``false`` is a sound start, and both steps are
+        monotone, so it reaches the same fixpoint sooner.
+
+        Only the upper bound is computed from scratch each round.  The
+        lower bound keeps its counters between rounds: each atom that left
+        the upper bound lowers the counters of the rules where it occurs
+        negatively, and what fires is propagated.  That equals the least
+        model from scratch as long as the upper bounds only shrink, so that
+        no negative literal that held stops holding.  They do when
+        ``possible`` is None, or is the upper bound U of weaker assumptions
+        (some of ``true`` and of ``false``, lower bound L) less ``false``,
+        as ``oracle._Checker.bounds`` passes it.  The first lower bound is
+        read against a part of U with more facts, so it holds L; the first
+        upper bound is read against a superset of L with more atoms
+        blocked, so it lies inside U, the upper bound of L, and misses
+        ``false``.  From there on a larger lower bound gives a smaller
+        upper bound, and a smaller upper bound a larger lower bound.
         """
         atoms = self.atom_ids()
         upper = atoms if possible is None else possible
-        lower = None
+        missing, queue = self._start(upper, None, true)
+        lower: set[int] = set()
+        self._propagate(missing, queue, lower, None)
+        negative = self._negative
         while True:
-            new_lower = self.least_model(upper, None, true)
-            if new_lower == lower:
+            new_upper = self.least_model(lower, atoms, (), false)
+            for atom in upper - new_upper:
+                for index, weight in negative.get(atom, ()):
+                    need = missing[index] - weight
+                    missing[index] = need
+                    if need <= 0 < need + weight:
+                        queue.extend(self._fired(index, None))
+            upper = new_upper
+            size = len(lower)
+            self._propagate(missing, queue, lower, None)
+            if len(lower) == size:
                 return lower, upper
-            lower = new_lower
-            upper = self.least_model(lower, atoms, (), false)
 
     @cached_property
     def _well_founded(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -246,12 +320,14 @@ class AspifProgram:
 
 
 class _Fields:
-    """The whitespace-separated integer fields of one line.
+    """The whitespace-separated integer fields of one line, for a line the
+    positional reads reject.
 
     The tokens are converted at once; ``ints`` holds them all, or, if one is
     not an integer, the integers before it.  Readers take fields by position
     and in field order, and a read past ``ints`` raises the error of that
-    first missing or non-integer field.
+    first missing or non-integer field, so the message is built only when a
+    line fails.
     """
 
     __slots__ = ("tokens", "line", "lineno", "ints")
@@ -307,7 +383,35 @@ class _Fields:
                 f"line {self.lineno}: trailing tokens {extra!r} after statement")
 
 
-def _parse_rule(fields: _Fields) -> RuleStatement:
+def _parse_rule(tokens: list[str], line: str, lineno: int) -> RuleStatement:
+    """Read a rule line.  A well-formed line is read from its integers by
+    position; any other is read again field by field, which raises the
+    error of its first faulty field."""
+    try:
+        ints = tuple(map(int, tokens))
+        head_type = ints[1]
+        pos = 3 + ints[2]
+        body_type = ints[pos]
+        if head_type in (HEAD_DISJUNCTIVE, HEAD_CHOICE) and pos >= 3:
+            if body_type == BODY_NORMAL:
+                start = pos + 2
+                end = start + ints[pos + 1]
+                if start <= end == len(ints):
+                    return RuleStatement(head_type, ints[3:pos],
+                                         NormalBody(ints[start:end]))
+            elif body_type == BODY_WEIGHT:
+                start = pos + 3
+                end = start + 2 * ints[pos + 2]
+                weights = ints[start + 1:end:2]
+                if start <= end == len(ints) and min(weights, default=0) >= 0:
+                    return RuleStatement(head_type, ints[3:pos], WeightBody(
+                        ints[pos + 1], tuple(zip(ints[start:end:2], weights))))
+    except (ValueError, IndexError):
+        pass
+    return _read_rule(_Fields(tokens, line, lineno))
+
+
+def _read_rule(fields: _Fields) -> RuleStatement:
     # Field 0 is the tag.
     head_type = fields.take(1, "head type")
     if head_type not in (HEAD_DISJUNCTIVE, HEAD_CHOICE):
@@ -356,7 +460,14 @@ def _parse_output(line: str, lineno: int) -> OutputStatement:
         raise TruncatedStatement(f"line {lineno}: symbol shorter than declared length")
     symbol = tail[:length]
     tail = tail[length:]
-    fields = _Fields(tail.split(), tail, lineno)
+    tokens = tail.split()
+    try:
+        ints = tuple(map(int, tokens))
+        if ints[0] == len(ints) - 1:
+            return OutputStatement(symbol, ints[1:])
+    except (ValueError, IndexError):
+        pass
+    fields = _Fields(tokens, tail, lineno)
     end = 1 + fields.count(0, "condition literal count")
     condition = fields.span(1, end, "condition literal")
     fields.finish(end)
@@ -364,16 +475,21 @@ def _parse_output(line: str, lineno: int) -> OutputStatement:
 
 
 def parse_aspif(text: str) -> AspifProgram:
-    """Parse aspif text into an :class:`AspifProgram`.
+    """Parse aspif text into an :class:`AspifProgram`, filing each
+    statement as it is read.
 
     Blank lines and ``%`` comment lines are tolerated anywhere.
     """
-    lines = text.splitlines()
     program = AspifProgram()
-    append = program.statements.append
+    program._file(_read_statements(text))
+    return program
+
+
+def _read_statements(text: str):
+    """Yield the statements of aspif text in file order."""
     saw_header = False
     saw_terminator = False
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
@@ -392,22 +508,24 @@ def parse_aspif(text: str) -> AspifProgram:
         tokens = line.split()
         tag = tokens[0]
         if tag == "1":
-            append(_parse_rule(_Fields(tokens, line, lineno)))
+            yield _parse_rule(tokens, line, lineno)
         elif tag == "4":
-            append(_parse_output(line, lineno))
+            yield _parse_output(line, lineno)
         elif tag == "5":
-            fields = _Fields(tokens, line, lineno)
-            atom = fields.take(1, "atom")
-            value = fields.take(2, "external value")
-            fields.finish(3)
-            append(ExternalStatement(atom, value))
+            try:
+                _, atom, value = map(int, tokens)
+            except ValueError:
+                fields = _Fields(tokens, line, lineno)
+                atom = fields.take(1, "atom")
+                value = fields.take(2, "external value")
+                fields.finish(3)
+            yield ExternalStatement(atom, value)
         else:
-            append(OpaqueStatement(line))
+            yield OpaqueStatement(line)
     if not saw_header:
         raise MalformedHeader("empty input: no 'asp 1 0 0' header")
     if not saw_terminator:
         raise MissingTerminator("input ended without the '0' terminator")
-    return program
 
 
 def _emit_rule(stmt: RuleStatement) -> str:

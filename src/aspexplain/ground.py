@@ -168,35 +168,80 @@ class GroundProgram:
 
     # --- evaluation -------------------------------------------------------
 
-    def lit_holds(self, lit: int, answer: frozenset[int],
-                  _stack: frozenset[int] = frozenset()) -> bool:
-        aid = abs(lit)
-        atom = self.atoms.get(aid)
-        if atom is not None and atom.name is not None:
-            value = aid in answer
+    def lit_holds(self, lit: int, answer: frozenset[int]) -> bool:
+        """Whether a literal holds under the named answer set.
+
+        A named atom holds iff it is in ``answer`` and an unnamed external
+        always holds.  An auxiliary atom holds iff one of its definitions
+        does, read in order; a weight body sums over every element, a
+        normal body stops at its first literal that fails.  Positive
+        recursion through an auxiliary atom is unfounded, so an atom met
+        again below itself is false there.  The walk keeps an explicit
+        stack of the definitions being read, so a deep auxiliary chain
+        costs no recursion.
+        """
+        value = self._leaf_value(abs(lit), answer)
+        if value is not None:
             return value if lit > 0 else not value
-        if atom is not None and atom.is_fact:  # an unnamed external
-            return lit > 0
-        if aid in _stack:
-            # Positive recursion through an auxiliary is unfounded.
-            return lit < 0
-        defs = self.aspif.definitions.get(aid, [])
-        stack = _stack | {aid}
+        # The literals whose definitions are being read, innermost last.
+        frames = [(lit, self._definitions_hold(abs(lit)))]
+        path = {abs(lit)}
+        holds = None
+        while True:
+            try:
+                lit = frames[-1][1].send(holds)
+            except StopIteration as stop:
+                lit = frames.pop()[0]
+                path.discard(abs(lit))
+                value = stop.value
+            else:
+                aid = abs(lit)
+                value = self._leaf_value(aid, answer)
+                if value is None:
+                    if aid not in path:
+                        path.add(aid)
+                        frames.append((lit, self._definitions_hold(aid)))
+                        holds = None
+                        continue
+                    value = False
+            holds = value if lit > 0 else not value
+            if not frames:
+                return holds
+
+    def _leaf_value(self, aid: int, answer: frozenset[int]) -> bool | None:
+        """The value of a named atom or of an unnamed external, which is a
+        fact; None for an auxiliary atom."""
+        atom = self.atoms.get(aid)
+        if atom is None:
+            return None
+        if atom.name is not None:
+            return aid in answer
+        return True if atom.is_fact else None
+
+    def _definitions_hold(self, aid: int):
+        """Whether some definition of an auxiliary atom holds, as a
+        generator: it yields each body literal it reads and is sent
+        whether that literal holds."""
         value = False
-        for stmt in defs:
+        for stmt in self.aspif.definitions.get(aid, []):
             if stmt.head_type == HEAD_CHOICE:
                 raise ReconstructionError(
                     f"auxiliary atom {aid} occurs in a choice head")
             if isinstance(stmt.body, WeightBody):
-                total = sum(w for l, w in stmt.body.elements
-                            if self.lit_holds(l, answer, stack))
+                total = 0
+                for lit, weight in stmt.body.elements:
+                    if (yield lit):
+                        total += weight
                 value = total >= stmt.body.lower
             else:
-                value = all(self.lit_holds(l, answer, stack)
-                            for l in stmt.body.literals)
+                value = True
+                for lit in stmt.body.literals:
+                    if not (yield lit):
+                        value = False
+                        break
             if value:
                 break
-        return value if lit > 0 else not value
+        return value
 
     def element_holds(self, element: ChoiceElement, answer: frozenset[int]) -> bool:
         return all(self.lit_holds(lit, answer) for lit in element.lits)
@@ -307,8 +352,13 @@ class GroundProgram:
                     "opaque: heterogeneous weight body")
             lits = [t for t in rule.pos_body if isinstance(t, int)] \
                 + [-t for t in rule.neg_body if isinstance(t, int)]
+            named = self.named
+            # A named literal resolves to itself, so only the auxiliary
+            # literals have alternatives to conjoin.
             bodies = _dedupe_sets(_conjoin_alternatives(
-                map(self.resolve_aux, lits)))
+                [self.resolve_aux(lit) for lit in lits
+                 if abs(lit) not in named],
+                frozenset(lit for lit in lits if abs(lit) in named)))
             self._body_memo[rule.statement_index] = bodies
         return bodies
 
@@ -350,9 +400,10 @@ class GroundProgram:
         return f"{head} :- {body}." if body else f"{head}."
 
 
-def _conjoin_alternatives(resolved) -> list[frozenset[int]]:
-    """Every union of one alternative per conjunct, in product order."""
-    alts = [frozenset()]
+def _conjoin_alternatives(resolved, common=frozenset()) -> list[frozenset[int]]:
+    """Every union of ``common`` and one alternative per conjunct, in
+    product order."""
+    alts = [common]
     for options in resolved:
         alts = [a | r for a in alts for r in options]
     return alts
@@ -458,6 +509,10 @@ class _ChoiceFolder:
             h for stmt in gp.aspif.rules if stmt.head_type == HEAD_CHOICE
             for h in stmt.head}
         self._spec_memo: dict[int, ChoiceAtomSpec | None] = {}
+        # (atom, weight body) -> what _read_elements gives.  Each is read
+        # once, though a bound pair ``ok :- lo, not hi`` folds ``lo`` again
+        # with its upper bound.
+        self._elements: dict[tuple, tuple | None] = {}
         # aux id -> statements consumed when its fold is used
         self.clusters: dict[int, list[RuleStatement]] = {}
         self.used: set[int] = set()
@@ -508,6 +563,23 @@ class _ChoiceFolder:
 
     def _fold_weight(self, aid: int, body: WeightBody,
                      upper_arm: int | None) -> ChoiceAtomSpec | None:
+        key = (aid, body)
+        if key in self._elements:
+            folded = self._elements[key]
+        else:
+            folded = self._elements[key] = self._read_elements(aid, body)
+        if folded is None:
+            return None
+        weight, elements, consumed = folded
+        lower = math.ceil(body.lower / weight)
+        upper = None if upper_arm is None else math.ceil(upper_arm / weight) - 1
+        self.clusters[aid] = consumed
+        return ChoiceAtomSpec(lower, upper, elements)
+
+    def _read_elements(self, aid: int, body: WeightBody):
+        """The common weight of an atom's weight body, its elements and the
+        statements its fold consumes; None if it does not fold, with a
+        warning if its weights differ."""
         weights = {w for _, w in body.elements}
         if len(weights) != 1:
             self.gp.warnings.append(
@@ -530,10 +602,7 @@ class _ChoiceFolder:
             elements.append(element)
             if tuple_stmt is not None:
                 consumed.append(tuple_stmt)
-        lower = math.ceil(body.lower / weight)
-        upper = None if upper_arm is None else math.ceil(upper_arm / weight) - 1
-        self.clusters[aid] = consumed
-        return ChoiceAtomSpec(lower, upper, tuple(elements))
+        return weight, tuple(elements), consumed
 
     def _element_for(self, aid: int):
         if aid in self.named:

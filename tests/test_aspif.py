@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aspexplain import oracle
 from aspexplain.aspif import (
     AspifProgram,
+    ExternalStatement,
     NormalBody,
     OpaqueStatement,
     OutputStatement,
@@ -13,6 +17,8 @@ from aspexplain.aspif import (
     parse_aspif,
 )
 from aspexplain.errors import MalformedHeader, MissingTerminator, TruncatedStatement
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_p1_statement_counts(p1_program):
@@ -37,6 +43,99 @@ def test_definitions_follow_file_order(p1_program):
     for head, stmts in definitions.items():
         assert stmts == [r for r in rules if head in r.head]
     assert p1_program.atom_ids() == frozenset(range(1, 14))
+
+
+def walked_indexes(program: AspifProgram):
+    """The typed lists, definitions, atom ids and counter rows derived by
+    separate walks over ``statements``, as they were before each statement
+    was filed as it was read.  A counter row is (head atoms, is choice,
+    lower bound); then come the rows that fire with no literal, the rows
+    with negative literals, and the occurrences, which map each atom to
+    the (row, weight) pairs of its positive and of its negative body
+    occurrences."""
+    statements = program.statements
+    rules = [s for s in statements if isinstance(s, RuleStatement)]
+    outputs = [s for s in statements if isinstance(s, OutputStatement)]
+    externals = [s for s in statements if isinstance(s, ExternalStatement)]
+    definitions: dict = {}
+    for stmt in rules:
+        for head in stmt.head:
+            definitions.setdefault(head, []).append(stmt)
+    ids = {stmt.atom for stmt in externals}
+    for stmt in rules:
+        ids.update(stmt.head)
+        ids.update(map(abs, stmt.body.literals))
+    for stmt in outputs:
+        ids.update(map(abs, stmt.condition))
+    rows, ready, negated = [], [], []
+    positive: dict = {}
+    negative: dict = {}
+    for head_type, head, body in rules:
+        if head_type == 0 and not head:
+            continue
+        index = len(rows)
+        pairs = body.elements if isinstance(body, WeightBody) \
+            else [(lit, 1) for lit in body.literals]
+        lower = body.lower if isinstance(body, WeightBody) \
+            else len(body.literals)
+        for lit, weight in pairs:
+            if lit > 0:
+                positive.setdefault(lit, []).append((index, weight))
+            else:
+                negative.setdefault(-lit, []).append((index, weight))
+        if any(lit < 0 for lit, _ in pairs):
+            negated.append(index)
+        elif lower <= 0:
+            ready.append(index)
+        rows.append((head, head_type == 1, lower))
+    return (rules, outputs, externals, definitions, frozenset(ids), rows,
+            ready, negated, positive, negative)
+
+
+def filed_indexes(program: AspifProgram):
+    """The same, as the program filed them."""
+    rows = [(head, choice, lower) for (head, choice), lower
+            in zip(program._heads, program._template)]
+    return (program.rules, program.outputs, program.externals,
+            program.definitions, program.atom_ids(), rows, program._ready,
+            program._negated, dict(program._positive),
+            dict(program._negative))
+
+
+def bundled_programs():
+    for name in ("p1.aspif", "coloring.aspif"):
+        yield parse_aspif((DATA / name).read_text())
+
+
+def random_aspif_programs():
+    for seed in range(100):
+        yield oracle.random_program(seed, n_atoms=8, p_choice=0.5).aspif
+
+
+def hand_built_programs():
+    # Facts, a repeated literal, a repeated head, a weight body with a zero
+    # lower bound and negative elements, a constraint, an external read
+    # nowhere else and an opaque statement.
+    statements = [
+        RuleStatement(0, (1,), NormalBody(())),
+        RuleStatement(0, (2,), NormalBody((1, 1, -3))),
+        RuleStatement(1, (3, 3), NormalBody((-2,))),
+        RuleStatement(0, (4,), WeightBody(0, ((-1, 2), (5, 1)))),
+        RuleStatement(0, (), NormalBody((4, -6))),
+        ExternalStatement(7, 2),
+        OpaqueStatement("7 0 1 2 3"),
+        OutputStatement("a", (1,)),
+    ]
+    yield AspifProgram(statements)
+    program = AspifProgram(list(statements))
+    yield parse_aspif(emit_aspif(program))
+
+
+@pytest.mark.parametrize("source", [bundled_programs, random_aspif_programs,
+                                    hand_built_programs])
+def test_one_pass_load_matches_separate_walks(source):
+    for program in source():
+        assert filed_indexes(program) == walked_indexes(program)
 
 
 def test_p1_symbols(p1_program):
@@ -380,3 +479,12 @@ def test_emit_parse_round_trip(statements):
     text = emit_aspif(program)
     assert parse_aspif(text) == program
     assert emit_aspif(parse_aspif(text)) == text
+
+
+@given(st.lists(st.one_of(normal_rules(), weight_rules(), outputs()),
+                max_size=12))
+def test_one_pass_load_of_any_statements(statements):
+    program = AspifProgram(list(statements))
+    assert filed_indexes(program) == walked_indexes(program)
+    parsed = parse_aspif(emit_aspif(program))
+    assert filed_indexes(parsed) == walked_indexes(parsed)

@@ -557,6 +557,19 @@ class TestAnswersets:
 
 
 class TestDeepAuxChain:
+    @staticmethod
+    def run_below_depth(capsys, n, *argv):
+        """Run the CLI with the recursion limit set below ``n`` levels."""
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + n // 2)
+        try:
+            return run(capsys, *argv)
+        finally:
+            sys.setrecursionlimit(limit)
+
     @pytest.mark.parametrize("command, expected", [
         ("parse", "p :- l(3).\n"), ("answersets", "p\n"),
         ("assumptions --answer p", "U = {}\n"),
@@ -571,16 +584,30 @@ class TestDeepAuxChain:
         lines += [f"1 0 1 {i} 0 1 {i + 1}" for i in range(3, n)]
         lines += [f"1 0 1 {n} 0 1 -2", "4 1 p 1 1", "4 1 q 1 2", "0\n"]
         path = write(tmp_path, "aux_chain.aspif", "\n".join(lines))
-        frame, depth = sys._getframe(), 0
-        while frame is not None:
-            frame, depth = frame.f_back, depth + 1
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + n // 2)
-        try:
-            name, *options = command.split()
-            code, out, err = run(capsys, name, path, *options)
-        finally:
-            sys.setrecursionlimit(limit)
+        name, *options = command.split()
+        code, out, err = self.run_below_depth(capsys, n, name, path, *options)
+        assert code == 0, err
+        assert expected in out
+
+    @pytest.mark.parametrize("command, expected", [
+        ("assumptions", "U = {}\n"),
+        ("explain --root r",
+         '"1<={(p, l(5))}" -> "(p, l(5))" [style=solid];\n')])
+    def test_long_choice_element_chain(self, capsys, tmp_path, command,
+                                       expected):
+        # p.  q.  t :- p, l(1).  l(i) :- l(i+1).  l(n) :- q.
+        # r :- 1 <= {t = 1}.  The element (p, l(1)) of r's choice atom is
+        # evaluated through the whole chain.
+        n = 3000
+        lines = ["asp 1 0 0", "1 0 1 1 0 0", "1 0 1 2 0 0",
+                 "1 0 1 4 0 2 1 5"]
+        lines += [f"1 0 1 {4 + i} 0 1 {5 + i}" for i in range(1, n)]
+        lines += [f"1 0 1 {4 + n} 0 1 2", "1 0 1 3 1 1 1 4 1",
+                  "4 1 p 1 1", "4 1 q 1 2", "4 1 r 1 3", "0\n"]
+        path = write(tmp_path, "element_chain.aspif", "\n".join(lines))
+        name, *options = command.split()
+        code, out, err = self.run_below_depth(
+            capsys, n, name, path, *options, "--answer", "q p r")
         assert code == 0, err
         assert expected in out
 

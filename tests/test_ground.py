@@ -111,6 +111,24 @@ def test_unnamed_external_is_a_fact():
     assert gp.resolve_aux(-3) == []
 
 
+def test_positive_recursion_through_auxiliaries_is_unfounded():
+    # l3 :- l4.  l4 :- l3.  l4 :- p.  l5 :- 2 { l3 = 1, p = 1 }.
+    # {l6}.  l7 :- l6.
+    gp = build(
+        "1 0 1 3 0 1 4\n1 0 1 4 0 1 3\n1 0 1 4 0 1 1\n"
+        "1 0 1 5 1 2 2 3 1 1 1\n1 1 1 6 0 0\n1 0 1 7 0 1 6\n"
+        "4 1 p 1 1\n"
+    )
+    p = frozenset({1})
+    # Below l3, l3 is false, so l4 holds only through p.
+    assert gp.lit_holds(3, p) and gp.lit_holds(4, p) and gp.lit_holds(5, p)
+    assert not gp.lit_holds(3, frozenset())
+    assert gp.lit_holds(-4, frozenset()) and gp.lit_holds(-5, frozenset())
+    with pytest.raises(ReconstructionError,
+                       match="auxiliary atom 6 occurs in a choice head"):
+        gp.lit_holds(7, p)
+
+
 def test_unknown_atom_name(p1):
     with pytest.raises(UnknownLiteral):
         p1.atom_id("zzz")
@@ -193,6 +211,22 @@ def test_mixed_weights_stay_opaque_with_warning():
     assert rule.raw_weight is not None
     assert any("mixes weights" in w for w in gp.warnings)
     assert "2<={" in gp.rule_text(rule)
+
+
+def test_mixed_weight_bound_pair_warns_once_per_atom():
+    # {a}.  {b}.  t1 :- a.  t2 :- b.  lo :- 1 {t1=1, t2=2}.
+    # hi :- 2 {t1=1, t2=2}.  ok :- lo, not hi.  :- not ok.
+    # Folding ok reads lo's weight body again with hi's bound.
+    gp = build(
+        "1 1 1 1 0 0\n1 1 1 2 0 0\n1 0 1 4 0 1 1\n1 0 1 5 0 1 2\n"
+        "1 0 1 7 1 1 2 4 1 5 2\n1 0 1 8 1 2 2 4 1 5 2\n"
+        "1 0 1 9 0 2 7 -8\n1 0 0 0 1 -9\n"
+        "4 1 a 1 1\n4 1 b 1 2\n"
+    )
+    assert gp.warnings == [
+        f"weight body for atom {aid} mixes weights [1, 2]; kept opaque"
+        for aid in (7, 8)]
+    assert gp.rule_text(gp.constraints()[0]) == ":- not l(9)."
 
 
 def test_coloring_choice_conditions(coloring):

@@ -3,7 +3,9 @@
 ``rescanning_least_model`` is the fixpoint the well-founded model and the
 answer-set check used before ``AspifProgram.least_model``: it rescans every
 rule until nothing changes, which is quadratic on a chain listed in reverse
-order but simple enough to trust.  It stays here as the slow reference.
+order but simple enough to trust.  It stays here as the slow reference, and
+``reference_alternating_fixpoint`` builds the alternating fixpoint on it,
+each bound from scratch every round.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ def rescanning_least_model(program: AspifProgram, interpretation,
                 derived.update(targets)
                 changed = True
     return derived
+
+
+def reference_alternating_fixpoint(program: AspifProgram, true=frozenset(),
+                                   false=frozenset(), possible=None):
+    """The alternating fixpoint with both bounds computed from scratch by
+    ``rescanning_least_model`` each round, as it was before the lower bound
+    kept its counters between rounds."""
+    atoms = program.atom_ids()
+    upper = atoms if possible is None else possible
+    lower = None
+    while True:
+        new_lower = rescanning_least_model(program, upper, None, true)
+        if new_lower == lower:
+            return lower, upper
+        lower = new_lower
+        upper = rescanning_least_model(program, lower, atoms, (), false)
 
 
 def rescanning_well_founded(g) -> tuple[frozenset[int], frozenset[int]]:
@@ -104,6 +122,11 @@ NEGATIVES_REACH_LOWER = (
 )
 
 
+# h :- 1 { not a = 2 }.  a has no rule, so it leaves the upper bound after
+# the first round, and the counter of h's body drops from 1 past 0 to -1.
+NEGATIVE_WEIGHT_PASSES_ZERO = "1 0 1 2 1 1 1 -1 2\n4 1 a 1 1\n4 1 h 1 2\n"
+
+
 def random_programs():
     for seed in range(200):
         for n_atoms in (6, 8):
@@ -116,6 +139,7 @@ def fixed_programs():
     yield build(chain_text(60, reverse=True))
     yield build(even_loops_text(4))
     yield build(NEGATIVES_REACH_LOWER)
+    yield build(NEGATIVE_WEIGHT_PASSES_ZERO)
 
 
 def test_random_programs_cover_every_statement_kind():
@@ -162,6 +186,31 @@ def test_assumed_facts_and_blocked_atoms_match_reference(source):
                                               choosable, facts, blocked)
 
 
+@pytest.mark.parametrize("source", [random_programs, fixed_programs])
+def test_alternating_fixpoint_matches_reference(source):
+    # The assumptions grow one atom at a time, as along a branch of the
+    # answer-set search, and each node starts from its parent's upper bound
+    # less the atoms assumed false, as _Checker.bounds passes it.
+    rng = random.Random(11)
+    for g in source():
+        program = g.aspif
+        atoms = sorted(program.atom_ids())
+        root = program.alternating_fixpoint()
+        assert root == reference_alternating_fixpoint(program)
+        for _ in range(3):
+            true, false, (_, upper) = frozenset(), frozenset(), root
+            for atom in rng.sample(atoms, min(4, len(atoms))):
+                if rng.random() < 0.5:
+                    true = true | {atom}
+                else:
+                    false = false | {atom}
+                bounds = program.alternating_fixpoint(true, false,
+                                                      upper - false)
+                assert bounds == reference_alternating_fixpoint(
+                    program, true, false, upper - false)
+                _, upper = bounds
+
+
 def test_enumerate_answer_sets_matches_reference(monkeypatch):
     def programs():
         for seed in range(60):
@@ -174,6 +223,8 @@ def test_enumerate_answer_sets_matches_reference(monkeypatch):
     # Fresh programs, so the well-founded model at the root of the search
     # is not the one the counter-based operator cached.
     monkeypatch.setattr(AspifProgram, "least_model", rescanning_least_model)
+    monkeypatch.setattr(AspifProgram, "alternating_fixpoint",
+                        reference_alternating_fixpoint)
     assert fast == [oracle.enumerate_answer_sets(g) for g in programs()]
     assert any(fast)
 

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ from aspexplain.aspif import (
 from aspexplain.errors import TooLarge, UnknownLiteral
 from aspexplain.ground import reconstruct
 from aspexplain.oracle import check_answer_set, enumerate_answer_sets, random_program
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def build(body: str):
@@ -338,3 +342,29 @@ def test_check_is_linear_on_an_auxiliary_chain(monkeypatch):
         return len(calls)
 
     assert passes(1500) == passes(3000)
+
+
+def test_check_of_a_folded_choice_makes_six_full_passes(
+        monkeypatch, coloring_text):
+    # A ring 3-colouring with its choice bounds compiled to
+    # `ok :- lo, not hi`.  A full pass reads every rule to start the
+    # counters of a least model: two for the well-founded model (lower,
+    # upper), three for the fixpoint under the answer (lower, upper,
+    # upper: the lower bound continues from its counters) and one for
+    # the stability test.
+    gp = reconstruct(parse_aspif(coloring_text))
+    answer = (DATA / "coloring_answer.txt").read_text().split()
+    calls = {"_start": 0, "least_model": 0}
+
+    def counting(name):
+        method = getattr(AspifProgram, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(AspifProgram, name, counting(name))
+    assert check_answer_set(gp, answer)
+    assert calls == {"_start": 6, "least_model": 4}
