@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from . import nodes
 from .constraints import constraint_preprocessing
-from .egraph import build_egraph, merge_supports
-from .errors import NoValidGraph, TooLarge
+from .egraph import find_egraphs, merge_supports
+from .errors import TooLarge
 from .ground import GroundProgram, _minimize_sets
 from .support import build_er
 
@@ -274,20 +274,12 @@ def _shrink_against_graphs(g, A, er, table, chosen: frozenset[str]):
         root = nodes.literal_node(g.display_atom(aid), aid in A)
         if root in covered:
             continue
-        try:
-            graph = build_egraph(table, chosen, root, max_graphs=1)[0]
-        except NoValidGraph:
+        graphs = find_egraphs(table, chosen, root, max_graphs=1)
+        if not graphs:
             return chosen
-        covered.update(graph.nodes)
+        covered.update(graphs[0].nodes)
     for name in sorted(chosen):
-        if _explainable(table, chosen - {name}, nodes.neg_atom_node(name)):
+        if find_egraphs(table, chosen - {name}, nodes.neg_atom_node(name),
+                        max_graphs=1):
             chosen = chosen - {name}
     return chosen
-
-
-def _explainable(table, u, root) -> bool:
-    try:
-        build_egraph(table, u, root, max_graphs=1)
-    except NoValidGraph:
-        return False
-    return True

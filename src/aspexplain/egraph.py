@@ -81,6 +81,7 @@ def merge_supports(er: dict, ec: dict) -> dict:
 
 
 _LITERAL_KINDS = (nodes.ATOM, nodes.NEG_ATOM)
+_ASSUMED = (frozenset({nodes.assume_node()}),)  # the support of an assumed ~X
 _UNBUILT = object()  # a row not built yet; a built row may be None
 
 
@@ -198,14 +199,27 @@ class SupportTable(_Rows):
 
 def build_egraph(e: dict, u, root: nodes.ENode,
                  max_graphs: int = DEFAULT_MAX_GRAPHS) -> list[ExplanationGraph]:
-    """All valid explanation graphs for a literal, canonical one first."""
+    """All valid explanation graphs for a literal, canonical one first;
+    raises NoValidGraph when there is none."""
+    results = find_egraphs(e, u, root, max_graphs)
+    if not results:
+        joined = ", ".join(sorted(frozenset(u)))
+        raise NoValidGraph(
+            f"no valid explanation graph for {root.render()} "
+            f"under assumed set {{{joined}}}")
+    return results
+
+
+def find_egraphs(e: dict, u, root: nodes.ENode,
+                 max_graphs: int = DEFAULT_MAX_GRAPHS) -> list[ExplanationGraph]:
+    """The graphs build_egraph gives, or [] when there is none."""
     assumed = frozenset(u)
     _check_root(e, root)
     results: list[ExplanationGraph] = []
 
     def options(node: nodes.ENode):
         if node.kind == nodes.NEG_ATOM and node.payload[0] in assumed:
-            return [frozenset({nodes.assume_node()})]
+            return _ASSUMED
         if node.kind == nodes.ATOM and node.payload[0] in assumed:
             return []
         return e.get(node, [])
@@ -228,7 +242,7 @@ def build_egraph(e: dict, u, root: nodes.ENode,
                                iter(options(pending[0]))))
             else:
                 graph = _assemble(root, chosen, keys)
-                if _cycle_safe(graph.edges):
+                if graph is not None:
                     results.append(graph)
         while frames:
             node, rest, supports = frames[-1]
@@ -249,12 +263,6 @@ def build_egraph(e: dict, u, root: nodes.ENode,
             break
         else:
             break
-
-    if not results:
-        joined = ", ".join(sorted(assumed))
-        raise NoValidGraph(
-            f"no valid explanation graph for {root.render()} "
-            f"under assumed set {{{joined}}}")
     return results
 
 
@@ -282,14 +290,17 @@ class _SortKeys(dict):
 
 
 def _assemble(root: nodes.ENode, chosen: dict,
-              keys: _SortKeys) -> ExplanationGraph:
-    edges = []
-    node_set = {root}
-    for source, support in chosen.items():
-        node_set.add(source)
-        for target in support:
-            node_set.add(target)
-            edges.append(EEdge(source, target, nodes.EDGE_LABEL[target.kind]))
+              keys: _SortKeys) -> ExplanationGraph | None:
+    """The graph of the chosen supports, or None if it is not cycle safe.
+    The cycle test reads the edges unsorted, so a rejected candidate is
+    never sorted."""
+    label = nodes.EDGE_LABEL
+    edges = [EEdge(source, target, label[target.kind])
+             for source, support in chosen.items() for target in support]
+    if not _cycle_safe(edges):
+        return None
+    node_set = {root, *chosen}
+    node_set.update(edge.target for edge in edges)
     return _sorted_graph(root, node_set, edges, keys)
 
 

@@ -355,7 +355,7 @@ class GroundProgram:
             named = self.named
             # A named literal resolves to itself, so only the auxiliary
             # literals have alternatives to conjoin.
-            bodies = _dedupe_sets(_conjoin_alternatives(
+            bodies = _dedupe_sets(_union_product(
                 [self.resolve_aux(lit) for lit in lits
                  if abs(lit) not in named],
                 frozenset(lit for lit in lits if abs(lit) in named)))
@@ -400,30 +400,29 @@ class GroundProgram:
         return f"{head} :- {body}." if body else f"{head}."
 
 
-def _conjoin_alternatives(resolved, common=frozenset()) -> list[frozenset[int]]:
-    """Every union of ``common`` and one alternative per conjunct, in
-    product order."""
-    alts = [common]
-    for options in resolved:
-        alts = [a | r for a in alts for r in options]
-    return alts
+def _union_product(factors, base=frozenset(), cap=None) -> list[frozenset]:
+    """The union of ``base`` and one set from each factor, for every
+    combination in product order (the first factor outermost), or for the
+    first ``cap`` of them.  The product is read lazily, so a cap bounds the
+    work as well as the output."""
+    combos = itertools.islice(itertools.product(*factors), cap)
+    return [base.union(*combo) for combo in combos]
 
 
 def _combine_definitions(positive: bool, defs, resolved: list) -> list:
     """The alternatives of an auxiliary literal from those of the literals
     of its definition bodies, listed body by body.  The atom holds if some
     body holds; it is false if each body has a literal that fails."""
-    alts: list[frozenset[int]] = [] if positive else [frozenset()]
+    per_body = []
     start = 0
     for stmt in defs:
         end = start + len(stmt.body.literals)
-        if positive:
-            alts.extend(_conjoin_alternatives(resolved[start:end]))
-        else:
-            failures = [f for options in resolved[start:end] for f in options]
-            alts = [a | f for a in alts for f in failures]
+        per_body.append(resolved[start:end])
         start = end
-    return alts
+    if positive:
+        return [alt for parts in per_body for alt in _union_product(parts)]
+    return _union_product([[f for options in parts for f in options]
+                           for parts in per_body])
 
 
 def _dedupe_sets(sets) -> list[frozenset]:

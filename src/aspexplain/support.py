@@ -3,13 +3,14 @@
 The table maps literal nodes to lists of supported sets.  A true atom gets
 one set per rule that derives it; a false atom gets the cross-product of
 per-rule falsifiers, since its falsity must defeat every rule at once.
+That product is read lazily and cut at its first _CROSS_CAP (4096) sets;
+it needs no minimise pass when the rules' falsifier lists are antichains
+that share no node.
 Choice-atom occurrences contribute marker nodes (+choice/-choice, bound
 nodes, tuples, *True/*Empty) alongside the plain literals.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import nodes
 from .errors import NoSupport, UnsupportedWeightBody
@@ -20,21 +21,18 @@ from .ground import (
     GroundRule,
     _dedupe_sets,
     _minimize_sets,
+    _union_product,
 )
 
 _CROSS_CAP = 4096
 
 
 def _cross_union(option_lists) -> list[frozenset]:
-    """Cross product of choices, unioned; deterministic order, capped."""
-    if not option_lists:
-        return [frozenset()]
-    out = option_lists[0][:_CROSS_CAP]
-    for options in option_lists[1:]:
-        out = [acc | opt for acc, opt in itertools.product(out, options)]
-        if len(out) > _CROSS_CAP:
-            out = out[:_CROSS_CAP]
-    return out
+    """Cross product of choices, unioned, in product order; the first
+    _CROSS_CAP combinations only."""
+    if len(option_lists) == 1:
+        return option_lists[0][:_CROSS_CAP]
+    return _union_product(option_lists, cap=_CROSS_CAP)
 
 
 def choice_body_support(g: GroundProgram, x: ChoiceAtomSpec, A: frozenset[int],
@@ -101,10 +99,6 @@ def _body_true_options(g, rule: GroundRule, A, expansion):
         per_term.append(_term_true_options(g, term, True, A, expansion))
     for term in rule.neg_body:
         per_term.append(_term_true_options(g, term, False, A, expansion))
-    if len(per_term) == 1:
-        return per_term[0][:_CROSS_CAP]
-    if not all(per_term):
-        return []
     return _cross_union(per_term)
 
 
@@ -160,9 +154,37 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
                                                       expansion))
             options = _minimize_sets(options)
         per_rule.append(options)
-    combined = _minimize_sets(_cross_union(per_rule))
+    combined = _cross_union(per_rule)
+    if not _disjoint_antichains(per_rule):
+        combined = _minimize_sets(combined)
     # Unconditional falsity renders with the same glyph as a missing rule.
     return [s or frozenset({nodes.bottom_node()}) for s in combined]
+
+
+def _disjoint_antichains(per_rule) -> bool:
+    """Whether each rule's falsifiers are distinct and none holds another,
+    and no node occurs in the falsifiers of two rules.
+
+    The product of such lists is minimal and has no duplicate, so
+    _minimize_sets would return it unchanged.  Let S and T be two unions
+    in it, of s_i and t_i from each list i.  The lists share no node, so
+    the part of S within the nodes of list i is s_i, and that of T is t_i.
+    If S is a subset of T, each s_i is a subset of t_i, and the list being
+    an antichain of distinct sets, s_i is t_i.  So S and T come from the
+    same combination and are the same set.  A prefix of the product, as
+    _cross_union keeps, is minimal and duplicate-free too.
+    """
+    seen: set = set()
+    total = 0
+    for options in per_rule:
+        members = set().union(*options)
+        seen |= members
+        total += len(members)
+        if total != len(seen):
+            return False
+        if len(options) > 1 and _minimize_sets(options) != options:
+            return False
+    return True
 
 
 def er_key_order(g: GroundProgram) -> list[int]:

@@ -18,6 +18,7 @@ from aspexplain.egraph import (
     _scc_index,
     build_egraph,
     egraph_from_json,
+    find_egraphs,
     merge_supports,
     to_dot,
     to_json,
@@ -171,7 +172,10 @@ class TestCycleHandling:
         e = merge_supports(build_er(g, answer), {})
         with pytest.raises(NoValidGraph):
             build_egraph(e, frozenset(), nodes.atom_node("a"))
+        assert find_egraphs(e, frozenset(), nodes.atom_node("a")) == []
         graphs = build_egraph(e, frozenset({"b"}), nodes.atom_node("a"))
+        assert find_egraphs(e, frozenset({"b"}), nodes.atom_node("a")) \
+            == graphs
         assert triples(graphs[0]) == {
             ("a", "~b", "minus"), ("~b", "assume", "circ")}
 
@@ -182,8 +186,11 @@ class TestCycleHandling:
             p, (p, q),
             (EEdge(p, q, "plus"), EEdge(q, p, "plus")))
         assert not validate_egraph(graph, e, frozenset())
-        with pytest.raises(NoValidGraph):
-            build_egraph(e, frozenset(), p)
+        with pytest.raises(NoValidGraph) as raised:
+            build_egraph(e, ["s", "r", "s"], p)
+        assert str(raised.value) == \
+            "no valid explanation graph for p under assumed set {r, s}"
+        assert find_egraphs(e, frozenset(), p) == []
 
     def test_all_minus_cycle_is_accepted(self):
         g = build(

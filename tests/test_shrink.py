@@ -17,10 +17,10 @@ import sys
 
 import pytest
 
-from aspexplain import assumptions, nodes, oracle
+from aspexplain import assumptions, egraph, nodes, oracle
 from aspexplain.aspif import parse_aspif
 from aspexplain.constraints import constraint_preprocessing
-from aspexplain.egraph import build_egraph, merge_supports
+from aspexplain.egraph import build_egraph, find_egraphs, merge_supports
 from aspexplain.errors import NoValidGraph, TooLarge
 from aspexplain.ground import reconstruct
 from aspexplain.support import build_er
@@ -113,10 +113,10 @@ def shrink_builds(monkeypatch, n: int) -> int:
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return build_egraph(*args, **kwargs)
+        return find_egraphs(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(assumptions, "build_egraph", counting)
+        patch.setattr(assumptions, "find_egraphs", counting)
         report = assumptions.minimal_assumption_sets(g, A, er=er, table=table)
     assert sorted(report.chosen_u) == inst.expect["u"]
     return calls
@@ -128,6 +128,21 @@ def test_shrink_builds_scale_linearly(monkeypatch):
     small = shrink_builds(monkeypatch, 40)
     large = shrink_builds(monkeypatch, 80)
     assert large <= 2.5 * small, (small, large)
+
+
+def test_rejected_candidates_format_no_message(monkeypatch):
+    # Every one of the 20 candidates of loops(20) is rejected; none may
+    # build a NoValidGraph, whose message sorts the whole assumed set.
+    inst = families.loops(20)
+    g = reconstruct(parse_aspif(inst.text))
+    A = g.answer_from_names(inst.answer)
+
+    def unexpected(*args):
+        raise AssertionError("the shrink built a NoValidGraph")
+
+    monkeypatch.setattr(egraph, "NoValidGraph", unexpected)
+    report = assumptions.minimal_assumption_sets(g, A)
+    assert sorted(report.chosen_u) == inst.expect["u"]
 
 
 def false_chain(n: int):
@@ -155,10 +170,10 @@ def test_first_pass_skips_literals_of_earlier_graphs(monkeypatch, n):
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return build_egraph(*args, **kwargs)
+        return find_egraphs(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(assumptions, "build_egraph", counting)
+        patch.setattr(assumptions, "find_egraphs", counting)
         report = assumptions.minimal_assumption_sets(g, A, er=er, table=table)
     assert report.chosen_u == frozenset({"x(1)"})
     assert calls == 3
