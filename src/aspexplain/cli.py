@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         return _fail(err, EXIT_NO_VALID_GRAPH)
     except TooLarge as err:
         return _fail(err, EXIT_TOO_LARGE)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return _fail(err, EXIT_PARSE_ERROR)
 
 
@@ -146,12 +146,12 @@ def _read_program_text(args) -> str:
             cmd = [args.input if part == "{}" else part for part in cmd]
         elif args.input != "-":
             cmd.append(args.input)
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True)
         if proc.returncode != 0:
             raise AspifError(
                 f"grounder exited with status {proc.returncode}: "
-                f"{proc.stderr.strip()}")
-        return proc.stdout
+                f"{proc.stderr.decode(errors='replace').strip()}")
+        return proc.stdout.decode("utf-8")
     if args.input == "-":
         return sys.stdin.read()
     with open(args.input, encoding="utf-8") as handle:

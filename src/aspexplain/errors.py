@@ -48,7 +48,9 @@ class AuxCycle(ReconstructionError):
 # --- engines ---
 
 class NoSupport(AspExplainError):
-    """A true atom has no rule whose body holds -- not an answer set."""
+    """An atom's value is not supported -- not an answer set: a true atom
+    has no rule whose body holds, or a false atom is a fact or heads a
+    non-choice rule whose body holds."""
 
 
 class UnviolableConstraint(AspExplainError):

@@ -171,84 +171,20 @@ class GroundProgram:
     def lit_holds(self, lit: int, answer: frozenset[int]) -> bool:
         """Whether a literal holds under the named answer set.
 
-        A named atom holds iff it is in ``answer`` and an unnamed external
-        always holds.  An auxiliary atom holds iff one of its definitions
-        does, read in order; a weight body sums over every element, a
-        normal body stops at its first literal that fails.  Positive
-        recursion through an auxiliary atom is unfounded, so an atom met
-        again below itself is false there.  The walk keeps an explicit
-        stack of the definitions being read, so a deep auxiliary chain
-        costs no recursion.
+        A named literal holds by membership in ``answer``.  Any other
+        literal holds iff one of its :meth:`resolve_aux` alternatives does,
+        so a hidden atom reads the same in a choice element's condition as
+        in a rule or constraint body, and raises the same errors there.
         """
-        value = self._leaf_value(abs(lit), answer)
-        if value is not None:
-            return value if lit > 0 else not value
-        # The literals whose definitions are being read, innermost last.
-        frames = [(lit, self._definitions_hold(abs(lit)))]
-        path = {abs(lit)}
-        holds = None
-        while True:
-            try:
-                lit = frames[-1][1].send(holds)
-            except StopIteration as stop:
-                lit = frames.pop()[0]
-                path.discard(abs(lit))
-                value = stop.value
-            else:
-                aid = abs(lit)
-                value = self._leaf_value(aid, answer)
-                if value is None:
-                    if aid not in path:
-                        path.add(aid)
-                        frames.append((lit, self._definitions_hold(aid)))
-                        holds = None
-                        continue
-                    value = False
-            holds = value if lit > 0 else not value
-            if not frames:
-                return holds
-
-    def _leaf_value(self, aid: int, answer: frozenset[int]) -> bool | None:
-        """The value of a named atom or of an unnamed external, which is a
-        fact; None for an auxiliary atom."""
-        atom = self.atoms.get(aid)
-        if atom is None:
-            return None
-        if atom.name is not None:
-            return aid in answer
-        return True if atom.is_fact else None
-
-    def _definitions_hold(self, aid: int):
-        """Whether some definition of an auxiliary atom holds, as a
-        generator: it yields each body literal it reads and is sent
-        whether that literal holds."""
-        value = False
-        for stmt in self.aspif.definitions.get(aid, []):
-            if stmt.head_type == HEAD_CHOICE:
-                raise ReconstructionError(
-                    f"auxiliary atom {aid} occurs in a choice head")
-            if isinstance(stmt.body, WeightBody):
-                total = 0
-                for lit, weight in stmt.body.elements:
-                    if (yield lit):
-                        total += weight
-                value = total >= stmt.body.lower
-            else:
-                value = True
-                for lit in stmt.body.literals:
-                    if not (yield lit):
-                        value = False
-                        break
-            if value:
-                break
-        return value
-
-    def element_holds(self, element: ChoiceElement, answer: frozenset[int]) -> bool:
-        return all(self.lit_holds(lit, answer) for lit in element.lits)
+        if abs(lit) in self.named:
+            return (abs(lit) in answer) == (lit > 0)
+        return any(alternative_holds(alt, answer)
+                   for alt in self.resolve_aux(lit))
 
     def satisfied_elements(self, spec: ChoiceAtomSpec,
                            answer: frozenset[int]) -> tuple[ChoiceElement, ...]:
-        return tuple(e for e in spec.elements if self.element_holds(e, answer))
+        return tuple(e for e in spec.elements
+                     if all(self.lit_holds(lit, answer) for lit in e.lits))
 
     def spec_holds(self, spec: ChoiceAtomSpec, answer: frozenset[int]) -> bool:
         count = len(self.satisfied_elements(spec, answer))
@@ -398,6 +334,15 @@ class GroundProgram:
         if rule.kind == CHOICE:
             head = "{" + head + "}"
         return f"{head} :- {body}." if body else f"{head}."
+
+
+def alternative_holds(alt: frozenset[int], answer: frozenset[int]) -> bool:
+    """Whether a resolved alternative holds under the named answer set: each
+    of its signed named atom ids by membership in ``answer``."""
+    for lit in alt:
+        if (lit not in answer) if lit > 0 else (-lit in answer):
+            return False
+    return True
 
 
 def _union_product(factors, base=frozenset(), cap=None) -> list[frozenset]:

@@ -22,6 +22,7 @@ from .ground import (
     _dedupe_sets,
     _minimize_sets,
     _union_product,
+    alternative_holds,
 )
 
 _CROSS_CAP = 4096
@@ -58,17 +59,10 @@ def _merge_expansion(table, expansion) -> None:
 
 def _holding_alternatives(g: GroundProgram, lit: int,
                           A: frozenset[int]) -> list[frozenset[nodes.ENode]]:
-    """Ways the literal holds under A, as sets of literal nodes.  A
-    resolved alternative holds named literals only, so each is tested by
-    membership in A."""
-    out = []
-    for alt in g.resolve_aux(lit):
-        for l in alt:
-            if (l not in A) if l > 0 else (-l in A):
-                break
-        else:
-            out.append(frozenset(map(g.lit_node, alt)))
-    return out
+    """Ways the literal holds under A, as sets of literal nodes: its
+    resolved alternatives that hold."""
+    return [frozenset(map(g.lit_node, alt)) for alt in g.resolve_aux(lit)
+            if alternative_holds(alt, A)]
 
 
 def _term_true_options(g, term, positive, A, expansion):
@@ -131,8 +125,16 @@ def supported_sets_true(g: GroundProgram, A: frozenset[int], c: int,
 
 def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
                          expansion: dict | None = None):
-    """Supported sets for an atom false in A: defeat every rule at once."""
+    """Supported sets for an atom false in A: defeat every rule at once.
+
+    Raises NoSupport when the atom is a fact or heads a non-choice rule
+    whose body holds under A, which then is not an answer set.
+    """
     expansion = {} if expansion is None else expansion
+    if g.atoms[c].is_fact:
+        raise NoSupport(
+            f"{g.display_atom(c)} is a fact but not in the answer set; the "
+            "interpretation is not an answer set")
     rules = g.rules_for_head(c)
     if not rules:
         return [frozenset({nodes.bottom_node()})]
@@ -145,7 +147,12 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
             for option in body_options:
                 options.append(option | {nodes.minus_choice_node()}
                                | _companions(g, rule, c))
-        elif not body_options:
+        elif body_options:
+            raise NoSupport(
+                f"{g.display_atom(c)} is not in the answer set but the body "
+                f"of \"{g.rule_text(rule)}\" holds; the interpretation is "
+                "not an answer set")
+        else:
             # A body fails through any one term that does not hold.
             for terms, positive in ((rule.pos_body, False),
                                     (rule.neg_body, True)):
@@ -231,8 +238,9 @@ def check_rules(g: GroundProgram, A: frozenset[int]) -> None:
     ReconstructionError that build_er would raise, without building a row.
 
     build_er reads the rules of the named atoms in er_key_order, and each
-    rule's terms in body order; an auxiliary atom raises when it is
-    resolved and a choice occurrence when its elements are evaluated.
+    rule's terms in body order.  An auxiliary atom raises when it is
+    resolved: as a body literal, or, through lit_holds, as a literal of a
+    choice element when the occurrence's elements are evaluated.
     Resolution is memoised per program, so the rows built later reuse it.
     """
     named = g.named

@@ -174,12 +174,13 @@ class TestExplain:
 
     def test_no_check_skips_verification(self, capsys):
         # The same non-answer-set is accepted until support building,
-        # which reports the unsupported atom instead.
+        # which reports the first row that shows it: c is false, but the
+        # body of c :- not a holds.
         code, out, err = run(
             capsys, "explain", P1, "--answer", "n(1) n(2) b",
             "--root", "b", "--no-check")
         assert code == 3
-        assert "no rule supports" in err
+        assert 'the body of "c :- not a." holds' in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "graph.dot"
@@ -353,6 +354,34 @@ class TestExplainExitCodes:
         assert (code, out) == (3, "")
         assert err == ("error: b is in the answer set but no rule supports "
                        "it; the interpretation is not an answer set\n")
+
+    @pytest.mark.parametrize("answer, message", [
+        ("", 'c is not in the answer set but the body of "c :- not a." '
+             "holds"),
+        ("c", "n(1) is a fact but not in the answer set")])
+    def test_unchecked_derived_false_atom_exits_3(self, capsys, answer,
+                                                  message):
+        code, out, err = run(capsys, "explain", P1, "--answer", answer,
+                             "--root", "~m(2)", "--no-check")
+        assert (code, out) == (3, "")
+        assert err == (f"error: {message}; the interpretation is not an "
+                       "answer set\n")
+
+    def test_hidden_atom_on_negative_cycle_in_element_exits_2(
+            self, capsys, tmp_path):
+        # p.  l3 :- not l4.  l4 :- not l3.  t :- p, l3.  r :- 1 <= {t = 1}.
+        # The element (p, l3) reads l3 through its definitions, as a rule
+        # body does, and l3 is defined through itself.
+        path = write(tmp_path, "p.aspif",
+                     "asp 1 0 0\n1 0 1 1 0 0\n1 0 1 3 0 1 -4\n"
+                     "1 0 1 4 0 1 -3\n1 0 1 5 0 2 1 3\n1 0 1 2 1 1 1 5 1\n"
+                     "4 1 p 1 1\n4 1 r 1 2\n0\n")
+        code, out, err = run(capsys, "answersets", path)
+        assert (code, out) == (0, "p\np r\n")
+        code, out, err = run(capsys, "explain", path, "--answer", "p r",
+                             "--root", "r")
+        assert (code, out, err) == (
+            2, "", "error: auxiliary atom 3 is defined through itself\n")
 
     @pytest.mark.parametrize("root, message", [
         ("zzz", "cannot explain zzz: not a literal of the program"),
@@ -556,6 +585,17 @@ class TestAnswersets:
         assert "error:" in err
 
 
+def element_chain(n: int) -> str:
+    """p.  q.  t :- p, l(1).  l(i) :- l(i+1).  l(n) :- q.
+    r :- 1 <= {t = 1}.  The element (p, l(1)) of r's choice atom is
+    evaluated through the whole chain."""
+    lines = ["asp 1 0 0", "1 0 1 1 0 0", "1 0 1 2 0 0", "1 0 1 4 0 2 1 5"]
+    lines += [f"1 0 1 {4 + i} 0 1 {5 + i}" for i in range(1, n)]
+    lines += [f"1 0 1 {4 + n} 0 1 2", "1 0 1 3 1 1 1 4 1",
+              "4 1 p 1 1", "4 1 q 1 2", "4 1 r 1 3", "0\n"]
+    return "\n".join(lines)
+
+
 class TestDeepAuxChain:
     @staticmethod
     def run_below_depth(capsys, n, *argv):
@@ -595,16 +635,8 @@ class TestDeepAuxChain:
          '"1<={(p, l(5))}" -> "(p, l(5))" [style=solid];\n')])
     def test_long_choice_element_chain(self, capsys, tmp_path, command,
                                        expected):
-        # p.  q.  t :- p, l(1).  l(i) :- l(i+1).  l(n) :- q.
-        # r :- 1 <= {t = 1}.  The element (p, l(1)) of r's choice atom is
-        # evaluated through the whole chain.
         n = 3000
-        lines = ["asp 1 0 0", "1 0 1 1 0 0", "1 0 1 2 0 0",
-                 "1 0 1 4 0 2 1 5"]
-        lines += [f"1 0 1 {4 + i} 0 1 {5 + i}" for i in range(1, n)]
-        lines += [f"1 0 1 {4 + n} 0 1 2", "1 0 1 3 1 1 1 4 1",
-                  "4 1 p 1 1", "4 1 q 1 2", "4 1 r 1 3", "0\n"]
-        path = write(tmp_path, "element_chain.aspif", "\n".join(lines))
+        path = write(tmp_path, "element_chain.aspif", element_chain(n))
         name, *options = command.split()
         code, out, err = self.run_below_depth(
             capsys, n, name, path, *options, "--answer", "q p r")
@@ -639,6 +671,33 @@ class TestGroundCmd:
         assert code == 1
         assert "7" in err
         assert "boom" in err
+
+
+class TestNotUtf8:
+    """Input that does not decode as UTF-8 exits 1 with an error line."""
+
+    def expect_decode_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_program_file(self, capsys, tmp_path):
+        path = tmp_path / "p.aspif"
+        path.write_bytes(b"asp 1 0 0\n4 1 \xff 1 1\n0\n")
+        self.expect_decode_error(capsys, "parse", str(path))
+
+    def test_answer_set_file(self, capsys, tmp_path):
+        path = tmp_path / "answer.txt"
+        path.write_bytes(b"n(1) n(2) c m(1) \xff\n")
+        self.expect_decode_error(capsys, "assumptions", P1,
+                                 "--answer-set", str(path))
+
+    def test_ground_cmd_output(self, capsys, tmp_path):
+        grounder = tmp_path / "grounder.sh"
+        grounder.write_text("#!/bin/sh\nprintf 'asp 1 0 0\\n\\377\\n'\n")
+        grounder.chmod(grounder.stat().st_mode | stat.S_IXUSR)
+        self.expect_decode_error(capsys, "parse", P1,
+                                 "--ground-cmd", str(grounder))
 
 
 class TestHelpers:

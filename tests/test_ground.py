@@ -1,14 +1,18 @@
 import pytest
 
-from aspexplain.aspif import parse_aspif
+from aspexplain.aspif import HEAD_CHOICE, WeightBody, parse_aspif
 from aspexplain.errors import (
     AuxCycle,
     DuplicateSymbol,
     MultiLiteralOutputCondition,
     ReconstructionError,
     UnknownLiteral,
+    UnsupportedWeightBody,
 )
 from aspexplain.ground import CHOICE, CONSTRAINT, NORMAL, ChoiceAtomSpec, reconstruct
+from aspexplain.oracle import enumerate_answer_sets
+
+from test_cli import DATA, element_chain
 
 
 def build(body: str):
@@ -111,7 +115,7 @@ def test_unnamed_external_is_a_fact():
     assert gp.resolve_aux(-3) == []
 
 
-def test_positive_recursion_through_auxiliaries_is_unfounded():
+def test_positive_recursion_through_auxiliaries_fails_loudly():
     # l3 :- l4.  l4 :- l3.  l4 :- p.  l5 :- 2 { l3 = 1, p = 1 }.
     # {l6}.  l7 :- l6.
     gp = build(
@@ -120,13 +124,151 @@ def test_positive_recursion_through_auxiliaries_is_unfounded():
         "4 1 p 1 1\n"
     )
     p = frozenset({1})
-    # Below l3, l3 is false, so l4 holds only through p.
-    assert gp.lit_holds(3, p) and gp.lit_holds(4, p) and gp.lit_holds(5, p)
-    assert not gp.lit_holds(3, frozenset())
-    assert gp.lit_holds(-4, frozenset()) and gp.lit_holds(-5, frozenset())
+    # A hidden atom is read through resolve_aux, as in a rule body.
+    for lit in (3, -3, 4, -4):
+        with pytest.raises(AuxCycle, match=f"auxiliary atom {abs(lit)} is "
+                                           "defined through itself"):
+            gp.lit_holds(lit, p)
+    with pytest.raises(UnsupportedWeightBody,
+                       match="auxiliary atom 5 is defined by a weight body"):
+        gp.lit_holds(5, p)
     with pytest.raises(ReconstructionError,
                        match="auxiliary atom 6 occurs in a choice head"):
         gp.lit_holds(7, p)
+
+
+def reference_lit_holds(gp, lit: int, answer: frozenset[int]) -> bool:
+    """Whether a literal holds under the named answer set, by walking the
+    definitions of its hidden atoms, as lit_holds did before it read them
+    through resolve_aux.
+
+    A named atom holds iff it is in ``answer`` and an unnamed external
+    always holds.  An auxiliary atom holds iff one of its definitions does,
+    read in order; a weight body sums over every element, a normal body
+    stops at its first literal that fails.  An atom met again below itself
+    is false there, so on a definition cycle the walk can be wrong where
+    resolve_aux raises AuxCycle.  The walk keeps an explicit stack of the
+    definitions being read, so a deep auxiliary chain costs no recursion.
+    """
+
+    def leaf_value(aid):
+        atom = gp.atoms.get(aid)
+        if atom is None:
+            return None
+        if atom.name is not None:
+            return aid in answer
+        return True if atom.is_fact else None
+
+    def definitions_hold(aid):
+        value = False
+        for stmt in gp.aspif.definitions.get(aid, []):
+            if stmt.head_type == HEAD_CHOICE:
+                raise ReconstructionError(
+                    f"auxiliary atom {aid} occurs in a choice head")
+            if isinstance(stmt.body, WeightBody):
+                total = 0
+                for body_lit, weight in stmt.body.elements:
+                    if (yield body_lit):
+                        total += weight
+                value = total >= stmt.body.lower
+            else:
+                value = True
+                for body_lit in stmt.body.literals:
+                    if not (yield body_lit):
+                        value = False
+                        break
+            if value:
+                break
+        return value
+
+    value = leaf_value(abs(lit))
+    if value is not None:
+        return value if lit > 0 else not value
+    # The literals whose definitions are being read, innermost last.
+    frames = [(lit, definitions_hold(abs(lit)))]
+    path = {abs(lit)}
+    holds = None
+    while True:
+        try:
+            lit = frames[-1][1].send(holds)
+        except StopIteration as stop:
+            lit = frames.pop()[0]
+            path.discard(abs(lit))
+            value = stop.value
+        else:
+            aid = abs(lit)
+            value = leaf_value(aid)
+            if value is None:
+                if aid not in path:
+                    path.add(aid)
+                    frames.append((lit, definitions_hold(aid)))
+                    holds = None
+                    continue
+                value = False
+        holds = value if lit > 0 else not value
+        if not frames:
+            return holds
+
+
+# p.  {q}.  {s}.  l5 :- q.  l5 :- s.  t :- p, not l5.  r :- 1 <= {t = 1}.
+# The element (p, not l5) negates a hidden atom with two definitions.
+NEGATED_ELEMENT = (
+    "asp 1 0 0\n1 0 1 1 0 0\n1 1 1 2 0 0\n1 1 1 3 0 0\n"
+    "1 0 1 5 0 1 2\n1 0 1 5 0 1 3\n1 0 1 6 0 2 1 -5\n1 0 1 4 1 1 1 6 1\n"
+    "4 1 p 1 1\n4 1 q 1 2\n4 1 s 1 3\n4 1 r 1 4\n0\n")
+
+
+def acyclic_programs():
+    """Programs with no definition cycle, each with the stride at which
+    its auxiliary atoms are compared: the reference walk reads the chain
+    below each atom again, so every auxiliary atom of the 2000-level
+    element chain would cost it quadratic time."""
+    for name in ("p1.aspif", "coloring.aspif"):
+        yield (DATA / name).read_text(), 1
+    yield element_chain(2000), 50
+    yield NEGATED_ELEMENT, 1
+
+
+def readable_atoms(gp) -> set[int]:
+    """The atoms that resolve_aux reads: all but those defined through a
+    weight body, as the folded bound tests of choice atoms are."""
+    readable = set()
+    for aid in gp.atoms:
+        try:
+            gp.resolve_aux(aid)
+        except UnsupportedWeightBody:
+            continue
+        readable.add(aid)
+    return readable
+
+
+def test_lit_holds_matches_reference_walk():
+    for text, stride in acyclic_programs():
+        gp = reconstruct(parse_aspif(text))
+        in_elements = {abs(lit) for spec in gp.choice_specs
+                       for element in spec.elements for lit in element.lits}
+        readable = readable_atoms(gp)
+        assert readable >= in_elements
+        hidden = sorted(readable - gp.named - in_elements)
+        checked = gp.named | in_elements | set(hidden[::stride])
+        models = enumerate_answer_sets(gp)
+        assert models
+        for model in models:
+            answer = gp.answer_from_names(model)
+            for aid in checked:
+                for lit in (aid, -aid):
+                    assert gp.lit_holds(lit, answer) \
+                        == reference_lit_holds(gp, lit, answer), (model, lit)
+
+
+def test_element_condition_reads_a_negated_hidden_atom():
+    gp = reconstruct(parse_aspif(NEGATED_ELEMENT))
+    spec = gp.choice_specs[0]
+    assert [gp.display_lit(l) for l in spec.elements[0].lits] \
+        == ["p", "not l(5)"]
+    for names, holds in ((["p", "r"], True), (["p", "q"], False),
+                         (["p", "s"], False)):
+        assert gp.spec_holds(spec, gp.answer_from_names(names)) == holds
 
 
 def test_unknown_atom_name(p1):
