@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="aspif file, or '-' for stdin")
         p.add_argument(
-            "--ground-cmd", metavar="CMD",
+            "--ground-cmd", metavar="CMD", type=_split_command,
             help="run CMD as an external grounder and read aspif from its "
                  "stdout; '{}' in CMD expands to INPUT, otherwise INPUT is "
                  "appended")
@@ -136,16 +136,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split_command(text: str) -> list[str]:
+    """The words of a --ground-cmd value, split as a POSIX shell would."""
+    import shlex
+
+    try:
+        cmd = shlex.split(text)
+        if not cmd:
+            raise ValueError("no command given")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return cmd
+
+
 def _read_program_text(args) -> str:
     if args.ground_cmd:
-        import shlex
         import subprocess
 
-        cmd = shlex.split(args.ground_cmd)
+        cmd = args.ground_cmd
         if "{}" in cmd:
             cmd = [args.input if part == "{}" else part for part in cmd]
         elif args.input != "-":
-            cmd.append(args.input)
+            cmd = cmd + [args.input]
         proc = subprocess.run(cmd, capture_output=True)
         if proc.returncode != 0:
             raise AspifError(
@@ -159,7 +171,10 @@ def _read_program_text(args) -> str:
 
 
 def _load_program(args) -> GroundProgram:
-    return reconstruct(parse_aspif(_read_program_text(args)))
+    g = reconstruct(parse_aspif(_read_program_text(args)))
+    for warning in g.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return g
 
 
 def parse_answer_text(text: str) -> list[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import nodes
@@ -56,19 +56,6 @@ class ChoiceElement:
     lits: tuple[int, ...]
     element: int | None = None
 
-    @property
-    def conditions(self) -> tuple[int, ...]:
-        if self.element is None:
-            return ()
-        skipped = False
-        out = []
-        for lit in self.lits:
-            if not skipped and lit == self.element:
-                skipped = True
-                continue
-            out.append(lit)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ChoiceAtomSpec:
@@ -85,8 +72,6 @@ class GroundRule:
     pos_body: tuple = ()
     neg_body: tuple = ()
     statement_index: int = -1
-    # For choice rules: head atom id -> condition literals (q for each element).
-    element_conditions: dict[int, tuple[int, ...]] = field(default_factory=dict)
     # Set when the statement's weight body could not be interpreted.
     raw_weight: WeightBody | None = None
 
@@ -98,7 +83,6 @@ class GroundProgram:
         # The ids of the named atoms, which the per-statement passes test.
         self.named: set[int] = set()
         self.rules: list[GroundRule] = []
-        self.choice_specs: list[ChoiceAtomSpec] = []
         self.warnings: list[str] = []
         self.nant: frozenset[int] = frozenset()
         # Head atom -> its rules in statement order; None -> constraints.
@@ -311,6 +295,13 @@ class GroundProgram:
                     index.setdefault(lit, []).append((rule, body))
         return index
 
+    @cached_property
+    def choice_specs(self) -> list[ChoiceAtomSpec]:
+        """The distinct choice-atom occurrences in rule order."""
+        return list(dict.fromkeys(
+            t for r in self.rules for t in r.pos_body + r.neg_body
+            if isinstance(t, ChoiceAtomSpec)))
+
     # --- rendering --------------------------------------------------------
 
     def term_text(self, term, positive: bool) -> str:
@@ -399,9 +390,7 @@ def reconstruct(aspif_program: AspifProgram) -> GroundProgram:
     _read_symbols(gp)
     _read_externals(gp)
     _collect_atoms(gp)
-    folder = _ChoiceFolder(gp)
-    _build_rules(gp, folder)
-    _attach_element_conditions(gp, folder)
+    _build_rules(gp, _ChoiceFolder(gp))
     _build_index(gp)
     gp.nant = frozenset(_compute_nant(gp))
     return gp
@@ -630,82 +619,6 @@ def _drop_consumed(gp: GroundProgram, folder: _ChoiceFolder,
             referenced.update(abs(l) for l in rule.raw_weight.literals)
     gp.rules = [rule for rule, gone in zip(rules, consumed)
                 if not gone or not referenced.isdisjoint(rule.heads)]
-
-
-def _attach_element_conditions(gp: GroundProgram, folder: _ChoiceFolder) -> None:
-    gp.choice_specs = list(dict.fromkeys(
-        term for rule in gp.rules for term in rule.pos_body + rule.neg_body
-        if isinstance(term, ChoiceAtomSpec)))
-
-    by_element: dict[int, list[ChoiceElement]] = {}
-    for spec in gp.choice_specs:
-        for element in spec.elements:
-            if element.element is not None:
-                by_element.setdefault(element.element, []).append(element)
-
-    sibling_shared = _sibling_shared_bodies(gp)
-    for rule in gp.rules:
-        if rule.kind != CHOICE:
-            continue
-        body_lits = {t for t in rule.pos_body if isinstance(t, int)} \
-            | {-t for t in rule.neg_body if isinstance(t, int)}
-        for head in rule.heads:
-            conditions: tuple[int, ...] | None = None
-            for element in by_element.get(head, ()):
-                if set(element.conditions) <= body_lits:
-                    conditions = element.conditions
-                    break
-            if conditions is None:
-                conditions = _sibling_conditions(gp, rule, sibling_shared)
-            rule.element_conditions[head] = conditions
-
-
-def _aux_signature(gp: GroundProgram, rule: GroundRule) -> tuple:
-    named = gp.named
-    sig = []
-    for term in rule.pos_body:
-        if isinstance(term, int) and term not in named:
-            sig.append(term)
-    for term in rule.neg_body:
-        if isinstance(term, int) and term not in named:
-            sig.append(-term)
-    return tuple(sorted(sig))
-
-
-def _named_body_lits(gp: GroundProgram, rule: GroundRule) -> set[int]:
-    named = gp.named
-    out = set()
-    for term in rule.pos_body:
-        if isinstance(term, int) and term in named:
-            out.add(term)
-    for term in rule.neg_body:
-        if isinstance(term, int) and term in named:
-            out.add(-term)
-    return out
-
-
-def _sibling_shared_bodies(gp: GroundProgram) -> dict[tuple, set[int]]:
-    groups: dict[tuple, list[set[int]]] = {}
-    for rule in gp.rules:
-        if rule.kind != CHOICE:
-            continue
-        groups.setdefault(_aux_signature(gp, rule), []).append(
-            _named_body_lits(gp, rule))
-    shared = {}
-    for sig, bodies in groups.items():
-        if len(bodies) > 1:
-            common = set.intersection(*bodies)
-        else:
-            common = bodies[0]
-        shared[sig] = common
-    return shared
-
-
-def _sibling_conditions(gp: GroundProgram, rule: GroundRule,
-                        shared: dict[tuple, set[int]]) -> tuple[int, ...]:
-    common = shared.get(_aux_signature(gp, rule), set())
-    extras = _named_body_lits(gp, rule) - common
-    return tuple(sorted(extras))
 
 
 def _build_index(gp: GroundProgram) -> None:

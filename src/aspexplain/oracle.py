@@ -190,22 +190,19 @@ def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpret
     """All answer sets, projected to named atoms, in deterministic order.
 
     The search of :meth:`_Checker.search` from the well-founded model,
-    branching first on the named atoms it leaves undecided.  The answer
-    sets come by size, then by the positions of their undecided atoms in
-    name order, as subsets come from :func:`itertools.combinations`.
+    branching first on the named atoms it leaves undecided, which must be
+    at most ``max_named``.  Answer sets come by size, then by undecided
+    atom positions in name order, as :func:`itertools.combinations` does.
     """
     program = g.aspif
     checker = _Checker(program)
-    candidates = sorted(n for n, i in checker.names.items()
-                        if i not in checker.externals)
-    if len(candidates) > max_named:
-        raise TooLarge(
-            f"{len(candidates)} named atoms exceed the enumeration cap "
-            f"of {max_named}")
     wf_true, wf_false = program.well_founded()
     decided = wf_true | wf_false
-    free = [checker.names[n] for n in candidates
-            if checker.names[n] not in decided]
+    free = [i for _, i in sorted(checker.names.items()) if i not in decided]
+    if len(free) > max_named:
+        raise TooLarge(
+            f"{len(free)} undecided named atoms exceed the enumeration cap "
+            f"of {max_named}")
     root = checker.bounds(frozenset(), frozenset(),
                           (wf_true, program.atom_ids() - wf_false))
     found: list[tuple[list[int], Interpretation]] = []

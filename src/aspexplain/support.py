@@ -96,13 +96,14 @@ def _body_true_options(g, rule: GroundRule, A, expansion):
     return _cross_union(per_term)
 
 
-def _companions(g, rule: GroundRule, c: int) -> frozenset[nodes.ENode]:
-    return frozenset(g.lit_node(l) for l in rule.element_conditions.get(c, ()))
-
-
 def supported_sets_true(g: GroundProgram, A: frozenset[int], c: int,
                         expansion: dict | None = None):
-    """Supported sets for an atom true in A, one per applicable rule."""
+    """Supported sets for an atom true in A, one per applicable rule.
+
+    A choice rule adds +choice, or -choice for a false head, to each body
+    option: the conditions of the head's choice element are literals of
+    that body, so they are in it already.
+    """
     expansion = {} if expansion is None else expansion
     sets: list[frozenset[nodes.ENode]] = []
     if g.atoms[c].is_fact:
@@ -111,7 +112,7 @@ def supported_sets_true(g: GroundProgram, A: frozenset[int], c: int,
         body_options = _body_true_options(g, rule, A, expansion)
         for option in body_options:
             if rule.kind == CHOICE:
-                option = option | {nodes.plus_choice_node()} | _companions(g, rule, c)
+                option = option | {nodes.plus_choice_node()}
             # An empty-bodied rule supports its head unconditionally.
             sets.append(option or frozenset({nodes.top_node()}))
     if len(sets) > 1:
@@ -145,8 +146,7 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
         if rule.kind == CHOICE and body_options:
             # The body fires but this element was not chosen.
             for option in body_options:
-                options.append(option | {nodes.minus_choice_node()}
-                               | _companions(g, rule, c))
+                options.append(option | {nodes.minus_choice_node()})
         elif body_options:
             raise NoSupport(
                 f"{g.display_atom(c)} is not in the answer set but the body "

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from aspexplain import cli
+from aspexplain.aspif import parse_aspif
 from aspexplain.egraph import egraph_from_json
+from aspexplain.ground import reconstruct
 
 from test_assumptions import TWO_D_SETS, da_ring
 
@@ -301,6 +303,44 @@ def named(*names: str) -> str:
     return "".join(f"4 {len(n)} {n} 1 {i}\n" for i, n in enumerate(names, 1))
 
 
+# q.  h :- q.  1 <= {p : h}.  with h hidden: the condition of p's choice
+# element is the hidden atom 3, which is also the body of p's choice rule.
+HIDDEN_CONDITION = (
+    "asp 1 0 0\n1 0 1 1 0 0\n1 0 1 3 0 1 1\n1 1 1 2 0 1 3\n"
+    "1 0 1 4 0 2 2 3\n1 0 1 5 1 1 1 4 1\n1 0 0 0 1 -5\n"
+    "4 1 q 1 1\n4 1 p 1 2\n0\n")
+
+# The same with 1 {p : h; r : h} 1: r is atom 5 and its tuple atom 6.
+HIDDEN_CONDITION_PAIR = (
+    "asp 1 0 0\n1 0 1 1 0 0\n1 0 1 3 0 1 1\n1 1 1 2 0 1 3\n"
+    "1 1 1 5 0 1 3\n1 0 1 4 0 2 2 3\n1 0 1 6 0 2 5 3\n"
+    "1 0 1 7 1 1 2 4 1 6 1\n1 0 1 8 1 2 2 4 1 6 1\n1 0 1 9 0 2 7 -8\n"
+    "1 0 0 0 1 -9\n4 1 q 1 1\n4 1 p 1 2\n4 1 r 1 5\n0\n")
+
+
+class TestHiddenElementCondition:
+    """A choice atom's row is its rule body plus the choice marker, so an
+    element condition that no output names adds no node without a row."""
+
+    def explain(self, capsys, tmp_path, text, root):
+        path = write(tmp_path, "hidden.aspif", text)
+        code, out, err = run(capsys, "explain", path, "--answer", "p q",
+                             "--root", root, "--format", "text")
+        assert (code, err) == (0, "")
+        return out.splitlines()
+
+    def test_true_choice_atom(self, capsys, tmp_path):
+        lines = self.explain(capsys, tmp_path, HIDDEN_CONDITION, "p")
+        assert "p : [{q, +choice}]" in lines
+        assert lines[lines.index("graph p:") + 1:] == [
+            "p -> q [plus]", "p -> +choice [bullet]", "q -> ⊤ [circ]"]
+
+    def test_false_choice_atom(self, capsys, tmp_path):
+        lines = self.explain(capsys, tmp_path, HIDDEN_CONDITION_PAIR, "~r")
+        assert "~r : [{q, -choice}]" in lines
+        assert "~r -> -choice [bullet]" in lines
+
+
 class TestExplainExitCodes:
     """An error anywhere in the support tables fails every query, also
     where the queried literal's graph never reaches it."""
@@ -338,11 +378,14 @@ class TestExplainExitCodes:
     @pytest.mark.parametrize("fmt", ["dot", "json", "text"])
     def test_unreached_reconstruction_error_exits_2(
             self, capsys, tmp_path, body, names, answer, message, fmt):
-        path = write(tmp_path, "p.aspif",
-                     "asp 1 0 0\n" + body + named(*names) + "0\n")
+        text = "asp 1 0 0\n" + body + named(*names) + "0\n"
+        path = write(tmp_path, "p.aspif", text)
         code, out, err = run(capsys, "explain", path, "--answer", answer,
                              "--root", "a", "--format", fmt)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        # A weight body with mixed weights is also reported as a warning.
+        warnings = "".join(f"warning: {w}\n" for w in
+                           reconstruct(parse_aspif(text)).warnings)
+        assert (code, out, err) == (2, "", f"{warnings}error: {message}\n")
 
     def test_unchecked_unsupported_atom_exits_3(self, capsys, tmp_path):
         # a.  b :- c.  The answer {a, b} is not checked, and b, which the
@@ -577,12 +620,19 @@ class TestAnswersets:
         assert "UNSAT" in err
 
     def test_over_cap_exits_6(self, capsys, tmp_path):
-        body = "".join(f"1 0 1 {i} 0 0\n" for i in range(1, 22))
-        body += "".join(f"4 3 a{i:02d} 1 {i}\n" for i in range(1, 22))
+        names = "".join(f"4 3 a{i:02d} 1 {i}\n" for i in range(1, 22))
+        # 21 facts leave nothing undecided, so the search is under the cap.
+        body = "".join(f"1 0 1 {i} 0 0\n" for i in range(1, 22)) + names
         path = write(tmp_path, "big.aspif", "asp 1 0 0\n" + body + "0\n")
         code, out, err = run(capsys, "answersets", path)
+        assert (code, err) == (0, "")
+        assert out == " ".join(f"a{i:02d}" for i in range(1, 22)) + "\n"
+        body = "".join(f"1 1 1 {i} 0 0\n" for i in range(1, 22)) + names
+        path = write(tmp_path, "free.aspif", "asp 1 0 0\n" + body + "0\n")
+        code, out, err = run(capsys, "answersets", path)
         assert code == 6
-        assert "error:" in err
+        assert err == ("error: 21 undecided named atoms exceed the "
+                       "enumeration cap of 20\n")
 
 
 def element_chain(n: int) -> str:
@@ -664,6 +714,16 @@ class TestGroundCmd:
         assert code == 0
         assert "% nant: {a, b, c}\n" in out
 
+    @pytest.mark.parametrize("input_, command", [
+        (P1, '"cat'), ("-", " ")], ids=["unclosed_quote", "blank"])
+    def test_bad_command_exits_usage(self, capsys, input_, command):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["parse", input_, "--ground-cmd", command])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: argument --ground-cmd: " in err
+        assert "Traceback" not in err
+
     def test_grounder_failure_exits_1(self, capsys, tmp_path):
         grounder = self.make_grounder(tmp_path,
                                       'echo "boom" >&2\nexit 7\n')
@@ -671,6 +731,35 @@ class TestGroundCmd:
         assert code == 1
         assert "7" in err
         assert "boom" in err
+
+
+# {a}.  {b}.  t1 :- a.  t2 :- b.  lo :- 1 {t1=1, t2=2}.
+# hi :- 2 {t1=1, t2=2}.  ok :- lo, not hi.  :- not ok.
+MIXED_WEIGHT_PAIR = (
+    "1 1 1 1 0 0\n1 1 1 2 0 0\n1 0 1 4 0 1 1\n1 0 1 5 0 1 2\n"
+    "1 0 1 7 1 1 2 4 1 5 2\n1 0 1 8 1 2 2 4 1 5 2\n"
+    "1 0 1 9 0 2 7 -8\n1 0 0 0 1 -9\n"
+    "4 1 a 1 1\n4 1 b 1 2\n"
+)
+
+
+@pytest.mark.parametrize("command, code, first_line", [
+    ("parse", 0, "{a}."),
+    ("answersets", 0, "a"),
+    ("explain --answer a --root a", 2, None),
+    ("assumptions --answer a", 0, "TA = {b}"),
+])
+def test_reconstruction_warnings_go_to_stderr(capsys, tmp_path, command,
+                                              code, first_line):
+    path = write(tmp_path, "mixed.aspif",
+                 "asp 1 0 0\n" + MIXED_WEIGHT_PAIR + "0\n")
+    name, *options = command.split()
+    got, out, err = run(capsys, name, path, *options)
+    assert got == code
+    assert err.splitlines()[:2] == [
+        f"warning: weight body for atom {aid} mixes weights [1, 2]; "
+        "kept opaque" for aid in (7, 8)]
+    assert (out.splitlines() or [None])[0] == first_line
 
 
 class TestNotUtf8:

@@ -249,23 +249,34 @@ def test_named_fact_is_in_every_answer_set():
         == [["p", "q", "r"], ["p", "q", "s"]]
 
 
-def many_named(n: int, facts: bool) -> str:
+def many_named(n: int, head_type: int | None) -> str:
+    """Named atoms x00.. with no rules, or each the head of an empty-bodied
+    rule of the given aspif head type: 0 for a fact, 1 for a free choice."""
     lines = []
     for i in range(n):
         name = f"x{i:02d}"
-        if facts:
-            lines.append(f"1 0 1 {i + 1} 0 0")
+        if head_type is not None:
+            lines.append(f"1 {head_type} 1 {i + 1} 0 0")
         lines.append(f"4 {len(name)} {name} 1 {i + 1}")
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("facts", [False, True], ids=["no_rules", "facts"])
-def test_named_atom_cap_counts_decided_atoms(facts):
+@pytest.mark.parametrize("head_type", [None, 0], ids=["no_rules", "facts"])
+def test_named_atom_cap_skips_decided_atoms(head_type):
     # Without rules every atom is well-founded false; as facts every atom
-    # is well-founded true.  Either way none is undecided, and the cap
-    # still counts all 21.
-    g = build(many_named(21, facts))
+    # is well-founded true.  Either way none is undecided, so the search
+    # has nothing to branch on.  The reference still counts all 21.
+    g = build(many_named(21, head_type))
+    everything = frozenset(f"x{i:02d}" for i in range(21))
+    assert oracle.enumerate_answer_sets(g) \
+        == [everything if head_type == 0 else frozenset()]
     with pytest.raises(TooLarge, match="21 named atoms"):
+        reference_enumerate_answer_sets(g)
+
+
+def test_named_atom_cap_counts_undecided_atoms():
+    g = build(many_named(21, 1))
+    with pytest.raises(TooLarge, match="21 undecided named atoms"):
         oracle.enumerate_answer_sets(g)
     with pytest.raises(TooLarge, match="21 named atoms"):
         reference_enumerate_answer_sets(g)

@@ -140,10 +140,10 @@ GOLDEN_PARSE = {
 }
 
 # One sha256 over the reconstruction of random_program seeds 0..199 with
-# 6, 8 and 10 atoms: every rule's text, kind, heads, statement index and
-# element conditions, then NANT and the warnings of each program.
+# 6, 8 and 10 atoms: every rule's text, kind, heads and statement index,
+# then NANT and the warnings of each program.
 GOLDEN_RECONSTRUCTION = \
-    "7c217fc0546aaffee8f1e80fda5a14ed73d6dfc7b81f6ea6e5df4d6ef1f7db50"
+    "556b204789cffd6f0e8b6da70c4462b7bfd596e664c694eb81f8d1e6d019f9ae"
 
 
 @pytest.mark.parametrize("example", sorted(GOLDEN_PARSE))
@@ -163,8 +163,7 @@ def test_random_reconstructions_match_golden_digest():
             for rule in g.rules:
                 digest.update(repr((
                     g.rule_text(rule), rule.kind, rule.heads,
-                    rule.statement_index,
-                    sorted(rule.element_conditions.items()))).encode())
+                    rule.statement_index)).encode())
             digest.update(repr((g.nant_names(), g.warnings)).encode())
     assert digest.hexdigest() == GOLDEN_RECONSTRUCTION
 

@@ -11,12 +11,21 @@ from aspexplain.errors import (
 )
 from aspexplain.ground import CHOICE, CONSTRAINT, NORMAL, ChoiceAtomSpec, reconstruct
 from aspexplain.oracle import enumerate_answer_sets
+from aspexplain.support import build_er, dump_table
 
-from test_cli import DATA, element_chain
+from test_cli import DATA, MIXED_WEIGHT_PAIR, element_chain
 
 
 def build(body: str):
     return reconstruct(parse_aspif("asp 1 0 0\n" + body + "0\n"))
+
+
+def er_rows(gp, names, atoms) -> list[str]:
+    """The E_r rows of the given atoms under an answer set, as dump_table
+    prints them."""
+    table = dump_table(build_er(gp, gp.answer_from_names(names)))
+    return [line for line in table.splitlines()
+            if line.split(" : ")[0].lstrip("~") in atoms]
 
 
 def test_p1_rule_count(p1):
@@ -43,10 +52,12 @@ def test_p1_rule_texts(p1):
 def test_p1_choice_rules(p1):
     choice = [r for r in p1.rules if r.kind == CHOICE]
     assert [p1.display_atom(r.heads[0]) for r in choice] == ["m(1)", "m(2)"]
-    m1 = choice[0]
-    assert m1.element_conditions[m1.heads[0]] == (p1.atom_id("n(1)"),)
-    m2 = choice[1]
-    assert m2.element_conditions[m2.heads[0]] == (p1.atom_id("n(2)"),)
+    # Each element's condition n(i) is a literal of its rule's body.
+    heads = {"m(1)", "m(2)"}
+    assert er_rows(p1, ["c", "m(1)", "n(1)", "n(2)"], heads) == [
+        "m(1) : [{c, n(1), +choice}]", "~m(2) : [{c, n(2), -choice}]"]
+    assert er_rows(p1, ["c", "m(2)", "n(1)", "n(2)"], heads) == [
+        "~m(1) : [{c, n(1), -choice}]", "m(2) : [{c, n(2), +choice}]"]
 
 
 def test_p1_choice_spec(p1):
@@ -356,41 +367,39 @@ def test_mixed_weights_stay_opaque_with_warning():
 
 
 def test_mixed_weight_bound_pair_warns_once_per_atom():
-    # {a}.  {b}.  t1 :- a.  t2 :- b.  lo :- 1 {t1=1, t2=2}.
-    # hi :- 2 {t1=1, t2=2}.  ok :- lo, not hi.  :- not ok.
     # Folding ok reads lo's weight body again with hi's bound.
-    gp = build(
-        "1 1 1 1 0 0\n1 1 1 2 0 0\n1 0 1 4 0 1 1\n1 0 1 5 0 1 2\n"
-        "1 0 1 7 1 1 2 4 1 5 2\n1 0 1 8 1 2 2 4 1 5 2\n"
-        "1 0 1 9 0 2 7 -8\n1 0 0 0 1 -9\n"
-        "4 1 a 1 1\n4 1 b 1 2\n"
-    )
+    gp = build(MIXED_WEIGHT_PAIR)
     assert gp.warnings == [
         f"weight body for atom {aid} mixes weights [1, 2]; kept opaque"
         for aid in (7, 8)]
     assert gp.rule_text(gp.constraints()[0]) == ":- not l(9)."
 
 
-def test_coloring_choice_conditions(coloring):
+def test_coloring_choice_conditions(coloring, coloring_answer):
     c1r = coloring.atom_id("colored(1,red)")
     rules = coloring.rules_for_head(c1r)
     assert len(rules) == 1 and rules[0].kind == CHOICE
-    conds = rules[0].element_conditions[c1r]
-    assert [coloring.display_lit(l) for l in conds] == ["color(red)"]
+    names = [coloring.display_atom(a) for a in coloring_answer]
+    assert er_rows(coloring, names, {f"colored(1,{c})"
+                                     for c in ("red", "green", "blue")}) == [
+        "colored(1,red) : [{color(red), node(1), +choice}]",
+        "~colored(1,green) : [{color(green), node(1), -choice}]",
+        "~colored(1,blue) : [{color(blue), node(1), -choice}]"]
 
 
 def test_free_choice_conditions_from_siblings():
-    # Two sibling choice statements with no bound machinery: the shared body
-    # part is the rule body, each statement's extra literal is the condition.
+    # Two sibling choice statements with no bound machinery, and facts d,
+    # cp and cq: each row holds its own rule's body, condition included.
     gp = build(
         "1 1 1 2 0 2 1 3\n"
         "1 1 1 4 0 2 1 5\n"
+        "1 0 1 1 0 0\n1 0 1 3 0 0\n1 0 1 5 0 0\n"
         "4 1 d 1 1\n4 1 p 1 2\n4 2 cp 1 3\n4 1 q 1 4\n4 2 cq 1 5\n"
     )
-    rp = gp.rules_for_head(gp.atom_id("p"))[0]
-    rq = gp.rules_for_head(gp.atom_id("q"))[0]
-    assert rp.element_conditions[gp.atom_id("p")] == (gp.atom_id("cp"),)
-    assert rq.element_conditions[gp.atom_id("q")] == (gp.atom_id("cq"),)
+    assert er_rows(gp, ["cp", "cq", "d", "p"], {"p", "q"}) == [
+        "p : [{cp, d, +choice}]", "~q : [{cq, d, -choice}]"]
+    assert er_rows(gp, ["cp", "cq", "d", "q"], {"p", "q"}) == [
+        "~p : [{cp, d, -choice}]", "q : [{cq, d, +choice}]"]
 
 
 def test_coloring_shape(coloring):

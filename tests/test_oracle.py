@@ -107,7 +107,11 @@ def test_enumeration_cap():
     for i in range(21):
         name = f"x{i:02d}"
         lines.append(f"4 {len(name)} {name} 1 {i + 1}")
-    gp = build("\n".join(lines) + "\n")
+    # With no rules all 21 atoms are decided false: nothing to branch on.
+    assert enumerate_answer_sets(build("\n".join(lines) + "\n")) \
+        == [frozenset()]
+    choices = [f"1 1 1 {i + 1} 0 0" for i in range(21)]
+    gp = build("\n".join(choices + lines) + "\n")
     with pytest.raises(TooLarge):
         enumerate_answer_sets(gp)
 
