@@ -2,12 +2,12 @@
 
 Only the statement kinds the explanation pipeline consumes are modelled
 structurally: rules (tag 1), outputs (tag 4) and externals (tag 5).  Any
-other tag is preserved opaquely and re-emitted verbatim.  A program files
-each statement once, as it is read: into the typed lists, the definitions,
-the atom ids and the counter rows of the one least-model operator of the
-package, :meth:`AspifProgram.least_model`.  The alternating fixpoint and
-the well-founded model built on that operator work on these parsed
-statements.
+other tag is preserved opaquely and re-emitted verbatim.  The parser files
+each line once, from its integers, as it reads it: into the typed lists,
+the constraints, the definitions, the atom ids and the counter rows of the
+one least-model operator of the package, :meth:`AspifProgram.least_model`.
+The alternating fixpoint and the well-founded model built on that operator
+work on these parsed statements.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 from .errors import MalformedHeader, MissingTerminator, TruncatedStatement
@@ -72,18 +71,23 @@ class OpaqueStatement(NamedTuple):
 
 Statement = RuleStatement | OutputStatement | ExternalStatement | OpaqueStatement
 
+# The parser builds its statements with the tuple constructor, which gives
+# the same named tuples without the Python-level ``__new__`` of each type.
+_new = tuple.__new__
+
 
 @dataclass
 class AspifProgram:
     """Parsed statements in file order.
 
     Each statement is filed once, as the program gets it: into the typed
-    lists ``rules``, ``outputs`` and ``externals``, into ``definitions`` and
-    the atom ids, and into the counter rows of :meth:`least_model`.
-    :func:`parse_aspif` files each statement as it reads it, and a program
-    built from a list of statements files them in order, by the same
-    routine.  Equality compares ``statements`` alone.  The frozen atom ids
-    and the well-founded model are computed on first access and kept.
+    lists ``rules``, ``constraints``, ``outputs`` and ``externals``, into
+    ``definitions`` and the atom ids, and into the counter rows of
+    :meth:`least_model`.  :func:`parse_aspif` files each line from the tag
+    branch that read it, and a program built from a list of statements
+    files them in order by their type, through the same routine per kind.
+    Equality compares ``statements`` alone.  The frozen atom ids and the
+    well-founded model are computed on first access and kept.
     """
 
     statements: list[Statement] = field(default_factory=list)
@@ -93,6 +97,9 @@ class AspifProgram:
         self.rules: list[RuleStatement] = []
         self.outputs: list[OutputStatement] = []
         self.externals: list[ExternalStatement] = []
+        # The constraints, and whether a rule has a disjunctive head.
+        self.constraints: list[RuleStatement] = []
+        self.disjunctive = False
         # Each head atom's rule statements, in file order.
         self.definitions: dict[int, list[RuleStatement]] = {}
         # The atoms of constraints, outputs and externals; the indexes
@@ -114,52 +121,66 @@ class AspifProgram:
         # negative body occurrences.
         self._positive: dict[int, list[tuple[int, int]]] = defaultdict(list)
         self._negative: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        self._file(statements)
-
-    def _file(self, statements) -> None:
-        """Append each statement and file it, in order."""
-        append = self.statements.append
-        rules, definitions, ids = self.rules, self.definitions, self._ids
-        heads, template = self._heads, self._template
-        positive, negative = self._positive, self._negative
         for stmt in statements:
-            append(stmt)
-            if isinstance(stmt, RuleStatement):
-                rules.append(stmt)
-                head_type, head, body = stmt
-                for atom in head:
-                    if atom in definitions:
-                        definitions[atom].append(stmt)
-                    else:
-                        definitions[atom] = [stmt]
-                if head_type == HEAD_DISJUNCTIVE and not head:
-                    ids.update(map(abs, body.literals))
-                    continue
-                index = len(heads)
-                heads.append((head, head_type == HEAD_CHOICE))
-                if isinstance(body, WeightBody):
-                    lower, pairs = body.lower, body.elements
+            self._file(stmt)
+
+    def _file(self, stmt: Statement) -> None:
+        """Append a statement and file it by its type."""
+        if isinstance(stmt, RuleStatement):
+            return self._file_rule(stmt)
+        self.statements.append(stmt)
+        if isinstance(stmt, OutputStatement):
+            self.outputs.append(stmt)
+            self._ids.update(map(abs, stmt.condition))
+        elif isinstance(stmt, ExternalStatement):
+            self.externals.append(stmt)
+            self._ids.add(stmt.atom)
+
+    def _file_rule(self, stmt: RuleStatement) -> None:
+        """Append a rule and file it; a constraint has no counter row."""
+        self.statements.append(stmt)
+        self.rules.append(stmt)
+        head_type, head, body = stmt
+        definitions = self.definitions
+        for atom in head:
+            if atom in definitions:
+                definitions[atom].append(stmt)
+            else:
+                definitions[atom] = [stmt]
+        if head_type == HEAD_DISJUNCTIVE and len(head) != 1:
+            if head:
+                self.disjunctive = True
+            else:
+                self.constraints.append(stmt)
+                self._ids.update(map(abs, body.literals))
+                return
+        index = len(self._heads)
+        self._heads.append((head, head_type == HEAD_CHOICE))
+        positive, negative = self._positive, self._negative
+        negated = False
+        if type(body) is NormalBody:
+            lower = len(body[0])
+            # Every literal weighs 1, so the occurrences share one pair.
+            entry = (index, 1)
+            for lit in body[0]:
+                if lit > 0:
+                    positive[lit].append(entry)
                 else:
-                    lower = len(body.literals)
-                    pairs = zip(body.literals, repeat(1))
-                template.append(lower)
-                negated = False
-                for lit, weight in pairs:
-                    if lit > 0:
-                        positive[lit].append((index, weight))
-                    else:
-                        negative[-lit].append((index, weight))
-                        negated = True
-                if negated:
-                    self._negated.append(index)
-                elif lower <= 0:
-                    self._ready.append(index)
-            elif isinstance(stmt, OutputStatement):
-                self.outputs.append(stmt)
-                ids.update(map(abs, stmt.condition))
-            elif isinstance(stmt, ExternalStatement):
-                self.externals.append(stmt)
-                ids.add(stmt.atom)
+                    negative[-lit].append(entry)
+                    negated = True
+        else:
+            lower, pairs = body
+            for lit, weight in pairs:
+                if lit > 0:
+                    positive[lit].append((index, weight))
+                else:
+                    negative[-lit].append((index, weight))
+                    negated = True
+        self._template.append(lower)
+        if negated:
+            self._negated.append(index)
+        elif lower <= 0:
+            self._ready.append(index)
 
     @cached_property
     def _atom_ids(self) -> frozenset[int]:
@@ -397,15 +418,16 @@ def _parse_rule(tokens: list[str], line: str, lineno: int) -> RuleStatement:
                 start = pos + 2
                 end = start + ints[pos + 1]
                 if start <= end == len(ints):
-                    return RuleStatement(head_type, ints[3:pos],
-                                         NormalBody(ints[start:end]))
+                    return _new(RuleStatement, (head_type, ints[3:pos], _new(
+                        NormalBody, (ints[start:end],))))
             elif body_type == BODY_WEIGHT:
                 start = pos + 3
                 end = start + 2 * ints[pos + 2]
                 weights = ints[start + 1:end:2]
                 if start <= end == len(ints) and min(weights, default=0) >= 0:
-                    return RuleStatement(head_type, ints[3:pos], WeightBody(
-                        ints[pos + 1], tuple(zip(ints[start:end:2], weights))))
+                    return _new(RuleStatement, (head_type, ints[3:pos], _new(
+                        WeightBody, (ints[pos + 1],
+                                     tuple(zip(ints[start:end:2], weights))))))
     except (ValueError, IndexError):
         pass
     return _read_rule(_Fields(tokens, line, lineno))
@@ -464,7 +486,7 @@ def _parse_output(line: str, lineno: int) -> OutputStatement:
     try:
         ints = tuple(map(int, tokens))
         if ints[0] == len(ints) - 1:
-            return OutputStatement(symbol, ints[1:])
+            return _new(OutputStatement, (symbol, ints[1:]))
     except (ValueError, IndexError):
         pass
     fields = _Fields(tokens, tail, lineno)
@@ -481,12 +503,7 @@ def parse_aspif(text: str) -> AspifProgram:
     Blank lines and ``%`` comment lines are tolerated anywhere.
     """
     program = AspifProgram()
-    program._file(_read_statements(text))
-    return program
-
-
-def _read_statements(text: str):
-    """Yield the statements of aspif text in file order."""
+    file, file_rule = program._file, program._file_rule
     saw_header = False
     saw_terminator = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -508,9 +525,9 @@ def _read_statements(text: str):
         tokens = line.split()
         tag = tokens[0]
         if tag == "1":
-            yield _parse_rule(tokens, line, lineno)
+            file_rule(_parse_rule(tokens, line, lineno))
         elif tag == "4":
-            yield _parse_output(line, lineno)
+            file(_parse_output(line, lineno))
         elif tag == "5":
             try:
                 _, atom, value = map(int, tokens)
@@ -519,13 +536,14 @@ def _read_statements(text: str):
                 atom = fields.take(1, "atom")
                 value = fields.take(2, "external value")
                 fields.finish(3)
-            yield ExternalStatement(atom, value)
+            file(_new(ExternalStatement, (atom, value)))
         else:
-            yield OpaqueStatement(line)
+            file(_new(OpaqueStatement, (line,)))
     if not saw_header:
         raise MalformedHeader("empty input: no 'asp 1 0 0' header")
     if not saw_terminator:
         raise MissingTerminator("input ended without the '0' terminator")
+    return program
 
 
 def _emit_rule(stmt: RuleStatement) -> str:

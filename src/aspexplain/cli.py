@@ -291,7 +291,12 @@ def cmd_assumptions(args) -> int:
     if loaded is None:
         return EXIT_NOT_ANSWER_SET
     g, answer = loaded
-    report = minimal_assumption_sets(g, answer)
+    if args.no_check:
+        # An unchecked answer may fail in any row, so every row is built.
+        report = minimal_assumption_sets(g, answer)
+    else:
+        table = SupportTable(g, answer)
+        report = minimal_assumption_sets(g, answer, er=table.er, table=table)
     if not report.min_b_exact:
         print(f"note: min(B) is one greedy cycle break, not every minimal "
               f"set: more than {_EXACT_SEARCH_LIMIT} atoms take part in DA "

@@ -275,10 +275,10 @@ class GroundProgram:
             named = self.named
             # A named literal resolves to itself, so only the auxiliary
             # literals have alternatives to conjoin.
-            bodies = _dedupe_sets(_union_product(
-                [self.resolve_aux(lit) for lit in lits
-                 if abs(lit) not in named],
-                frozenset(lit for lit in lits if abs(lit) in named)))
+            base = frozenset(lit for lit in lits if abs(lit) in named)
+            aux = [self.resolve_aux(lit) for lit in lits
+                   if abs(lit) not in named]
+            bodies = _dedupe_sets(_union_product(aux, base)) if aux else [base]
             self._body_memo[rule.statement_index] = bodies
         return bodies
 
@@ -442,6 +442,9 @@ class _ChoiceFolder:
             h for stmt in gp.aspif.rules if stmt.head_type == HEAD_CHOICE
             for h in stmt.head}
         self._spec_memo: dict[int, ChoiceAtomSpec | None] = {}
+        # tuple atom -> what _element_for gives.  A bound pair's two weight
+        # bodies hold the same elements, which are read once.
+        self._element_memo: dict[int, tuple | None] = {}
         # (atom, weight body) -> what _read_elements gives.  Each is read
         # once, though a bound pair ``ok :- lo, not hi`` folds ``lo`` again
         # with its upper bound.
@@ -525,10 +528,13 @@ class _ChoiceFolder:
         elements = []
         consumed = [] if aid in self.named \
             else [self.gp.aspif.definitions[aid][0]]
+        memo = self._element_memo
         for lit, _ in body.elements:
             if lit <= 0:
                 return None
-            element = self._element_for(lit)
+            if lit not in memo:
+                memo[lit] = self._element_for(lit)
+            element = memo[lit]
             if element is None:
                 return None
             element, tuple_stmt = element

@@ -7,7 +7,7 @@ from the aspif-level operator :meth:`AspifProgram.least_model`.  A total
 interpretation M is stable iff it equals the least model of its reduct and
 no constraint body holds in it: once M is that least model, it holds every
 external and satisfies every other rule, so no separate classical check is
-needed (see :meth:`_Checker.is_stable`).
+needed (see :meth:`_Checker.is_reduct_model`).
 
 Checking and enumerating answer sets are one depth-first search,
 :meth:`_Checker.search`, in the manner of the ``expand`` step of Smodels
@@ -16,35 +16,24 @@ false and holds the bounds :meth:`AspifProgram.alternating_fixpoint` gives
 under these assumptions, the operator behind the well-founded model the
 assumption analysis uses.  It branches on the named atoms first, then on
 the auxiliary atoms the bounds leave undecided, and checks each total
-interpretation it reaches exactly.  :func:`enumerate_answer_sets` starts
-from the well-founded model; :func:`check_answer_set` assumes every named
-atom, so it branches on auxiliary atoms only.  Choice bounds need no
+interpretation it reaches exactly.  Each node's bounds already passed the
+constraint test, so a leaf, whose bounds are that one interpretation,
+tests only the least model of its reduct.  :func:`enumerate_answer_sets`
+starts from the well-founded model; :func:`check_answer_set` assumes every
+named atom, so it branches on auxiliary atoms only.  Choice bounds need no
 special treatment here: the grounder encodes them as ordinary weight
 bodies and integrity constraints, which are checked directly.
 """
 
 from __future__ import annotations
 
-from .aspif import (
-    HEAD_DISJUNCTIVE,
-    AspifProgram,
-    WeightBody,
-    parse_aspif,
-)
+from .aspif import AspifProgram, WeightBody, parse_aspif
 from .errors import ReconstructionError, TooLarge, UnknownLiteral
 
 MAX_NAMED_ATOMS = 20
 MAX_FREE_AUX = 12
 
 Interpretation = frozenset  # of atom names
-
-
-def _name_map(program: AspifProgram) -> dict[str, int]:
-    names: dict[str, int] = {}
-    for stmt in program.outputs:
-        if len(stmt.condition) == 1 and stmt.condition[0] > 0:
-            names[stmt.symbol] = stmt.condition[0]
-    return names
 
 
 def _body_true(body, holds) -> bool:
@@ -56,36 +45,35 @@ def _body_true(body, holds) -> bool:
 class _Checker:
     def __init__(self, program: AspifProgram):
         self.program = program
-        for stmt in program.rules:
-            if stmt.head_type == HEAD_DISJUNCTIVE and len(stmt.head) > 1:
-                raise ReconstructionError(
-                    "disjunctive heads are outside the supported fragment")
-        self.names = _name_map(program)
+        if program.disjunctive:
+            raise ReconstructionError(
+                "disjunctive heads are outside the supported fragment")
+        self.names = {s.symbol: s.condition[0] for s in program.outputs
+                      if len(s.condition) == 1 and s.condition[0] > 0}
         self.named_ids = set(self.names.values())
         self.externals = {s.atom for s in program.externals}
         self.aux_ids = sorted(
             program.atom_ids() - self.named_ids - self.externals)
-        self.constraints = [s for s in program.rules if s.is_constraint]
+
+    def is_reduct_model(self, total: frozenset[int]) -> bool:
+        """True iff ``total`` equals the least model of its reduct.
+
+        Such a model holds every external, which the least model takes as
+        a fact, and satisfies every rule that is not a constraint: a body
+        that holds in ``total`` holds in the reduct, weights being
+        non-negative, so the rule fires there and puts its head in the
+        least model, which is ``total``; a choice rule is satisfied
+        whatever it derives, and disjunctive heads are rejected when the
+        checker is built.  So ``total`` is an answer set iff, in addition,
+        no constraint body holds in it.
+        """
+        return self.program.least_model(total, total) == total
 
     def is_stable(self, total: frozenset[int]) -> bool:
-        """True iff ``total`` is an answer set.
-
-        Suppose ``total`` equals the least model of its reduct.  That model
-        holds every external, which the least model takes as a fact, and
-        satisfies every rule that is not a constraint: a body that holds in
-        ``total`` holds in the reduct, weights being non-negative, so the
-        rule fires there and puts its head in the least model, which is
-        ``total``; a choice rule is satisfied whatever it derives, and
-        disjunctive heads are rejected when the checker is built.  So only
-        the constraint bodies are left to check.
-        """
-        if self.program.least_model(total, total) != total:
-            return False
-
-        def holds(lit: int) -> bool:
-            return (abs(lit) in total) == (lit > 0)
-
-        return not any(_body_true(s.body, holds) for s in self.constraints)
+        """True iff ``total`` is an answer set: it equals the least model
+        of its reduct (see :meth:`is_reduct_model`) and no constraint body
+        holds in it."""
+        return self.is_reduct_model(total) and not self.violated(total, total)
 
     def violated(self, lower, upper) -> bool:
         """True iff a constraint body holds in every interpretation that
@@ -93,7 +81,7 @@ class _Checker:
         def holds(lit: int) -> bool:
             return lit in lower if lit > 0 else -lit not in upper
 
-        return any(_body_true(s.body, holds) for s in self.constraints)
+        return any(_body_true(s.body, holds) for s in self.program.constraints)
 
     def bounds(self, true, false, parent):
         """The bounds of the answer sets that contain ``true`` and miss
@@ -129,7 +117,11 @@ class _Checker:
         the first atom of ``free``, the named atoms that may be open, that
         its bounds leave undecided; once they decide every named atom, on
         the auxiliary atoms left undecided, in id order.  A leaf decides
-        every atom, so its lower bound is the one interpretation to check.
+        every atom, so its bounds are equal and its lower bound is the one
+        interpretation to check.  Every node on the stack got its bounds
+        from :meth:`bounds`, which found no constraint body that holds
+        between them, here in that interpretation; so the leaf checks only
+        that it is the least model of its reduct (:meth:`is_reduct_model`).
         The auxiliary atoms open at the node that first decides every named
         atom are capped by :data:`MAX_FREE_AUX`, as cyclic auxiliary
         definitions would branch on each.  Once one leaf below that node
@@ -152,7 +144,7 @@ class _Checker:
                     # above ``base``.
                     base = len(stack)
                 if not open_aux:
-                    if self.is_stable(lower):
+                    if self.is_reduct_model(lower):
                         yield lower
                         del stack[base:]
                     continue

@@ -88,8 +88,10 @@ def walked_indexes(program: AspifProgram):
         elif lower <= 0:
             ready.append(index)
         rows.append((head, head_type == 1, lower))
-    return (rules, outputs, externals, definitions, frozenset(ids), rows,
-            ready, negated, positive, negative)
+    constraints = [s for s in rules if s.head_type == 0 and not s.head]
+    disjunctive = any(s.head_type == 0 and len(s.head) > 1 for s in rules)
+    return (rules, outputs, externals, constraints, disjunctive, definitions,
+            frozenset(ids), rows, ready, negated, positive, negative)
 
 
 def filed_indexes(program: AspifProgram):
@@ -97,9 +99,9 @@ def filed_indexes(program: AspifProgram):
     rows = [(head, choice, lower) for (head, choice), lower
             in zip(program._heads, program._template)]
     return (program.rules, program.outputs, program.externals,
-            program.definitions, program.atom_ids(), rows, program._ready,
-            program._negated, dict(program._positive),
-            dict(program._negative))
+            program.constraints, program.disjunctive, program.definitions,
+            program.atom_ids(), rows, program._ready, program._negated,
+            dict(program._positive), dict(program._negative))
 
 
 def bundled_programs():
@@ -435,6 +437,35 @@ def test_unknown_tag_is_kept_opaque():
     opaque = [s for s in program.statements if isinstance(s, OpaqueStatement)]
     assert len(opaque) == 1
     assert emit_aspif(program) == text
+
+
+def statement_types(program: AspifProgram) -> list:
+    """The type of each statement, and of each rule's body."""
+    return [(type(s), type(s.body) if isinstance(s, RuleStatement) else None)
+            for s in program.statements]
+
+
+def generated_texts():
+    from test_shrink import families
+
+    for path in sorted(DATA.glob("*.aspif")):
+        yield path.read_text()
+    for instance in (families.ring(30), families.loops(24, 11),
+                     families.chain(64, True)):
+        yield instance.text
+    for seed in range(50):
+        yield emit_aspif(oracle.random_program(seed).aspif)
+
+
+def test_parse_files_as_a_hand_built_program_does():
+    # The parser files each line from its integers; a program built from
+    # the same statements files them by their type.
+    for text in generated_texts():
+        parsed = parse_aspif(text)
+        built = AspifProgram(parsed.statements)
+        assert parsed.statements == built.statements
+        assert statement_types(parsed) == statement_types(built)
+        assert filed_indexes(parsed) == filed_indexes(built)
 
 
 def test_external_values(p1_program):

@@ -175,16 +175,16 @@ def test_even_loops_with_d():
 
 
 def counted_leaves(monkeypatch) -> list:
-    """The interpretation of each call to ``_Checker.is_stable`` from now
-    on: one per leaf the search reaches."""
+    """The interpretation of each call to ``_Checker.is_reduct_model`` from
+    now on: one per leaf the search reaches."""
     leaves = []
-    is_stable = oracle._Checker.is_stable
+    is_reduct_model = oracle._Checker.is_reduct_model
 
     def counting(self, total):
         leaves.append(total)
-        return is_stable(self, total)
+        return is_reduct_model(self, total)
 
-    monkeypatch.setattr(oracle._Checker, "is_stable", counting)
+    monkeypatch.setattr(oracle._Checker, "is_reduct_model", counting)
     return leaves
 
 

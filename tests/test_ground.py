@@ -416,3 +416,22 @@ def test_coloring_shape(coloring):
 
 def test_reconstruction_keeps_the_parsed_program(p1, p1_program):
     assert p1.aspif is p1_program
+
+
+def test_each_choice_element_is_read_once(monkeypatch):
+    # A bound pair `ok :- lo, not hi` folds the weight bodies of `lo` and
+    # `hi`, which hold the same tuple atoms; each is read once.
+    from test_shrink import families
+
+    from aspexplain.ground import _ChoiceFolder
+
+    reads = []
+    element_for = _ChoiceFolder._element_for
+
+    def counting(self, aid):
+        reads.append(aid)
+        return element_for(self, aid)
+
+    monkeypatch.setattr(_ChoiceFolder, "_element_for", counting)
+    reconstruct(parse_aspif(families.ring(30).text))
+    assert len(reads) == len(set(reads)) == 90

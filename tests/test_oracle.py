@@ -374,3 +374,37 @@ def test_check_of_a_folded_choice_makes_six_full_passes(
         monkeypatch.setattr(AspifProgram, name, counting(name))
     assert check_answer_set(gp, answer)
     assert calls == {"_start": 6, "least_model": 4}
+
+
+def test_check_tests_each_constraint_once(monkeypatch):
+    # The bounds of every node already passed the constraint test, so the
+    # leaf tests only the least model of the reduct: one `_body_true` call
+    # per constraint statement, and a number of propagations that does not
+    # grow with the ring.
+    from test_shrink import families
+
+    def counts(n):
+        instance = families.ring(n)
+        gp = reconstruct(parse_aspif(instance.text))
+        calls = {"_body_true": 0, "_propagate": 0}
+        body_true = oracle._body_true
+        propagate = AspifProgram._propagate
+
+        def counting_body_true(*args):
+            calls["_body_true"] += 1
+            return body_true(*args)
+
+        def counting_propagate(self, *args, **kwargs):
+            calls["_propagate"] += 1
+            return propagate(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_body_true", counting_body_true)
+            patch.setattr(AspifProgram, "_propagate", counting_propagate)
+            assert check_answer_set(gp, instance.answer)
+        constraints = sum(s.is_constraint for s in gp.aspif.rules)
+        return calls, constraints
+
+    small, constraints = counts(30)
+    assert small["_body_true"] == constraints == 120
+    assert counts(120)[0]["_propagate"] == small["_propagate"]
