@@ -71,7 +71,7 @@ print(dump_table(ec))
 # answer set are tentative; derivation analysis shows a's falsity only
 # derives through the cycle a -> c -> a, so a must simply be assumed.
 table = merge_supports(er, ec)
-report = minimal_assumption_sets(g, answer, er=er, table=table)
+report = minimal_assumption_sets(g, answer, table=table)
 print("\ntentative assumptions:", sorted(report.ta))
 print("assumed false:", sorted(report.chosen_u))
 

@@ -45,7 +45,7 @@ answer = g.answer_from_names((DATA / "coloring_answer.txt").read_text()
 er = build_er(g, answer)
 ec = constraint_preprocessing(g, answer)
 table = merge_supports(er, ec)
-report = minimal_assumption_sets(g, answer, er=er, table=table)
+report = minimal_assumption_sets(g, answer, table=table)
 
 # Nothing needs to be assumed: the choices themselves settle every
 # negated atom.

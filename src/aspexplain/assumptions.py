@@ -50,12 +50,12 @@ def tentative_assumptions(g: GroundProgram, A: frozenset[int]) -> frozenset[str]
                      if a not in A and a not in wf_false)
 
 
-def derivation_analysis(er, ta: frozenset[str]):
-    """Split TA into T (must assume) and T' (derivable), with DA."""
+def derivation_analysis(table, ta: frozenset[str]):
+    """Split TA into T (must assume) and T' (derivable), with DA, on E."""
     t_deferred = set()
     da: dict[str, list[frozenset[str]]] = {}
     for name in sorted(ta):
-        ds = _path_ds(er, nodes.neg_atom_node(name), ta, name)
+        ds = _path_ds(table, nodes.neg_atom_node(name), ta, name)
         if ds is not None:
             t_deferred.add(name)
             da[name] = ds
@@ -68,7 +68,9 @@ _OPEN = object()  # a node whose D-sets need its supports expanded
 
 def _leaf_ds(node, on_path, non_neg, ta, root):
     """The D-sets of a node that is decided without expanding it, or _OPEN."""
-    if node.kind in nodes.TERMINAL_KINDS:
+    # A triggered constraint derives no atom: its node only records why the
+    # constraint did not fire, so a path ends there as at a terminal.
+    if node.kind in nodes.TERMINAL_KINDS or node.kind == nodes.CONSTRAINT:
         return [frozenset()]
     if node.kind == nodes.NEG_ATOM and node.payload[0] in ta:
         name = node.payload[0]
@@ -96,7 +98,7 @@ class _Frame:
         self.results: list[frozenset[str]] = []
 
 
-def _path_ds(er, start, ta, root):
+def _path_ds(table, start, ta, root):
     """D-sets of all valid derivation paths below a node, or None.
 
     A path is invalid if it re-reaches the root or closes a cycle through
@@ -114,7 +116,7 @@ def _path_ds(er, start, ta, root):
     while True:
         value = _leaf_ds(node, on_path, non_neg, ta, root)
         if value is _OPEN:
-            alternatives = er.get(node)
+            alternatives = table.get(node)
             if alternatives is None:
                 value = None
             else:
@@ -228,16 +230,21 @@ def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
     in sorted order; validity is monotone in the assumed set, so one pass
     reaches a subset-minimal U.  Each candidate U - {X} costs one graph
     build, for ~X.
+
+    The analysis and the shrink read ``table``, the support table E; when
+    it is not given, E is built whole, from ``er`` if that is given.
     """
-    if er is None:
-        er = build_er(g, A)
+    if table is None:
+        if er is None:
+            er = build_er(g, A)
+        table = merge_supports(er, constraint_preprocessing(g, A))
     ta = tentative_assumptions(g, A)
-    t_must, t_deferred, da = derivation_analysis(er, ta)
+    t_must, t_deferred, da = derivation_analysis(table, ta)
     candidates = min_cycle_break(da)
     candidates.sort(key=lambda c: (len(c), tuple(sorted(c))))
     best = min(candidates, key=lambda c: tuple(sorted(c)))
     chosen = frozenset(t_must) | best
-    chosen = _shrink_against_graphs(g, A, er, table, chosen)
+    chosen = _shrink_against_graphs(g, A, table, chosen)
     return AssumptionReport(
         ta=ta,
         t_must=t_must,
@@ -249,7 +256,7 @@ def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
     )
 
 
-def _shrink_against_graphs(g, A, er, table, chosen: frozenset[str]):
+def _shrink_against_graphs(g, A, table, chosen: frozenset[str]):
     """Drop each atom of ``chosen`` in sorted order while every named
     literal keeps a valid graph.
 
@@ -267,8 +274,6 @@ def _shrink_against_graphs(g, A, er, table, chosen: frozenset[str]):
     """
     if not chosen:
         return chosen
-    if table is None:
-        table = merge_supports(er, constraint_preprocessing(g, A))
     covered: set[nodes.ENode] = set()
     for aid in sorted(g.named_ids()):
         root = nodes.literal_node(g.display_atom(aid), aid in A)

@@ -259,8 +259,7 @@ def cmd_explain(args) -> int:
         table = merge_supports(er, ec)
     else:
         table = SupportTable(g, answer)
-        er = table.er
-    report = minimal_assumption_sets(g, answer, er=er, table=table)
+    report = minimal_assumption_sets(g, answer, table=table)
     graph = build_egraph(table, report.chosen_u, parse_root(args.root),
                          max_graphs=1)[0]
     if args.format == "dot":
@@ -291,12 +290,9 @@ def cmd_assumptions(args) -> int:
     if loaded is None:
         return EXIT_NOT_ANSWER_SET
     g, answer = loaded
-    if args.no_check:
-        # An unchecked answer may fail in any row, so every row is built.
-        report = minimal_assumption_sets(g, answer)
-    else:
-        table = SupportTable(g, answer)
-        report = minimal_assumption_sets(g, answer, er=table.er, table=table)
+    # An unchecked answer may fail in any row, so then every row is built.
+    table = None if args.no_check else SupportTable(g, answer)
+    report = minimal_assumption_sets(g, answer, table=table)
     if not report.min_b_exact:
         print(f"note: min(B) is one greedy cycle break, not every minimal "
               f"set: more than {_EXACT_SEARCH_LIMIT} atoms take part in DA "

@@ -85,12 +85,26 @@ _ASSUMED = (frozenset({nodes.assume_node()}),)  # the support of an assumed ~X
 _UNBUILT = object()  # a row not built yet; a built row may be None
 
 
-class _Rows:
-    """The reading side of a table whose rows come from a function that
-    gives None for a node that is not a key."""
+class SupportTable:
+    """The table merge_supports(build_er(g, A), constraint_preprocessing(g,
+    A)) builds, with each row built when it is first read.
 
-    def __init__(self, row):
-        self._row = row
+    A literal's row is its E_r row; where the literal L holds in constraint
+    bodies, each set also holds triggered_constraint(L), whose row takes
+    one savior from each of those bodies, in constraint order.  A choice or
+    tuple row depends only on its key and is stored when a row holding the
+    node is built.  Building the table raises the first reconstruction
+    error the full build would raise, so a query fails as the full build
+    does.
+    """
+
+    def __init__(self, g, A: frozenset[int]):
+        check_rules(g, A)
+        check_constraints(g, A)
+        self._g = g
+        self._A = A
+        self._index = g.constraint_index
+        self._rows: dict = {}
 
     def get(self, node: nodes.ENode, default=None):
         row = self._row(node)
@@ -98,32 +112,6 @@ class _Rows:
 
     def __contains__(self, node: nodes.ENode) -> bool:
         return self._row(node) is not None
-
-
-class SupportTable(_Rows):
-    """The table merge_supports(build_er(g, A), constraint_preprocessing(g,
-    A)) builds, with each row built when it is first read.
-
-    A literal's row is its E_r row; where the literal L holds in constraint
-    bodies, each set also holds triggered_constraint(L), whose row takes
-    one savior from each of those bodies, in constraint order.  A choice or
-    tuple row depends only on its key and is kept when a row holding the
-    node is built.  ``er`` reads the E_r rows alone, as build_er gives
-    them.  Building the table raises the first reconstruction error the
-    full build would raise, so a query fails as the full build does.
-    """
-
-    def __init__(self, g, A: frozenset[int]):
-        check_rules(g, A)
-        check_constraints(g, A)
-        super().__init__(self._row)
-        self.er = _Rows(self._er_row)
-        self._g = g
-        self._A = A
-        self._index = g.constraint_index
-        self._er: dict = {}
-        self._rows: dict = {}
-        self._expansions: dict = {}
 
     def _holding(self, name: str, positive: bool) -> int | None:
         """The signed id of a named literal that holds under A, or None."""
@@ -135,31 +123,8 @@ class SupportTable(_Rows):
             return None
         return aid if positive else -aid
 
-    def _er_row(self, node: nodes.ENode):
-        kind = node.kind
-        if kind == nodes.CONSTRAINT:
-            return None
-        if kind not in _LITERAL_KINDS:
-            return self._expansions.get(node)
-        row = self._er.get(node, _UNBUILT)
-        if row is _UNBUILT:
-            row = self._build_er(node, self._holding(node.payload[0],
-                                                     kind == nodes.ATOM))
-        return row
-
-    def _build_er(self, node: nodes.ENode, lit: int | None):
-        """The E_r row of a literal node whose holding signed id is
-        ``lit``, None if it does not hold; kept once built."""
-        row = None
-        if lit is not None:
-            expansion: dict = {}
-            _, row = er_row(self._g, self._A, abs(lit), expansion)
-            if expansion:
-                _merge_expansion(self._expansions, expansion)
-        self._er[node] = row
-        return row
-
     def _row(self, node: nodes.ENode):
+        """The row of ``node``, None if it is not a key."""
         row = self._rows.get(node, _UNBUILT)
         if row is not _UNBUILT:
             return row
@@ -169,17 +134,19 @@ class SupportTable(_Rows):
         elif kind in _LITERAL_KINDS:
             row = self._literal_row(node)
         else:
-            return self._expansions.get(node)
+            return None
         self._rows[node] = row
         return row
 
     def _literal_row(self, node: nodes.ENode):
         name, positive = node.payload[0], node.kind == nodes.ATOM
         lit = self._holding(name, positive)
-        row = self._er.get(node, _UNBUILT)
-        if row is _UNBUILT:
-            row = self._build_er(node, lit)
-        if row is None or lit not in self._index:
+        if lit is None:
+            return None
+        expansion: dict = {}
+        _, row = er_row(self._g, self._A, abs(lit), expansion)
+        _merge_expansion(self._rows, expansion)
+        if lit not in self._index:
             return row
         tc = nodes.constraint_node(name, positive)
         return _dedupe_sets([s | {tc} for s in row])
@@ -192,7 +159,7 @@ class SupportTable(_Rows):
         for rule, body in bodies:
             _, saviors, expansion = constraint_saviors(self._g, self._A,
                                                        rule, body)
-            _merge_expansion(self._expansions, expansion)
+            _merge_expansion(self._rows, expansion)
             rows = [c | {s} for c in rows for s in saviors]
         return _dedupe_sets(rows)
 

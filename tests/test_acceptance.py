@@ -58,7 +58,7 @@ def pipeline(g, answer):
     er = build_er(g, answer)
     ec = constraint_preprocessing(g, answer)
     table = merge_supports(er, ec)
-    report = minimal_assumption_sets(g, answer, er=er, table=table)
+    report = minimal_assumption_sets(g, answer, table=table)
     return table, report.chosen_u
 
 
@@ -225,7 +225,7 @@ def _run_sweep():
                 counts["constraint"] += 1
                 continue
             table = merge_supports(er, ec)
-            report = minimal_assumption_sets(g, A, er=er, table=table)
+            report = minimal_assumption_sets(g, A, table=table)
             u = report.chosen_u
             built = graphs_for_all(g, A, table, u)
             if built is None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aspexplain import assumptions, oracle
+from aspexplain import assumptions, nodes, oracle
 from aspexplain.aspif import parse_aspif
 from aspexplain.assumptions import (
     _EXACT_SEARCH_LIMIT,
@@ -20,6 +20,8 @@ from aspexplain.assumptions import (
     tentative_assumptions,
     well_founded,
 )
+from aspexplain.constraints import constraint_preprocessing
+from aspexplain.egraph import SupportTable, merge_supports
 from aspexplain.errors import TooLarge
 from aspexplain.ground import reconstruct
 from aspexplain.support import build_er
@@ -202,8 +204,6 @@ class TestDerivationAnalysis:
     def test_cycle_with_positive_edge_is_invalid(self):
         # Hand-built table: the only path below ~r closes a cycle through
         # the positive edge into p, so it must be rejected.
-        from aspexplain import nodes
-
         r, x, p = (nodes.neg_atom_node("r"), nodes.neg_atom_node("x"),
                    nodes.atom_node("p"))
         er = {r: [frozenset({x})], x: [frozenset({p})], p: [frozenset({x})]}
@@ -232,6 +232,37 @@ class TestDerivationAnalysis:
         assert t_must == {"x"}
         assert t_deferred == {"b"}
         assert da == {"b": [frozenset({"x"})]}
+
+    def test_analysis_over_e_matches_the_analysis_over_e_r(
+            self, p1, coloring):
+        # A triggered-constraint node derives no atom, so a path ends there
+        # and E gives the split E_r gives.  Some TA literal's row must hold
+        # such a node, or the leaf rule is not exercised.
+        programs = [p1, coloring]
+        for n_atoms in (6, 8):
+            programs.extend(
+                oracle.random_program(seed, n_atoms=n_atoms, p_choice=0.5)
+                for seed in range(100))
+        answers = through_constraint = 0
+        for g in programs:
+            try:
+                models = oracle.enumerate_answer_sets(g)
+            except TooLarge:
+                continue
+            for model in models:
+                A = g.answer_from_names(sorted(model))
+                er = build_er(g, A)
+                merged = merge_supports(er, constraint_preprocessing(g, A))
+                ta = tentative_assumptions(g, A)
+                expected = derivation_analysis(er, ta)
+                assert derivation_analysis(merged, ta) == expected
+                assert derivation_analysis(SupportTable(g, A), ta) == expected
+                answers += 1
+                through_constraint += any(
+                    node.kind == nodes.CONSTRAINT for name in ta
+                    for s in merged[nodes.neg_atom_node(name)] for node in s)
+        assert answers > 100 and through_constraint > 10, (
+            answers, through_constraint)
 
 
 class TestMinCycleBreak:

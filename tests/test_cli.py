@@ -593,6 +593,21 @@ class TestAssumptions:
         assert out == ""
         assert err.startswith("error: the derivation paths below ~a")
 
+    @pytest.mark.parametrize("command", [["assumptions"],
+                                         ["explain", "--root", "a"]],
+                             ids=["assumptions", "explain"])
+    def test_unchecked_firing_constraint_exits_3(self, capsys, tmp_path,
+                                                 command):
+        # {a}.  :- a.  The answer {a} fires the constraint; both commands
+        # read E_c before any graph, so both report it.
+        path = write(tmp_path, "p.aspif", "asp 1 0 0\n1 1 1 1 0 0\n"
+                     "1 0 0 0 1 1\n" + named("a") + "0\n")
+        code, out, err = run(capsys, command[0], path, "--answer", "a",
+                             "--no-check", *command[1:])
+        assert (code, out) == (3, "")
+        assert err == ('error: constraint ":- a." fires under the given '
+                       "interpretation; it is not an answer set\n")
+
 
 class TestAnswersets:
     def test_running_example_three_models(self, capsys):

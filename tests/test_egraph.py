@@ -38,7 +38,7 @@ def pipeline(g, answer):
     er = build_er(g, answer)
     ec = constraint_preprocessing(g, answer)
     table = merge_supports(er, ec)
-    report = minimal_assumption_sets(g, answer, er=er, table=table)
+    report = minimal_assumption_sets(g, answer, table=table)
     return table, report.chosen_u
 
 

@@ -188,7 +188,7 @@ def _explained(g, A) -> bytes:
         parts.append(dump_table(build_er(g, A)))
         parts.append(dump_table(constraint_preprocessing(g, A)))
         table = SupportTable(g, A)
-        u = minimal_assumption_sets(g, A, er=table.er, table=table).chosen_u
+        u = minimal_assumption_sets(g, A, table=table).chosen_u
     except AspExplainError as err:
         return repr((type(err).__name__, str(err))).encode()
     parts.append(repr(sorted(u)))

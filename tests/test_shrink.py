@@ -62,12 +62,12 @@ def check_against_reference(g, A, extra_starts=()) -> frozenset[str]:
     ``extra_starts``."""
     er = build_er(g, A)
     table = merge_supports(er, constraint_preprocessing(g, A))
-    report = assumptions.minimal_assumption_sets(g, A, er=er, table=table)
+    report = assumptions.minimal_assumption_sets(g, A, table=table)
     best = min(report.min_b_candidates, key=lambda c: tuple(sorted(c)))
     start = report.t_must | best
     assert report.chosen_u == reference_shrink(g, A, table, start)
     for other in extra_starts:
-        assert assumptions._shrink_against_graphs(g, A, er, table, other) \
+        assert assumptions._shrink_against_graphs(g, A, table, other) \
             == reference_shrink(g, A, table, other)
     return start
 
@@ -117,7 +117,7 @@ def shrink_builds(monkeypatch, n: int) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(assumptions, "find_egraphs", counting)
-        report = assumptions.minimal_assumption_sets(g, A, er=er, table=table)
+        report = assumptions.minimal_assumption_sets(g, A, table=table)
     assert sorted(report.chosen_u) == inst.expect["u"]
     return calls
 
@@ -174,7 +174,7 @@ def test_first_pass_skips_literals_of_earlier_graphs(monkeypatch, n):
 
     with monkeypatch.context() as patch:
         patch.setattr(assumptions, "find_egraphs", counting)
-        report = assumptions.minimal_assumption_sets(g, A, er=er, table=table)
+        report = assumptions.minimal_assumption_sets(g, A, table=table)
     assert report.chosen_u == frozenset({"x(1)"})
     assert calls == 3
     if n < 100:  # the reference builds n + 2 graphs of up to n + 2 nodes
