@@ -58,8 +58,8 @@ for rule in g.rules:
 # negation — those are the only candidates the assumption analysis will
 # ever need to consider.
 print("\nsymbols:")
-for aid in g.symbol_order:
-    print(f"  {g.display_atom(aid)} = atom {aid}")
+for aid, name in g.named.items():
+    print(f"  {name} = atom {aid}")
 print("\nnegated atoms:", ", ".join(g.nant_names()))
 
 # Step 4: the program has three answer sets; the exact search of the

@@ -48,7 +48,6 @@ from .errors import (
 from .ground import (
     ChoiceAtomSpec,
     ChoiceElement,
-    GroundAtom,
     GroundProgram,
     GroundRule,
     reconstruct,
@@ -75,7 +74,6 @@ __all__ = [
     "DuplicateSymbol",
     "EEdge",
     "ExplanationGraph",
-    "GroundAtom",
     "GroundProgram",
     "GroundRule",
     "MalformedHeader",

@@ -97,9 +97,7 @@ class AspifProgram:
         self.rules: list[RuleStatement] = []
         self.outputs: list[OutputStatement] = []
         self.externals: list[ExternalStatement] = []
-        # The constraints, and whether a rule has a disjunctive head.
         self.constraints: list[RuleStatement] = []
-        self.disjunctive = False
         # Each head atom's rule statements, in file order.
         self.definitions: dict[int, list[RuleStatement]] = {}
         # The atoms of constraints, outputs and externals; the indexes
@@ -147,13 +145,10 @@ class AspifProgram:
                 definitions[atom].append(stmt)
             else:
                 definitions[atom] = [stmt]
-        if head_type == HEAD_DISJUNCTIVE and len(head) != 1:
-            if head:
-                self.disjunctive = True
-            else:
-                self.constraints.append(stmt)
-                self._ids.update(map(abs, body.literals))
-                return
+        if head_type == HEAD_DISJUNCTIVE and not head:
+            self.constraints.append(stmt)
+            self._ids.update(map(abs, body.literals))
+            return
         index = len(self._heads)
         self._heads.append((head, head_type == HEAD_CHOICE))
         positive, negative = self._positive, self._negative

@@ -237,8 +237,8 @@ def _load_answered(args) -> tuple[GroundProgram, frozenset[int]] | None:
 def cmd_parse(args) -> int:
     g = _load_program(args)
     lines = [g.rule_text(rule) for rule in g.rules]
-    for aid in g.symbol_order:
-        lines.append(f"% symbol: {g.display_atom(aid)} = {aid}")
+    for aid, name in g.named.items():
+        lines.append(f"% symbol: {name} = {aid}")
     nant = g.nant_names()
     if nant:
         lines.append("% nant: " + _fmt_set(nant))

@@ -38,17 +38,6 @@ CHOICE = "choice"
 CONSTRAINT = "constraint"
 
 
-@dataclass
-class GroundAtom:
-    aid: int
-    name: str | None = None
-    is_fact: bool = False
-
-    @property
-    def display(self) -> str:
-        return self.name if self.name is not None else f"l({self.aid})"
-
-
 @dataclass(frozen=True)
 class ChoiceElement:
     """One element of a choice atom: its literals with the element first."""
@@ -77,18 +66,25 @@ class GroundRule:
 
 
 class GroundProgram:
+    """The rule view of an aspif program, with its one name table.
+
+    ``named`` maps each named atom id to its symbol, in the order of the
+    output statements, and ``facts`` holds the atoms of the external
+    statements.  Every other atom is a hidden (auxiliary) atom, which
+    :meth:`display_atom` shows as ``l(id)``.  The answer-set oracle reads
+    names and facts from this table too.
+    """
+
     def __init__(self, aspif_program: AspifProgram):
         self.aspif = aspif_program
-        self.atoms: dict[int, GroundAtom] = {}
-        # The ids of the named atoms, which the per-statement passes test.
-        self.named: set[int] = set()
+        self.named: dict[int, str] = {}
+        self.facts: set[int] = {s.atom for s in aspif_program.externals}
         self.rules: list[GroundRule] = []
         self.warnings: list[str] = []
         self.nant: frozenset[int] = frozenset()
         # Head atom -> its rules in statement order; None -> constraints.
         self.index: dict[int | None, list[GroundRule]] = {}
-        self.fact_order: list[int] = []
-        self.symbol_order: list[int] = []
+        # Symbol -> atom id, the reverse of ``named``.
         self._by_name: dict[str, int] = {}
         self._resolve_memo: dict[int, list[frozenset[int]]] = {}
         self._body_memo: dict[int, list[frozenset[int]]] = {}
@@ -97,8 +93,8 @@ class GroundProgram:
     # --- naming -----------------------------------------------------------
 
     def display_atom(self, aid: int) -> str:
-        atom = self.atoms.get(aid)
-        return atom.display if atom is not None else f"l({aid})"
+        name = self.named.get(aid)
+        return name if name is not None else f"l({aid})"
 
     def display_lit(self, lit: int) -> str:
         name = self.display_atom(abs(lit))
@@ -110,11 +106,8 @@ class GroundProgram:
         except KeyError:
             raise UnknownLiteral(f"unknown atom {name!r}") from None
 
-    def is_named(self, aid: int) -> bool:
-        return aid in self.named
-
     def named_ids(self) -> list[int]:
-        return list(self.symbol_order)
+        return list(self.named)
 
     def answer_from_names(self, names) -> frozenset[int]:
         return frozenset(self.atom_id(n) for n in names)
@@ -226,10 +219,9 @@ class GroundProgram:
     def _resolve_leaf(self, lit: int) -> list[frozenset[int]] | None:
         """The alternatives of a named literal or an unnamed external,
         which it memoises; None for an auxiliary literal."""
-        atom = self.atoms.get(abs(lit))
-        if atom is not None and atom.name is not None:
+        if abs(lit) in self.named:
             alts = [frozenset({lit})]
-        elif atom is not None and atom.is_fact:
+        elif abs(lit) in self.facts:
             alts = [frozenset()] if lit > 0 else []
         else:
             return None
@@ -388,8 +380,6 @@ def _minimize_sets(sets: list[frozenset]) -> list[frozenset]:
 def reconstruct(aspif_program: AspifProgram) -> GroundProgram:
     gp = GroundProgram(aspif_program)
     _read_symbols(gp)
-    _read_externals(gp)
-    _collect_atoms(gp)
     _build_rules(gp, _ChoiceFolder(gp))
     _build_index(gp)
     gp.nant = frozenset(_compute_nant(gp))
@@ -405,31 +395,12 @@ def _read_symbols(gp: GroundProgram) -> None:
         aid = stmt.condition[0]
         if stmt.symbol in gp._by_name:
             raise DuplicateSymbol(f"symbol {stmt.symbol!r} named twice")
-        if aid in gp.atoms:
+        if aid in gp.named:
             raise DuplicateSymbol(
-                f"atom {aid} named twice ({gp.atoms[aid].name!r} and "
+                f"atom {aid} named twice ({gp.named[aid]!r} and "
                 f"{stmt.symbol!r})")
-        gp.atoms[aid] = GroundAtom(aid, stmt.symbol)
-        gp.named.add(aid)
+        gp.named[aid] = stmt.symbol
         gp._by_name[stmt.symbol] = aid
-        gp.symbol_order.append(aid)
-
-
-def _read_externals(gp: GroundProgram) -> None:
-    atoms = gp.atoms
-    for stmt in gp.aspif.externals:
-        atom = atoms.get(stmt.atom)
-        if atom is None:
-            atom = atoms[stmt.atom] = GroundAtom(stmt.atom)
-        atom.is_fact = True
-        gp.fact_order.append(stmt.atom)
-
-
-def _collect_atoms(gp: GroundProgram) -> None:
-    atoms = gp.atoms
-    for aid in sorted(gp.aspif.atom_ids()):
-        if aid not in atoms:
-            atoms[aid] = GroundAtom(aid)
 
 
 class _ChoiceFolder:

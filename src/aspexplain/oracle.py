@@ -1,8 +1,11 @@
 """Exact stable-model semantics for small ground programs.
 
-This module deliberately works on the raw parsed statements rather than the
-reconstructed rule view, so its verdicts are independent of the folding and
-support machinery it is used to cross-check.  The reduct's least model comes
+This module deliberately reads rules from the raw parsed statements rather
+than the reconstructed rule view, so its verdicts are independent of the
+folding and support machinery it is used to cross-check.  Names and facts
+come from the reconstructed program's name table (``GroundProgram.named``
+and ``GroundProgram.facts``), and :func:`~aspexplain.ground.reconstruct`
+has already rejected disjunctive heads.  The reduct's least model comes
 from the aspif-level operator :meth:`AspifProgram.least_model`.  A total
 interpretation M is stable iff it equals the least model of its reduct and
 no constraint body holds in it: once M is that least model, it holds every
@@ -27,8 +30,8 @@ bodies and integrity constraints, which are checked directly.
 
 from __future__ import annotations
 
-from .aspif import AspifProgram, WeightBody, parse_aspif
-from .errors import ReconstructionError, TooLarge, UnknownLiteral
+from .aspif import WeightBody, parse_aspif
+from .errors import TooLarge
 
 MAX_NAMED_ATOMS = 20
 MAX_FREE_AUX = 12
@@ -43,17 +46,10 @@ def _body_true(body, holds) -> bool:
 
 
 class _Checker:
-    def __init__(self, program: AspifProgram):
-        self.program = program
-        if program.disjunctive:
-            raise ReconstructionError(
-                "disjunctive heads are outside the supported fragment")
-        self.names = {s.symbol: s.condition[0] for s in program.outputs
-                      if len(s.condition) == 1 and s.condition[0] > 0}
-        self.named_ids = set(self.names.values())
-        self.externals = {s.atom for s in program.externals}
+    def __init__(self, g):
+        self.program = g.aspif
         self.aux_ids = sorted(
-            program.atom_ids() - self.named_ids - self.externals)
+            self.program.atom_ids() - g.named.keys() - g.facts)
 
     def is_reduct_model(self, total: frozenset[int]) -> bool:
         """True iff ``total`` equals the least model of its reduct.
@@ -63,17 +59,11 @@ class _Checker:
         that holds in ``total`` holds in the reduct, weights being
         non-negative, so the rule fires there and puts its head in the
         least model, which is ``total``; a choice rule is satisfied
-        whatever it derives, and disjunctive heads are rejected when the
-        checker is built.  So ``total`` is an answer set iff, in addition,
-        no constraint body holds in it.
+        whatever it derives, and ``reconstruct`` rejects disjunctive heads.
+        So ``total`` is an answer set iff, in addition, no constraint body
+        holds in it.
         """
         return self.program.least_model(total, total) == total
-
-    def is_stable(self, total: frozenset[int]) -> bool:
-        """True iff ``total`` is an answer set: it equals the least model
-        of its reduct (see :meth:`is_reduct_model`) and no constraint body
-        holds in it."""
-        return self.is_reduct_model(total) and not self.violated(total, total)
 
     def violated(self, lower, upper) -> bool:
         """True iff a constraint body holds in every interpretation that
@@ -164,14 +154,9 @@ def check_answer_set(g, answer_names) -> bool:
     and reused by the explanation, and it branches only on the auxiliary
     atoms left undecided.
     """
-    checker = _Checker(g.aspif)
-    named_true = set()
-    for name in answer_names:
-        if name not in checker.names:
-            raise UnknownLiteral(f"unknown atom {name!r} in answer set")
-        named_true.add(checker.names[name])
-    true = frozenset(named_true)
-    false = frozenset(checker.named_ids - named_true)
+    checker = _Checker(g)
+    true = g.answer_from_names(answer_names)
+    false = frozenset(g.named.keys() - true)
     wf_true, wf_false = g.aspif.well_founded()
     root = checker.bounds(true, false,
                           (wf_true, g.aspif.atom_ids() - wf_false))
@@ -186,11 +171,11 @@ def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpret
     at most ``max_named``.  Answer sets come by size, then by undecided
     atom positions in name order, as :func:`itertools.combinations` does.
     """
-    program = g.aspif
-    checker = _Checker(program)
+    program, named = g.aspif, g.named
+    checker = _Checker(g)
     wf_true, wf_false = program.well_founded()
     decided = wf_true | wf_false
-    free = [i for _, i in sorted(checker.names.items()) if i not in decided]
+    free = sorted((a for a in named if a not in decided), key=named.get)
     if len(free) > max_named:
         raise TooLarge(
             f"{len(free)} undecided named atoms exceed the enumeration cap "
@@ -201,7 +186,7 @@ def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpret
     for lower in checker.search(frozenset(), frozenset(), root, free):
         chosen = [k for k, a in enumerate(free) if a in lower]
         found.append(([len(chosen), *chosen], frozenset(
-            n for n, i in checker.names.items() if i in lower)))
+            name for a, name in named.items() if a in lower)))
     found.sort(key=lambda item: item[0])
     return [names for _, names in found]
 

@@ -12,6 +12,8 @@ nodes, tuples, *True/*Empty) alongside the plain literals.
 
 from __future__ import annotations
 
+import itertools
+
 from . import nodes
 from .errors import NoSupport, UnsupportedWeightBody
 from .ground import (
@@ -106,7 +108,7 @@ def supported_sets_true(g: GroundProgram, A: frozenset[int], c: int,
     """
     expansion = {} if expansion is None else expansion
     sets: list[frozenset[nodes.ENode]] = []
-    if g.atoms[c].is_fact:
+    if c in g.facts:
         sets.append(frozenset({nodes.top_node()}))
     for rule in g.rules_for_head(c):
         body_options = _body_true_options(g, rule, A, expansion)
@@ -132,7 +134,7 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
     whose body holds under A, which then is not an answer set.
     """
     expansion = {} if expansion is None else expansion
-    if g.atoms[c].is_fact:
+    if c in g.facts:
         raise NoSupport(
             f"{g.display_atom(c)} is a fact but not in the answer set; the "
             "interpretation is not an answer set")
@@ -195,23 +197,12 @@ def _disjoint_antichains(per_rule) -> bool:
 
 
 def er_key_order(g: GroundProgram) -> list[int]:
-    """Named atoms: rule heads in statement order, then facts, then the rest."""
-    seen = set()
-    order = []
-    for rule in g.rules:
-        for head in rule.heads:
-            if g.is_named(head) and head not in seen:
-                seen.add(head)
-                order.append(head)
-    for aid in g.fact_order:
-        if g.is_named(aid) and aid not in seen:
-            seen.add(aid)
-            order.append(aid)
-    for aid in g.symbol_order:
-        if aid not in seen:
-            seen.add(aid)
-            order.append(aid)
-    return order
+    """Named atoms: rule heads in statement order, then facts in external
+    statement order, then the rest in output order."""
+    named = g.named
+    heads = (h for rule in g.rules for h in rule.heads if h in named)
+    facts = (s.atom for s in g.aspif.externals if s.atom in named)
+    return list(dict.fromkeys(itertools.chain(heads, facts, named)))
 
 
 def er_row(g: GroundProgram, A: frozenset[int], aid: int, expansion: dict):

@@ -89,8 +89,7 @@ def walked_indexes(program: AspifProgram):
             ready.append(index)
         rows.append((head, head_type == 1, lower))
     constraints = [s for s in rules if s.head_type == 0 and not s.head]
-    disjunctive = any(s.head_type == 0 and len(s.head) > 1 for s in rules)
-    return (rules, outputs, externals, constraints, disjunctive, definitions,
+    return (rules, outputs, externals, constraints, definitions,
             frozenset(ids), rows, ready, negated, positive, negative)
 
 
@@ -99,7 +98,7 @@ def filed_indexes(program: AspifProgram):
     rows = [(head, choice, lower) for (head, choice), lower
             in zip(program._heads, program._template)]
     return (program.rules, program.outputs, program.externals,
-            program.constraints, program.disjunctive, program.definitions,
+            program.constraints, program.definitions,
             program.atom_ids(), rows, program._ready, program._negated,
             dict(program._positive), dict(program._negative))
 

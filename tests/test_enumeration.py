@@ -23,7 +23,9 @@ from aspexplain.ground import reconstruct
 from test_oracle import (
     reference_check_answer_set,
     reference_complete,
+    reference_facts,
     reference_is_stable,
+    reference_names,
 )
 
 
@@ -33,11 +35,12 @@ def _subsets_by_size(items: list[str]):
 
 
 def reference_enumerate_answer_sets(g, max_named: int = oracle.MAX_NAMED_ATOMS):
-    checker = oracle._Checker(g.aspif)
-    named_facts = sorted(n for n, i in checker.names.items()
-                         if i in checker.externals)
-    candidates = sorted(n for n, i in checker.names.items()
-                        if i not in checker.externals)
+    checker = oracle._Checker(g)
+    names_to_ids = reference_names(g.aspif)
+    externals = reference_facts(g.aspif)
+    named_facts = sorted(n for n, i in names_to_ids.items() if i in externals)
+    candidates = sorted(n for n, i in names_to_ids.items()
+                        if i not in externals)
     if len(candidates) > max_named:
         raise TooLarge(
             f"{len(candidates)} named atoms exceed the enumeration cap "
@@ -45,7 +48,7 @@ def reference_enumerate_answer_sets(g, max_named: int = oracle.MAX_NAMED_ATOMS):
     found = []
     for subset in _subsets_by_size(candidates):
         names = frozenset(named_facts) | frozenset(subset)
-        ids = frozenset(checker.names[n] for n in names)
+        ids = frozenset(names_to_ids[n] for n in names)
         if any(reference_is_stable(checker, total)
                for total in reference_complete(checker, ids)):
             found.append(names)
@@ -54,21 +57,23 @@ def reference_enumerate_answer_sets(g, max_named: int = oracle.MAX_NAMED_ATOMS):
 
 def reference_bounded_enumerate_answer_sets(
         g, max_named: int = oracle.MAX_NAMED_ATOMS):
-    checker = oracle._Checker(g.aspif)
-    candidates = sorted(n for n, i in checker.names.items()
-                        if i not in checker.externals)
+    checker = oracle._Checker(g)
+    names_to_ids = reference_names(g.aspif)
+    externals = reference_facts(g.aspif)
+    candidates = sorted(n for n, i in names_to_ids.items()
+                        if i not in externals)
     if len(candidates) > max_named:
         raise TooLarge(
             f"{len(candidates)} named atoms exceed the enumeration cap "
             f"of {max_named}")
     wf_true, wf_false = g.aspif.well_founded()
     decided = wf_true | wf_false
-    forced = frozenset(n for n, i in checker.names.items() if i in wf_true)
-    free = [n for n in candidates if checker.names[n] not in decided]
+    forced = frozenset(n for n, i in names_to_ids.items() if i in wf_true)
+    free = [n for n in candidates if names_to_ids[n] not in decided]
     found = []
     for subset in _subsets_by_size(free):
         names = forced | frozenset(subset)
-        ids = frozenset(checker.names[n] for n in names)
+        ids = frozenset(names_to_ids[n] for n in names)
         if any(reference_is_stable(checker, total)
                for total in reference_complete(checker, ids)):
             found.append(names)

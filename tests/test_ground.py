@@ -10,7 +10,7 @@ from aspexplain.errors import (
     UnsupportedWeightBody,
 )
 from aspexplain.ground import CHOICE, CONSTRAINT, NORMAL, ChoiceAtomSpec, reconstruct
-from aspexplain.oracle import enumerate_answer_sets
+from aspexplain.oracle import check_answer_set, enumerate_answer_sets
 from aspexplain.support import build_er, dump_table
 
 from test_cli import DATA, MIXED_WEIGHT_PAIR, element_chain
@@ -73,8 +73,8 @@ def test_p1_choice_spec(p1):
 
 
 def test_p1_facts(p1):
-    assert [p1.display_atom(a) for a in p1.fact_order] == ["n(1)", "n(2)"]
-    assert p1.atoms[p1.atom_id("n(1)")].is_fact
+    assert sorted(p1.display_atom(a) for a in p1.facts) == ["n(1)", "n(2)"]
+    assert p1.atom_id("n(1)") in p1.facts
 
 
 def test_p1_nant(p1):
@@ -162,13 +162,13 @@ def reference_lit_holds(gp, lit: int, answer: frozenset[int]) -> bool:
     definitions being read, so a deep auxiliary chain costs no recursion.
     """
 
+    named = {s.condition[0] for s in gp.aspif.outputs}
+    facts = {s.atom for s in gp.aspif.externals}
+
     def leaf_value(aid):
-        atom = gp.atoms.get(aid)
-        if atom is None:
-            return None
-        if atom.name is not None:
+        if aid in named:
             return aid in answer
-        return True if atom.is_fact else None
+        return True if aid in facts else None
 
     def definitions_hold(aid):
         value = False
@@ -244,7 +244,7 @@ def readable_atoms(gp) -> set[int]:
     """The atoms that resolve_aux reads: all but those defined through a
     weight body, as the folded bound tests of choice atoms are."""
     readable = set()
-    for aid in gp.atoms:
+    for aid in sorted(gp.aspif.atom_ids()):
         try:
             gp.resolve_aux(aid)
         except UnsupportedWeightBody:
@@ -260,8 +260,8 @@ def test_lit_holds_matches_reference_walk():
                        for element in spec.elements for lit in element.lits}
         readable = readable_atoms(gp)
         assert readable >= in_elements
-        hidden = sorted(readable - gp.named - in_elements)
-        checked = gp.named | in_elements | set(hidden[::stride])
+        hidden = sorted(readable - gp.named.keys() - in_elements)
+        checked = gp.named.keys() | in_elements | set(hidden[::stride])
         models = enumerate_answer_sets(gp)
         assert models
         for model in models:
@@ -287,14 +287,36 @@ def test_unknown_atom_name(p1):
         p1.atom_id("zzz")
 
 
+def test_check_answer_set_reports_unknown_name(p1):
+    with pytest.raises(UnknownLiteral) as err:
+        check_answer_set(p1, ["zzz"])
+    assert str(err.value) == "unknown atom 'zzz'"
+
+
+def test_named_ids_follow_output_order():
+    gp = build("1 0 1 3 0 1 1\n4 1 b 1 2\n4 1 c 1 3\n4 1 a 1 1\n")
+    assert gp.named_ids() == [2, 3, 1]
+    assert list(gp.named.items()) == [(2, "b"), (3, "c"), (1, "a")]
+
+
+def test_display_atom_of_unnamed_atoms():
+    # Atom 2 is an unnamed external, atom 3 a hidden atom, atom 9 unused.
+    gp = build("1 0 1 3 0 1 2\n1 0 1 1 0 1 3\n5 2 2\n4 1 p 1 1\n")
+    assert gp.facts == {2}
+    assert [gp.display_atom(a) for a in (1, 2, 3, 9)] \
+        == ["p", "l(2)", "l(3)", "l(9)"]
+
+
 def test_duplicate_symbol_name():
-    with pytest.raises(DuplicateSymbol):
-        build("4 1 p 1 1\n4 1 p 1 2\n")
+    with pytest.raises(DuplicateSymbol) as err:
+        build("4 1 a 1 1\n4 1 a 1 2\n")
+    assert str(err.value) == "symbol 'a' named twice"
 
 
 def test_atom_named_twice():
-    with pytest.raises(DuplicateSymbol):
-        build("4 1 p 1 1\n4 1 q 1 1\n")
+    with pytest.raises(DuplicateSymbol) as err:
+        build("4 1 a 1 1\n4 1 b 1 1\n")
+    assert str(err.value) == "atom 1 named twice ('a' and 'b')"
 
 
 def test_output_condition_must_be_single_positive():

@@ -59,7 +59,7 @@ def test_coloring_answer_set(coloring, coloring_answer):
 
 
 def test_coloring_same_color_rejected(coloring):
-    names = {coloring.display_atom(a) for a in coloring.fact_order}
+    names = {coloring.display_atom(a) for a in coloring.facts}
     names |= {"colored(1,red)", "colored(2,red)", "colored(3,blue)"}
     assert not check_answer_set(coloring, names)
 
@@ -151,6 +151,17 @@ def test_generator_answer_sets_verify():
     assert seen_models > 0
 
 
+def reference_names(program) -> dict[str, int]:
+    """Symbol -> atom id, read from the output statements rather than from
+    the reconstructed program's name table."""
+    return {s.symbol: s.condition[0] for s in program.outputs}
+
+
+def reference_facts(program) -> set[int]:
+    """The external atoms, read from the external statements."""
+    return {s.atom for s in program.externals}
+
+
 def reference_is_stable(checker, total) -> bool:
     """The stability test that does not trust the least model: a classical
     pass over every external and rule, then the least model of the
@@ -158,7 +169,7 @@ def reference_is_stable(checker, total) -> bool:
     def holds(lit: int) -> bool:
         return (abs(lit) in total) == (lit > 0)
 
-    if any(atom not in total for atom in checker.externals):
+    if any(atom not in total for atom in reference_facts(checker.program)):
         return False
     for stmt in checker.program.rules:
         body = stmt.body
@@ -185,15 +196,17 @@ def reference_complete(checker, named_true):
     until nothing changes; the leftovers (cyclic auxiliary definitions)
     are enumerated, at most ``MAX_FREE_AUX`` of them.
     """
+    named_ids = set(reference_names(checker.program).values())
+    externals = reference_facts(checker.program)
     open_aux = set(checker.aux_ids)
-    true = checker.externals - checker.named_ids
+    true = externals - named_ids
     false = set()
 
     def lit_value(lit: int) -> bool | None:
         atom = abs(lit)
-        if atom in checker.named_ids:
+        if atom in named_ids:
             value = atom in named_true
-        elif atom in checker.externals or atom in true:
+        elif atom in externals or atom in true:
             value = True
         elif atom in false:
             value = False
@@ -244,8 +257,9 @@ def reference_complete(checker, named_true):
 def reference_check_answer_set(gp, answer_names) -> bool:
     """The check with an unseeded completion: the clamped pass decides the
     auxiliary atoms from the named guess alone."""
-    checker = oracle._Checker(gp.aspif)
-    named_true = frozenset(checker.names[n] for n in answer_names)
+    checker = oracle._Checker(gp)
+    names = reference_names(gp.aspif)
+    named_true = frozenset(names[n] for n in answer_names)
     return any(reference_is_stable(checker, total)
                for total in reference_complete(checker, named_true))
 
@@ -258,13 +272,14 @@ def test_is_stable_matches_classical_reference(n_atoms, p_choice):
     totals = stable = 0
     for seed in range(200):
         gp = random_program(seed, n_atoms=n_atoms, p_choice=p_choice)
-        checker = oracle._Checker(gp.aspif)
-        named = sorted(checker.named_ids)
+        checker = oracle._Checker(gp)
+        names = reference_names(gp.aspif)
+        named = sorted(names.values())
         guesses = [frozenset(itertools.compress(named, mask))
                    for mask in itertools.product((0, 1), repeat=len(named))]
         if len(guesses) > 64:
             guesses = random.Random(seed).sample(guesses, 64)
-        guesses += [frozenset(checker.names[n] for n in model)
+        guesses += [frozenset(names[n] for n in model)
                     for model in enumerate_answer_sets(gp)]
         for guess in guesses:
             try:
@@ -272,7 +287,9 @@ def test_is_stable_matches_classical_reference(n_atoms, p_choice):
             except TooLarge:
                 continue
             for total in completions:
-                verdict = checker.is_stable(total)
+                # The test the search applies at a leaf.
+                verdict = checker.is_reduct_model(total) \
+                    and not checker.violated(total, total)
                 assert verdict == reference_is_stable(checker, total), \
                     (seed, sorted(total))
                 totals += 1
