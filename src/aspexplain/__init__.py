@@ -15,7 +15,7 @@ from .assumptions import (
     tentative_assumptions,
     well_founded,
 )
-from .constraints import classify_choice_support, constraint_preprocessing
+from .constraints import constraint_preprocessing
 from .egraph import (
     EEdge,
     ExplanationGraph,
@@ -36,7 +36,6 @@ from .errors import (
     MissingTerminator,
     MultiLiteralOutputCondition,
     NoSupport,
-    NotApplicable,
     NoValidGraph,
     ReconstructionError,
     TooLarge,
@@ -80,7 +79,6 @@ __all__ = [
     "MissingTerminator",
     "MultiLiteralOutputCondition",
     "NoSupport",
-    "NotApplicable",
     "NoValidGraph",
     "ReconstructionError",
     "SupportTable",
@@ -92,7 +90,6 @@ __all__ = [
     "build_egraph",
     "build_er",
     "check_answer_set",
-    "classify_choice_support",
     "constraint_preprocessing",
     "derivation_analysis",
     "dump_table",

@@ -2,10 +2,13 @@
 
 Only the statement kinds the explanation pipeline consumes are modelled
 structurally: rules (tag 1), outputs (tag 4) and externals (tag 5).  Any
-other tag is preserved opaquely and re-emitted verbatim.  The parser files
-each line once, from its integers, as it reads it: into the typed lists,
-the constraints, the definitions, the atom ids and the counter rows of the
-one least-model operator of the package, :meth:`AspifProgram.least_model`.
+other tag is preserved opaquely and re-emitted verbatim.  Each line kind
+has one reader, which reads the line's integers once and checks its fields
+by position in field order: it returns the statement, or raises the error
+of the first faulty field.  The parser files each line once, as it reads
+it: into the typed lists, the constraints, the definitions, the atom ids
+and the counter rows of the one least-model operator of the package,
+:meth:`AspifProgram.least_model`.
 The alternating fixpoint and the well-founded model built on that operator
 work on these parsed statements.
 """
@@ -335,130 +338,106 @@ class AspifProgram:
         return self._well_founded
 
 
-class _Fields:
-    """The whitespace-separated integer fields of one line, for a line the
-    positional reads reject.
+def _integers(tokens: list[str]) -> tuple[int, ...]:
+    """The line's tokens as integers, or, if one is not an integer, the
+    integers before it."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        ints = []
+        for token in tokens:
+            try:
+                ints.append(int(token))
+            except ValueError:
+                break
+        return tuple(ints)
 
-    The tokens are converted at once; ``ints`` holds them all, or, if one is
-    not an integer, the integers before it.  Readers take fields by position
-    and in field order, and a read past ``ints`` raises the error of that
-    first missing or non-integer field, so the message is built only when a
-    line fails.
-    """
 
-    __slots__ = ("tokens", "line", "lineno", "ints")
-
-    def __init__(self, tokens: list[str], line: str, lineno: int):
-        self.tokens = tokens
-        self.line = line
-        self.lineno = lineno
-        try:
-            self.ints = tuple(map(int, tokens))
-        except ValueError:
-            ints = []
-            for token in tokens:
-                try:
-                    ints.append(int(token))
-                except ValueError:
-                    break
-            self.ints = tuple(ints)
-
-    def missing(self, what: str) -> TruncatedStatement:
-        """The error of reading ``what`` just past the integer prefix."""
-        pos = len(self.ints)
-        if pos < len(self.tokens):
-            return TruncatedStatement(
-                f"line {self.lineno}: expected integer {what}, "
-                f"got {self.tokens[pos]!r}")
+def _expected(what: str, tokens: list[str], ints: tuple[int, ...],
+              line: str, lineno: int) -> TruncatedStatement:
+    """The error of a field ``what`` read just past the integer prefix: the
+    token there is not an integer, or the statement ends before it."""
+    pos = len(ints)
+    if pos < len(tokens):
         return TruncatedStatement(
-            f"line {self.lineno}: expected {what}, statement ends early: "
-            f"{self.line!r}")
+            f"line {lineno}: expected integer {what}, got {tokens[pos]!r}")
+    return TruncatedStatement(
+        f"line {lineno}: expected {what}, statement ends early: {line!r}")
 
-    def take(self, pos: int, what: str) -> int:
-        if pos < len(self.ints):
-            return self.ints[pos]
-        raise self.missing(what)
 
-    def count(self, pos: int, what: str) -> int:
-        if pos >= len(self.ints):
-            raise self.missing(what)
-        n = self.ints[pos]
-        if n < 0:
-            raise TruncatedStatement(f"line {self.lineno}: negative {what} {n}")
-        return n
+def _trailing(tokens: list[str], end: int, lineno: int) -> TruncatedStatement:
+    """The error of tokens after the statement's last field, at ``end``."""
+    extra = " ".join(tokens[end:])
+    return TruncatedStatement(
+        f"line {lineno}: trailing tokens {extra!r} after statement")
 
-    def span(self, pos: int, end: int, what: str) -> tuple[int, ...]:
-        if end > len(self.ints):
-            raise self.missing(what)
-        return self.ints[pos:end]
 
-    def finish(self, pos: int) -> None:
-        if pos != len(self.tokens):
-            extra = " ".join(self.tokens[pos:])
-            raise TruncatedStatement(
-                f"line {self.lineno}: trailing tokens {extra!r} after statement")
+def _negative(what: str, n: int, lineno: int) -> TruncatedStatement:
+    return TruncatedStatement(f"line {lineno}: negative {what} {n}")
 
 
 def _parse_rule(tokens: list[str], line: str, lineno: int) -> RuleStatement:
-    """Read a rule line.  A well-formed line is read from its integers by
-    position; any other is read again field by field, which raises the
-    error of its first faulty field."""
-    try:
-        ints = tuple(map(int, tokens))
-        head_type = ints[1]
-        pos = 3 + ints[2]
-        body_type = ints[pos]
-        if head_type in (HEAD_DISJUNCTIVE, HEAD_CHOICE) and pos >= 3:
-            if body_type == BODY_NORMAL:
-                start = pos + 2
-                end = start + ints[pos + 1]
-                if start <= end == len(ints):
-                    return _new(RuleStatement, (head_type, ints[3:pos], _new(
-                        NormalBody, (ints[start:end],))))
-            elif body_type == BODY_WEIGHT:
-                start = pos + 3
-                end = start + 2 * ints[pos + 2]
-                weights = ints[start + 1:end:2]
-                if start <= end == len(ints) and min(weights, default=0) >= 0:
-                    return _new(RuleStatement, (head_type, ints[3:pos], _new(
-                        WeightBody, (ints[pos + 1],
-                                     tuple(zip(ints[start:end:2], weights))))))
-    except (ValueError, IndexError):
-        pass
-    return _read_rule(_Fields(tokens, line, lineno))
+    """Read a rule line, the one reader of tag 1.
 
-
-def _read_rule(fields: _Fields) -> RuleStatement:
+    The line's integers are read once; the fields are then checked by
+    position in field order, so a faulty line raises the error of its
+    first faulty field: a field past the integer prefix, a negative count,
+    an unknown head or body type, a negative weight, or trailing tokens.
+    """
+    ints = _integers(tokens)
+    n = len(ints)
     # Field 0 is the tag.
-    head_type = fields.take(1, "head type")
+    if n < 2:
+        raise _expected("head type", tokens, ints, line, lineno)
+    head_type = ints[1]
     if head_type not in (HEAD_DISJUNCTIVE, HEAD_CHOICE):
         raise TruncatedStatement(
-            f"line {fields.lineno}: unknown head type {head_type}")
-    pos = 3 + fields.count(2, "head atom count")
-    head = fields.span(3, pos, "head atom")
-    body_type = fields.take(pos, "body type")
+            f"line {lineno}: unknown head type {head_type}")
+    if n < 3:
+        raise _expected("head atom count", tokens, ints, line, lineno)
+    if ints[2] < 0:
+        raise _negative("head atom count", ints[2], lineno)
+    pos = 3 + ints[2]
+    if pos >= n:
+        raise _expected("head atom" if pos > n else "body type",
+                        tokens, ints, line, lineno)
+    body_type = ints[pos]
     if body_type == BODY_NORMAL:
-        end = pos + 2 + fields.count(pos + 1, "body literal count")
-        body: NormalBody | WeightBody = NormalBody(
-            fields.span(pos + 2, end, "body literal"))
+        if pos + 1 >= n:
+            raise _expected("body literal count", tokens, ints, line, lineno)
+        count = ints[pos + 1]
+        if count < 0:
+            raise _negative("body literal count", count, lineno)
+        start = pos + 2
+        end = start + count
+        if end > n:
+            raise _expected("body literal", tokens, ints, line, lineno)
+        body = _new(NormalBody, (ints[start:end],))
     elif body_type == BODY_WEIGHT:
-        lower = fields.take(pos + 1, "lower bound")
+        if pos + 1 >= n:
+            raise _expected("lower bound", tokens, ints, line, lineno)
+        if pos + 2 >= n:
+            raise _expected("weight element count", tokens, ints, line, lineno)
+        count = ints[pos + 2]
+        if count < 0:
+            raise _negative("weight element count", count, lineno)
         start = pos + 3
-        end = start + 2 * fields.count(pos + 2, "weight element count")
-        ints = fields.ints
-        if end > len(ints):
-            raise fields.missing(
-                "weight" if (len(ints) - start) % 2 else "weight literal")
+        end = start + 2 * count
+        if end > n:
+            raise _expected("weight" if (n - start) % 2 else "weight literal",
+                            tokens, ints, line, lineno)
         weights = ints[start + 1:end:2]
-        if any(weight < 0 for weight in weights):
+        if min(weights, default=0) < 0:
             raise TruncatedStatement(
-                f"line {fields.lineno}: negative weight in a weight body")
-        body = WeightBody(lower, tuple(zip(ints[start:end:2], weights)))
+                f"line {lineno}: negative weight in a weight body")
+        body = _new(WeightBody, (ints[pos + 1],
+                                 tuple(zip(ints[start:end:2], weights))))
     else:
         raise TruncatedStatement(
-            f"line {fields.lineno}: unknown body type {body_type}")
-    fields.finish(end)
-    return RuleStatement(head_type, head, body)
+            f"line {lineno}: unknown body type {body_type}")
+    if end != len(tokens):
+        raise _trailing(tokens, end, lineno)
+    return _new(RuleStatement, (head_type, ints[3:pos], body))
 
 
 def _parse_output(line: str, lineno: int) -> OutputStatement:
@@ -472,23 +451,25 @@ def _parse_output(line: str, lineno: int) -> OutputStatement:
     except ValueError:
         raise TruncatedStatement(
             f"line {lineno}: bad symbol length {rest[1]!r}") from None
+    if length < 0:
+        raise _negative("symbol length", length, lineno)
     tail = rest[2]
     if len(tail) < length:
         raise TruncatedStatement(f"line {lineno}: symbol shorter than declared length")
     symbol = tail[:length]
     tail = tail[length:]
     tokens = tail.split()
-    try:
-        ints = tuple(map(int, tokens))
-        if ints[0] == len(ints) - 1:
-            return _new(OutputStatement, (symbol, ints[1:]))
-    except (ValueError, IndexError):
-        pass
-    fields = _Fields(tokens, tail, lineno)
-    end = 1 + fields.count(0, "condition literal count")
-    condition = fields.span(1, end, "condition literal")
-    fields.finish(end)
-    return OutputStatement(symbol, condition)
+    ints = _integers(tokens)
+    if not ints:
+        raise _expected("condition literal count", tokens, ints, tail, lineno)
+    if ints[0] < 0:
+        raise _negative("condition literal count", ints[0], lineno)
+    end = 1 + ints[0]
+    if end > len(ints):
+        raise _expected("condition literal", tokens, ints, tail, lineno)
+    if end != len(tokens):
+        raise _trailing(tokens, end, lineno)
+    return _new(OutputStatement, (symbol, ints[1:]))
 
 
 def parse_aspif(text: str) -> AspifProgram:
@@ -524,14 +505,13 @@ def parse_aspif(text: str) -> AspifProgram:
         elif tag == "4":
             file(_parse_output(line, lineno))
         elif tag == "5":
-            try:
-                _, atom, value = map(int, tokens)
-            except ValueError:
-                fields = _Fields(tokens, line, lineno)
-                atom = fields.take(1, "atom")
-                value = fields.take(2, "external value")
-                fields.finish(3)
-            file(_new(ExternalStatement, (atom, value)))
+            ints = _integers(tokens)
+            if len(ints) < 3:
+                raise _expected("atom" if len(ints) < 2 else "external value",
+                                tokens, ints, line, lineno)
+            if len(tokens) != 3:
+                raise _trailing(tokens, 3, lineno)
+            file(_new(ExternalStatement, ints[1:]))
         else:
             file(_new(OpaqueStatement, (line,)))
     if not saw_header:

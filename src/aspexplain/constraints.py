@@ -1,47 +1,21 @@
 """Constraint preprocessing: the E_c table.
 
 For every integrity constraint, the literals of its body that hold under
-the answer set are the "violation" side; the literals that fail are the
+the answer set are the "violation" side; the body terms that fail are the
 "saviors" that keep the constraint from firing.  Each violating literal is
 annotated with a triggered_constraint node whose supports are the saviors.
-A constraint whose body contains a folded choice occurrence contributes a
-bound node as its savior when the bound test fails on the firing side.
+A savior is a failing body term, read as a false atom's rule falsifier is
+read in E_r: a literal that fails, or the bound node of a folded choice
+occurrence whose bound test fails in the positive body or holds in the
+negative body.
 """
 
 from __future__ import annotations
 
 from . import nodes
-from .errors import NotApplicable, UnviolableConstraint
+from .errors import UnviolableConstraint
 from .ground import ChoiceAtomSpec, GroundProgram, GroundRule, _dedupe_sets
-from .support import _merge_expansion, choice_body_support
-
-POS_BODY = "pos_body"
-NEG_BODY = "neg_body"
-
-
-def classify_choice_support(g: GroundProgram, x: ChoiceAtomSpec, side: str,
-                            A: frozenset[int]) -> nodes.ENode:
-    """The bound node saving a constraint, per occurrence side.
-
-    Raises NotApplicable when the occurrence does not falsify the body
-    (the bound test holds on the side that would let the constraint fire).
-    """
-    in_bounds = g.spec_holds(x, A)
-    if side == POS_BODY:
-        if not in_bounds:
-            return g.spec_node(x, positive=False)
-    elif in_bounds:
-        return g.spec_node(x, positive=True)
-    raise NotApplicable(
-        f"bound test {g.spec_node(x).render()} does not falsify the "
-        f"constraint on side {side}")
-
-
-def _choice_occurrences(rule: GroundRule) -> list[tuple[ChoiceAtomSpec, str]]:
-    return [(t, POS_BODY) for t in rule.pos_body
-            if isinstance(t, ChoiceAtomSpec)] \
-        + [(t, NEG_BODY) for t in rule.neg_body
-           if isinstance(t, ChoiceAtomSpec)]
+from .support import _merge_expansion, _term_true_options
 
 
 def check_constraints(g: GroundProgram, A: frozenset[int]) -> None:
@@ -51,8 +25,9 @@ def check_constraints(g: GroundProgram, A: frozenset[int]) -> None:
     when it has a resolved body."""
     for rule in g.constraints():
         if g.constraint_bodies(rule):
-            for spec, _ in _choice_occurrences(rule):
-                g.satisfied_elements(spec, A)
+            for term in (*rule.pos_body, *rule.neg_body):
+                if isinstance(term, ChoiceAtomSpec):
+                    g.satisfied_elements(term, A)
 
 
 def constraint_saviors(g: GroundProgram, A: frozenset[int], rule: GroundRule,
@@ -61,8 +36,9 @@ def constraint_saviors(g: GroundProgram, A: frozenset[int], rule: GroundRule,
     saviors, and the table rows of the bound nodes among them.
 
     The saviors are the negations of the body literals that fail, in node
-    order, then the bound nodes of the choice occurrences that falsify the
-    body.  Raises UnviolableConstraint when there is none.
+    order, then the bound nodes of the choice occurrences that fail, in
+    body order: positive body, then negative body.  Raises
+    UnviolableConstraint when there is none.
     """
     violation: list[int] = []
     support: list[int] = []
@@ -74,15 +50,12 @@ def constraint_saviors(g: GroundProgram, A: frozenset[int], rule: GroundRule,
 
     choice_support: list[nodes.ENode] = []
     expansion: dict = {}
-    for spec, side in _choice_occurrences(rule):
-        try:
-            node = classify_choice_support(g, spec, side, A)
-        except NotApplicable:
-            continue
-        _, fragment = choice_body_support(
-            g, spec, A, positive=node.kind == nodes.CHOICE)
-        _merge_expansion(expansion, fragment)
-        choice_support.append(node)
+    for terms, positive in ((rule.pos_body, False), (rule.neg_body, True)):
+        for term in terms:
+            if isinstance(term, ChoiceAtomSpec):
+                for option in _term_true_options(g, term, positive, A,
+                                                 expansion):
+                    choice_support.extend(option)
 
     if not support and not choice_support:
         raise UnviolableConstraint(

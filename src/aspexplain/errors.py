@@ -57,10 +57,6 @@ class UnviolableConstraint(AspExplainError):
     """A constraint is violated but nothing in its body saves it."""
 
 
-class NotApplicable(AspExplainError):
-    """The choice atom's truth value does not save this constraint."""
-
-
 class UnknownLiteral(AspExplainError):
     """The queried literal names no atom, or has the wrong polarity for A."""
 

@@ -163,23 +163,24 @@ def check_answer_set(g, answer_names) -> bool:
     return next(checker.search(true, false, root, ()), None) is not None
 
 
-def enumerate_answer_sets(g, max_named: int = MAX_NAMED_ATOMS) -> list[Interpretation]:
+def enumerate_answer_sets(g) -> list[Interpretation]:
     """All answer sets, projected to named atoms, in deterministic order.
 
     The search of :meth:`_Checker.search` from the well-founded model,
     branching first on the named atoms it leaves undecided, which must be
-    at most ``max_named``.  Answer sets come by size, then by undecided
-    atom positions in name order, as :func:`itertools.combinations` does.
+    at most ``MAX_NAMED_ATOMS``.  Answer sets come by size, then by
+    undecided atom positions in name order, as
+    :func:`itertools.combinations` does.
     """
     program, named = g.aspif, g.named
     checker = _Checker(g)
     wf_true, wf_false = program.well_founded()
     decided = wf_true | wf_false
     free = sorted((a for a in named if a not in decided), key=named.get)
-    if len(free) > max_named:
+    if len(free) > MAX_NAMED_ATOMS:
         raise TooLarge(
             f"{len(free)} undecided named atoms exceed the enumeration cap "
-            f"of {max_named}")
+            f"of {MAX_NAMED_ATOMS}")
     root = checker.bounds(frozenset(), frozenset(),
                           (wf_true, program.atom_ids() - wf_false))
     found: list[tuple[list[int], Interpretation]] = []

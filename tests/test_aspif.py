@@ -1,11 +1,15 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspexplain import oracle
 from aspexplain.aspif import (
+    BODY_NORMAL,
+    BODY_WEIGHT,
+    HEAD_CHOICE,
+    HEAD_DISJUNCTIVE,
     AspifProgram,
     ExternalStatement,
     NormalBody,
@@ -423,6 +427,14 @@ def test_negative_count_is_rejected(line, what):
     assert str(info.value) == f"line 2: negative {what}"
 
 
+def test_negative_symbol_length_is_rejected():
+    # A negative length sliced from the end of the line: this line named
+    # atom 7 "abc 1 " and parsed.
+    with pytest.raises(TruncatedStatement) as info:
+        parse_aspif("asp 1 0 0\n4 -3 abc 1 1 7\n0\n")
+    assert str(info.value) == "line 2: negative symbol length -3"
+
+
 def test_output_symbol_length_is_respected():
     text = "asp 1 0 0\n4 6 p(a,b) 1 3\n0\n"
     program = parse_aspif(text)
@@ -518,3 +530,196 @@ def test_one_pass_load_of_any_statements(statements):
     assert filed_indexes(program) == walked_indexes(program)
     parsed = parse_aspif(emit_aspif(program))
     assert filed_indexes(parsed) == walked_indexes(parsed)
+
+
+class _Fields:
+    """The whitespace-separated integer fields of one line, for a line the
+    positional reads reject.
+
+    The tokens are converted at once; ``ints`` holds them all, or, if one is
+    not an integer, the integers before it.  Readers take fields by position
+    and in field order, and a read past ``ints`` raises the error of that
+    first missing or non-integer field, so the message is built only when a
+    line fails.
+    """
+
+    __slots__ = ("tokens", "line", "lineno", "ints")
+
+    def __init__(self, tokens: list[str], line: str, lineno: int):
+        self.tokens = tokens
+        self.line = line
+        self.lineno = lineno
+        try:
+            self.ints = tuple(map(int, tokens))
+        except ValueError:
+            ints = []
+            for token in tokens:
+                try:
+                    ints.append(int(token))
+                except ValueError:
+                    break
+            self.ints = tuple(ints)
+
+    def missing(self, what: str) -> TruncatedStatement:
+        """The error of reading ``what`` just past the integer prefix."""
+        pos = len(self.ints)
+        if pos < len(self.tokens):
+            return TruncatedStatement(
+                f"line {self.lineno}: expected integer {what}, "
+                f"got {self.tokens[pos]!r}")
+        return TruncatedStatement(
+            f"line {self.lineno}: expected {what}, statement ends early: "
+            f"{self.line!r}")
+
+    def take(self, pos: int, what: str) -> int:
+        if pos < len(self.ints):
+            return self.ints[pos]
+        raise self.missing(what)
+
+    def count(self, pos: int, what: str) -> int:
+        if pos >= len(self.ints):
+            raise self.missing(what)
+        n = self.ints[pos]
+        if n < 0:
+            raise TruncatedStatement(f"line {self.lineno}: negative {what} {n}")
+        return n
+
+    def span(self, pos: int, end: int, what: str) -> tuple[int, ...]:
+        if end > len(self.ints):
+            raise self.missing(what)
+        return self.ints[pos:end]
+
+    def finish(self, pos: int) -> None:
+        if pos != len(self.tokens):
+            extra = " ".join(self.tokens[pos:])
+            raise TruncatedStatement(
+                f"line {self.lineno}: trailing tokens {extra!r} after statement")
+
+
+def _read_rule(fields: _Fields) -> RuleStatement:
+    # Field 0 is the tag.
+    head_type = fields.take(1, "head type")
+    if head_type not in (HEAD_DISJUNCTIVE, HEAD_CHOICE):
+        raise TruncatedStatement(
+            f"line {fields.lineno}: unknown head type {head_type}")
+    pos = 3 + fields.count(2, "head atom count")
+    head = fields.span(3, pos, "head atom")
+    body_type = fields.take(pos, "body type")
+    if body_type == BODY_NORMAL:
+        end = pos + 2 + fields.count(pos + 1, "body literal count")
+        body: NormalBody | WeightBody = NormalBody(
+            fields.span(pos + 2, end, "body literal"))
+    elif body_type == BODY_WEIGHT:
+        lower = fields.take(pos + 1, "lower bound")
+        start = pos + 3
+        end = start + 2 * fields.count(pos + 2, "weight element count")
+        ints = fields.ints
+        if end > len(ints):
+            raise fields.missing(
+                "weight" if (len(ints) - start) % 2 else "weight literal")
+        weights = ints[start + 1:end:2]
+        if any(weight < 0 for weight in weights):
+            raise TruncatedStatement(
+                f"line {fields.lineno}: negative weight in a weight body")
+        body = WeightBody(lower, tuple(zip(ints[start:end:2], weights)))
+    else:
+        raise TruncatedStatement(
+            f"line {fields.lineno}: unknown body type {body_type}")
+    fields.finish(end)
+    return RuleStatement(head_type, head, body)
+
+
+def reference_parse_line(line: str, lineno: int = 2):
+    """The statement of a rule, output or external line, or the error of its
+    first faulty field, read field by field by a cursor over the integer
+    prefix: the reader the parser used for any line its positional read
+    rejected, kept as the reference of the one positional reader."""
+    tokens = line.split()
+    tag = tokens[0]
+    if tag == "1":
+        return _read_rule(_Fields(tokens, line, lineno))
+    if tag == "4":
+        rest = line.split(None, 2)
+        if len(rest) < 3:
+            raise TruncatedStatement(
+                f"line {lineno}: output statement too short: {line!r}")
+        try:
+            length = int(rest[1])
+        except ValueError:
+            raise TruncatedStatement(
+                f"line {lineno}: bad symbol length {rest[1]!r}") from None
+        if length < 0:
+            raise TruncatedStatement(
+                f"line {lineno}: negative symbol length {length}")
+        tail = rest[2]
+        if len(tail) < length:
+            raise TruncatedStatement(
+                f"line {lineno}: symbol shorter than declared length")
+        symbol, tail = tail[:length], tail[length:]
+        fields = _Fields(tail.split(), tail, lineno)
+        end = 1 + fields.count(0, "condition literal count")
+        condition = fields.span(1, end, "condition literal")
+        fields.finish(end)
+        return OutputStatement(symbol, condition)
+    assert tag == "5"
+    fields = _Fields(tokens, line, lineno)
+    atom = fields.take(1, "atom")
+    value = fields.take(2, "external value")
+    fields.finish(3)
+    return ExternalStatement(atom, value)
+
+
+VALID_LINES = (
+    "1 0 1 2 0 2 3 -4",
+    "1 1 2 2 3 0 0",
+    "1 0 0 0 1 -5",
+    "1 0 1 2 1 1 2 3 1 -4 2",
+    "1 1 1 6 1 0 1 7 0",
+    "4 1 a 1 3",
+    "4 4 p(1) 0",
+    "5 3 2",
+)
+EDIT_TOKENS = ("0", "1", "2", "-1", "-3", "7", "99", "x", "y")
+
+
+@st.composite
+def edited_lines(draw):
+    """A valid line with one to three token edits after its tag."""
+    tokens = draw(st.sampled_from(VALID_LINES)).split()
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(
+            ("truncate", "replace", "insert", "delete", "append")))
+        pos = draw(st.integers(1, len(tokens)))
+        token = draw(st.sampled_from(EDIT_TOKENS))
+        if edit == "truncate":
+            del tokens[pos:]
+        elif edit == "insert":
+            tokens.insert(pos, token)
+        elif edit == "append":
+            tokens.append(token)
+        elif pos < len(tokens):
+            if edit == "replace":
+                tokens[pos] = token
+            else:
+                del tokens[pos]
+    return " ".join(tokens)
+
+
+def outcome(read, line):
+    """What ``read`` makes of ``line``: the statement with its type and
+    its body's type, or the error's type and message."""
+    try:
+        stmt = read(line)
+    except TruncatedStatement as error:
+        return type(error), str(error)
+    return type(stmt), type(getattr(stmt, "body", None)), stmt
+
+
+def parse_line(line: str):
+    return parse_aspif(f"asp 1 0 0\n{line}\n0\n").statements[0]
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None, database=None)
+@given(edited_lines())
+def test_parse_matches_the_field_reader(line):
+    assert outcome(parse_line, line) == outcome(reference_parse_line, line)

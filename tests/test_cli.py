@@ -83,6 +83,13 @@ class TestParse:
         assert (code, out) == (1, "")
         assert err == "error: line 2: negative head atom count -1\n"
 
+    def test_negative_symbol_length_exits_1(self, capsys, tmp_path):
+        path = write(tmp_path, "neg.aspif",
+                     "asp 1 0 0\n1 0 1 7 0 0\n4 -3 abc 1 1 7\n0\n")
+        code, out, err = run(capsys, "parse", path)
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: negative symbol length -3\n"
+
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(capsys, "parse", "no-such-file.aspif")
         assert code == 1

@@ -2,14 +2,9 @@ import pytest
 
 from aspexplain import nodes
 from aspexplain.aspif import parse_aspif
-from aspexplain.constraints import (
-    NEG_BODY,
-    POS_BODY,
-    classify_choice_support,
-    constraint_preprocessing,
-)
-from aspexplain.errors import NotApplicable, UnviolableConstraint
-from aspexplain.ground import reconstruct
+from aspexplain.constraints import constraint_preprocessing, constraint_saviors
+from aspexplain.errors import UnviolableConstraint
+from aspexplain.ground import ChoiceAtomSpec, reconstruct
 
 
 def build(body: str):
@@ -59,28 +54,75 @@ def test_p1_choice_constraint(p1_ec, p1):
     assert p1_ec[t] == [frozenset({nodes.star_true_node()})]
 
 
-def test_classify_neg_side_in_bounds(p1, p1_answer):
-    spec = p1.choice_specs[0]
-    node = classify_choice_support(p1, spec, NEG_BODY, p1_answer)
+def choice_constraint(g):
+    """The one constraint of g with a choice occurrence, and its one
+    resolved body."""
+    [rule] = [r for r in g.constraints()
+              if any(isinstance(t, ChoiceAtomSpec)
+                     for t in (*r.pos_body, *r.neg_body))]
+    [body] = g.constraint_bodies(rule)
+    return rule, body
+
+
+def saviors_of(g, names):
+    """The saviors of g's choice constraint under the answer ``names``, and
+    the table rows of its bound nodes."""
+    rule, body = choice_constraint(g)
+    _, saviors, expansion = constraint_saviors(
+        g, g.answer_from_names(names), rule, body)
+    return saviors, expansion
+
+
+# ":- c, 2 <= {a; b}." with a, b and c chosen freely: the choice occurrence
+# sits in the positive body.
+POS_BODY_CHOICE = (
+    "1 1 3 1 2 3 0 0\n"
+    "1 0 1 4 0 1 1\n"
+    "1 0 1 5 0 1 2\n"
+    "1 0 1 6 1 2 2 4 1 5 1\n"
+    "1 0 0 0 2 3 6\n"
+    "4 1 a 1 1\n4 1 b 1 2\n4 1 c 1 3\n"
+)
+
+
+def test_saviors_neg_side_in_bounds(p1):
+    # ":- l(6), not 1<={...}<=1": the bound holds, so ~bound fails.
+    saviors, expansion = saviors_of(p1, {"n(1)", "n(2)", "c", "m(1)"})
+    node = p1.spec_node(p1.choice_specs[0], positive=True)
+    assert saviors == [node]
     assert node.kind == nodes.CHOICE
     assert node.render() == "1<={(m(1), n(1)), (m(2), n(2))}<=1"
+    t = nodes.tuple_node((("m(1)", True), ("n(1)", True)))
+    assert expansion == {node: [frozenset({t})],
+                         t: [frozenset({nodes.star_true_node()})]}
 
 
-def test_classify_pos_side_out_of_bounds(p1):
-    spec = p1.choice_specs[0]
-    A = p1.answer_from_names({"n(1)", "n(2)", "a"})
-    node = classify_choice_support(p1, spec, POS_BODY, A)
+def test_saviors_neg_side_out_of_bounds_adds_none(p1):
+    # The bound fails, so ~bound holds: only the failing literal saves.
+    saviors, expansion = saviors_of(p1, {"n(1)", "n(2)", "a"})
+    assert saviors == [neg("c")]
+    assert expansion == {}
+
+
+def test_saviors_pos_side_out_of_bounds():
+    gp = build(POS_BODY_CHOICE)
+    saviors, expansion = saviors_of(gp, {"a"})
+    node = gp.spec_node(gp.choice_specs[0], positive=False)
+    assert saviors == [neg("c"), node]
     assert node.kind == nodes.NEG_CHOICE
-    assert node.render() == "~(1<={(m(1), n(1)), (m(2), n(2))}<=1)"
+    assert node.render() == "~(2<={a, b})"
+    t = nodes.tuple_node((("a", True),))
+    assert expansion == {node: [frozenset({t})],
+                         t: [frozenset({nodes.star_true_node()})]}
 
 
-def test_classify_not_applicable(p1, p1_answer):
-    spec = p1.choice_specs[0]
-    with pytest.raises(NotApplicable):
-        classify_choice_support(p1, spec, POS_BODY, p1_answer)
-    A = p1.answer_from_names({"n(1)", "n(2)", "a"})
-    with pytest.raises(NotApplicable):
-        classify_choice_support(p1, spec, NEG_BODY, A)
+def test_saviors_pos_side_in_bounds_adds_none():
+    gp = build(POS_BODY_CHOICE)
+    saviors, expansion = saviors_of(gp, {"a", "b"})
+    assert saviors == [neg("c")]
+    assert expansion == {}
+    with pytest.raises(UnviolableConstraint):
+        saviors_of(gp, {"a", "b", "c"})
 
 
 def test_no_constraints_empty_table():

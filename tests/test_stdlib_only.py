@@ -1,10 +1,13 @@
 """The runtime imports only the standard library, as ``dependencies = []``
 in pyproject.toml promises: every absolute import in ``src/aspexplain``
-names a standard-library module."""
+names a standard-library module.  The package exports exactly the public
+names its ``__init__.py`` imports."""
 
 import ast
 import sys
 from pathlib import Path
+
+import aspexplain
 
 SRC = Path(__file__).parent.parent / "src" / "aspexplain"
 
@@ -29,3 +32,12 @@ def test_runtime_imports_only_the_standard_library():
                     for name, line in absolute_imports(tree)
                     if name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_all_lists_the_imported_public_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert len(set(aspexplain.__all__)) == len(aspexplain.__all__)
+    assert set(aspexplain.__all__) == public
