@@ -47,14 +47,6 @@ class RuleStatement(NamedTuple):
     head: tuple[int, ...]
     body: NormalBody | WeightBody
 
-    @property
-    def is_constraint(self) -> bool:
-        return self.head_type == HEAD_DISJUNCTIVE and not self.head
-
-    @property
-    def is_choice(self) -> bool:
-        return self.head_type == HEAD_CHOICE
-
 
 class OutputStatement(NamedTuple):
     symbol: str
@@ -461,12 +453,12 @@ def _parse_output(line: str, lineno: int) -> OutputStatement:
     tokens = tail.split()
     ints = _integers(tokens)
     if not ints:
-        raise _expected("condition literal count", tokens, ints, tail, lineno)
+        raise _expected("condition literal count", tokens, ints, line, lineno)
     if ints[0] < 0:
         raise _negative("condition literal count", ints[0], lineno)
     end = 1 + ints[0]
     if end > len(ints):
-        raise _expected("condition literal", tokens, ints, tail, lineno)
+        raise _expected("condition literal", tokens, ints, line, lineno)
     if end != len(tokens):
         raise _trailing(tokens, end, lineno)
     return _new(OutputStatement, (symbol, ints[1:]))

@@ -6,6 +6,13 @@ lower bound and the upper bound + 1, a combiner atom, and an integrity
 constraint.  This module folds that machinery back into
 :class:`ChoiceAtomSpec` occurrences so the engines can reason at the level
 of the source program.
+
+A fold that a rule uses consumes the definitions of the hidden atoms it
+stands for: a weight atom's, with the tuple atoms' of its elements, and a
+combiner's, with its lower weight atom's; a named head's weight body
+consumes the definitions of its tuple atoms.  A consumed definition is
+dropped from the rules unless a kept rule reads its head, in its body or in
+an opaque weight body.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from .aspif import (
     HEAD_DISJUNCTIVE,
     AspifProgram,
     NormalBody,
-    RuleStatement,
     WeightBody,
 )
 from .errors import (
@@ -43,7 +49,6 @@ class ChoiceElement:
     """One element of a choice atom: its literals with the element first."""
 
     lits: tuple[int, ...]
-    element: int | None = None
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,17 @@ class GroundRule:
     statement_index: int = -1
     # Set when the statement's weight body could not be interpreted.
     raw_weight: WeightBody | None = None
+
+    def check_interpreted(self) -> None:
+        """Raise UnsupportedWeightBody if the weight body was kept opaque,
+        whatever kept it so: a head that is not one named atom, weights
+        that differ or are below 1, or an element that is neither a named
+        atom nor a tuple atom."""
+        if self.raw_weight is not None:
+            what = "constraint" if self.kind == CONSTRAINT else "rule"
+            raise UnsupportedWeightBody(
+                f"{what} from statement {self.statement_index} kept opaque: "
+                "its weight body does not fold into a choice atom")
 
 
 class GroundProgram:
@@ -258,10 +274,7 @@ class GroundProgram:
         """
         bodies = self._body_memo.get(rule.statement_index)
         if bodies is None:
-            if rule.raw_weight is not None:
-                raise UnsupportedWeightBody(
-                    f"constraint from statement {rule.statement_index} kept "
-                    "opaque: heterogeneous weight body")
+            rule.check_interpreted()
             lits = [t for t in rule.pos_body if isinstance(t, int)] \
                 + [-t for t in rule.neg_body if isinstance(t, int)]
             named = self.named
@@ -286,13 +299,6 @@ class GroundProgram:
                 for lit in body:
                     index.setdefault(lit, []).append((rule, body))
         return index
-
-    @cached_property
-    def choice_specs(self) -> list[ChoiceAtomSpec]:
-        """The distinct choice-atom occurrences in rule order."""
-        return list(dict.fromkeys(
-            t for r in self.rules for t in r.pos_body + r.neg_body
-            if isinstance(t, ChoiceAtomSpec)))
 
     # --- rendering --------------------------------------------------------
 
@@ -380,8 +386,7 @@ def _minimize_sets(sets: list[frozenset]) -> list[frozenset]:
 def reconstruct(aspif_program: AspifProgram) -> GroundProgram:
     gp = GroundProgram(aspif_program)
     _read_symbols(gp)
-    _build_rules(gp, _ChoiceFolder(gp))
-    _build_index(gp)
+    _build_rules(gp)
     gp.nant = frozenset(_compute_nant(gp))
     return gp
 
@@ -404,7 +409,11 @@ def _read_symbols(gp: GroundProgram) -> None:
 
 
 class _ChoiceFolder:
-    """Recognizes the compiled bound-test patterns around choice rules."""
+    """Recognizes the compiled bound-test patterns around choice rules.
+
+    A fold is the choice atom that an atom's definition compiles, with the
+    hidden atoms whose definitions it consumes.
+    """
 
     def __init__(self, gp: GroundProgram):
         self.gp = gp
@@ -412,81 +421,60 @@ class _ChoiceFolder:
         self.choice_heads = {
             h for stmt in gp.aspif.rules if stmt.head_type == HEAD_CHOICE
             for h in stmt.head}
-        self._spec_memo: dict[int, ChoiceAtomSpec | None] = {}
+        # (atom, body) -> what fold gives.  A hidden atom has one
+        # definition, so it is folded once; a named head is folded, and
+        # warned about, once per distinct weight body.
+        self._folds: dict[tuple, tuple | None] = {}
         # tuple atom -> what _element_for gives.  A bound pair's two weight
         # bodies hold the same elements, which are read once.
-        self._element_memo: dict[int, tuple | None] = {}
-        # (atom, weight body) -> what _read_elements gives.  Each is read
-        # once, though a bound pair ``ok :- lo, not hi`` folds ``lo`` again
-        # with its upper bound.
-        self._elements: dict[tuple, tuple | None] = {}
-        # aux id -> statements consumed when its fold is used
-        self.clusters: dict[int, list[RuleStatement]] = {}
-        self.used: set[int] = set()
+        self._element_memo: dict[int, ChoiceElement | None] = {}
 
-    def spec_for(self, aid: int) -> ChoiceAtomSpec | None:
-        if aid in self._spec_memo:
-            return self._spec_memo[aid]
-        spec = self._fold(aid)
-        self._spec_memo[aid] = spec
-        return spec
+    def fold_hidden(self, aid: int) -> tuple | None:
+        """The fold of a hidden atom's one definition, or None."""
+        body = self._single_def(aid)
+        return None if body is None else self.fold(aid, body)
 
-    def direct_spec(self, stmt: RuleStatement) -> ChoiceAtomSpec | None:
-        """Fold a rule whose own body is a weight body (lower bound only)."""
-        return self._fold_weight(stmt.head[0], stmt.body, upper_arm=None)
+    def fold(self, aid: int, body) -> tuple | None:
+        """``(spec, consumed atoms)`` for atom ``aid`` defined by ``body``.
 
-    def _single_def(self, aid: int) -> RuleStatement | None:
+        A weight body folds to a lower-bound occurrence.  A pair
+        ``ok :- lo, not hi``, where ``lo`` and ``hi`` are weight bodies over
+        the same elements and ``hi``'s bound is the higher, is ``lo``'s fold
+        with the upper bound just below ``hi``'s, and consumes ``ok`` too.
+        """
+        key = (aid, body)
+        if key in self._folds:
+            return self._folds[key]
+        folded = None
+        if isinstance(body, WeightBody):
+            folded = self._read_elements(aid, body)
+        elif len(lits := body.literals) == 2 and lits[0] > 0 and lits[1] < 0:
+            lo, hi = self._single_def(lits[0]), self._single_def(-lits[1])
+            if isinstance(lo, WeightBody) and isinstance(hi, WeightBody) \
+                    and sorted(lo.elements) == sorted(hi.elements) \
+                    and hi.lower > lo.lower:
+                low = self.fold(lits[0], lo)
+                if low is not None:
+                    spec, consumed = low
+                    upper = math.ceil(hi.lower / lo.elements[0][1]) - 1
+                    folded = (ChoiceAtomSpec(spec.lower, upper, spec.elements),
+                              (aid, *consumed))
+        self._folds[key] = folded
+        return folded
+
+    def _single_def(self, aid: int):
+        """The body of a hidden atom's only rule, if that rule has one head
+        and the atom is in no choice head; None otherwise."""
         if aid in self.named or aid in self.choice_heads:
             return None
         defs = self.gp.aspif.definitions.get(aid, [])
         if len(defs) != 1 or len(defs[0].head) != 1:
             return None
-        return defs[0]
+        return defs[0].body
 
-    def _weight_def(self, aid: int) -> WeightBody | None:
-        stmt = self._single_def(aid)
-        if stmt is None or not isinstance(stmt.body, WeightBody):
-            return None
-        return stmt.body
-
-    def _fold(self, aid: int) -> ChoiceAtomSpec | None:
-        stmt = self._single_def(aid)
-        if stmt is None:
-            return None
-        if isinstance(stmt.body, WeightBody):
-            return self._fold_weight(aid, stmt.body, upper_arm=None)
-        lits = stmt.body.literals
-        if len(lits) == 2 and lits[0] > 0 and lits[1] < 0:
-            lo = self._weight_def(lits[0])
-            hi = self._weight_def(-lits[1])
-            if lo is not None and hi is not None \
-                    and sorted(lo.elements) == sorted(hi.elements) \
-                    and hi.lower > lo.lower:
-                spec = self._fold_weight(lits[0], lo, upper_arm=hi.lower)
-                if spec is not None:
-                    self.clusters[aid] = [stmt] + self.clusters.pop(lits[0], [])
-                    return spec
-        return None
-
-    def _fold_weight(self, aid: int, body: WeightBody,
-                     upper_arm: int | None) -> ChoiceAtomSpec | None:
-        key = (aid, body)
-        if key in self._elements:
-            folded = self._elements[key]
-        else:
-            folded = self._elements[key] = self._read_elements(aid, body)
-        if folded is None:
-            return None
-        weight, elements, consumed = folded
-        lower = math.ceil(body.lower / weight)
-        upper = None if upper_arm is None else math.ceil(upper_arm / weight) - 1
-        self.clusters[aid] = consumed
-        return ChoiceAtomSpec(lower, upper, elements)
-
-    def _read_elements(self, aid: int, body: WeightBody):
-        """The common weight of an atom's weight body, its elements and the
-        statements its fold consumes; None if it does not fold, with a
-        warning if its weights differ."""
+    def _read_elements(self, aid: int, body: WeightBody) -> tuple | None:
+        """The lower-bound fold of an atom's weight body; None if it does
+        not fold, with a warning if its weights differ."""
         weights = {w for _, w in body.elements}
         if len(weights) != 1:
             self.gp.warnings.append(
@@ -497,32 +485,29 @@ class _ChoiceFolder:
         if weight < 1:
             return None
         elements = []
-        consumed = [] if aid in self.named \
-            else [self.gp.aspif.definitions[aid][0]]
+        consumed = [] if aid in self.named else [aid]
         memo = self._element_memo
         for lit, _ in body.elements:
             if lit <= 0:
                 return None
             if lit not in memo:
                 memo[lit] = self._element_for(lit)
-            element = memo[lit]
-            if element is None:
+            if memo[lit] is None:
                 return None
-            element, tuple_stmt = element
-            elements.append(element)
-            if tuple_stmt is not None:
-                consumed.append(tuple_stmt)
-        return weight, tuple(elements), consumed
+            elements.append(memo[lit])
+            if lit not in self.named:
+                consumed.append(lit)
+        spec = ChoiceAtomSpec(math.ceil(body.lower / weight), None,
+                              tuple(elements))
+        return spec, tuple(consumed)
 
-    def _element_for(self, aid: int):
+    def _element_for(self, aid: int) -> ChoiceElement | None:
         if aid in self.named:
-            return ChoiceElement((aid,), aid), None
-        stmt = self._single_def(aid)
-        if stmt is None or not isinstance(stmt.body, NormalBody):
+            return ChoiceElement((aid,))
+        body = self._single_def(aid)
+        if not isinstance(body, NormalBody) or not body.literals:
             return None
-        lits = stmt.body.literals
-        if not lits:
-            return None
+        lits = body.literals
         element = None
         for lit in reversed(lits):
             if lit > 0 and lit in self.choice_heads:
@@ -533,14 +518,19 @@ class _ChoiceFolder:
             if len(positives) == 1:
                 element = positives[0]
         if element is None:
-            return ChoiceElement(tuple(lits), None), stmt
+            return ChoiceElement(lits)
         ordered = (element,) + tuple(l for l in lits if l != element)
-        return ChoiceElement(ordered, element), stmt
+        return ChoiceElement(ordered)
 
 
-def _build_rules(gp: GroundProgram, folder: _ChoiceFolder) -> None:
+def _build_rules(gp: GroundProgram) -> None:
+    """Build the rules in statement order, folding choice machinery, then
+    keep and index each rule that is not a consumed definition, or whose
+    head a kept rule reads."""
     named = gp.named
+    folder = _ChoiceFolder(gp)
     rules: list[GroundRule] = []
+    consumed: set[int] = set()
     for idx, stmt in enumerate(gp.aspif.rules):
         head_type, head, body = stmt
         if head_type == HEAD_DISJUNCTIVE and len(head) > 1:
@@ -552,12 +542,12 @@ def _build_rules(gp: GroundProgram, folder: _ChoiceFolder) -> None:
             # A named atom defined directly by a weight body becomes a
             # lower-bound-only choice occurrence; aux heads of the same
             # shape stay as-is and fold at their use sites instead.
-            spec = None
+            folded = None
             if len(head) == 1 and head[0] in named:
-                spec = folder.direct_spec(stmt)
-            if spec is not None:
-                rules.append(GroundRule(kind, head, (spec,), (), idx))
-                folder.used.add(head[0])
+                folded = folder.fold(head[0], body)
+            if folded is not None:
+                rules.append(GroundRule(kind, head, (folded[0],), (), idx))
+                consumed.update(folded[1])
             else:
                 rules.append(GroundRule(kind, head, statement_index=idx,
                                         raw_weight=body))
@@ -565,43 +555,27 @@ def _build_rules(gp: GroundProgram, folder: _ChoiceFolder) -> None:
         pos: list = []
         neg: list = []
         for lit in body.literals:
-            aid = abs(lit)
-            spec = None if aid in named else folder.spec_for(aid)
-            if spec is not None:
-                folder.used.add(aid)
-            (pos if lit > 0 else neg).append(aid if spec is None else spec)
+            term = aid = abs(lit)
+            folded = None if aid in named else folder.fold_hidden(aid)
+            if folded is not None:
+                term = folded[0]
+                consumed.update(folded[1])
+            (pos if lit > 0 else neg).append(term)
         rules.append(GroundRule(kind, head, tuple(pos), tuple(neg), idx))
-    _drop_consumed(gp, folder, rules)
-
-
-def _drop_consumed(gp: GroundProgram, folder: _ChoiceFolder,
-                   rules: list[GroundRule]) -> None:
-    consumed_stmts = {id(stmt) for aid in folder.used
-                      for stmt in folder.clusters.get(aid, ())}
-    if not consumed_stmts:
-        gp.rules = rules
-        return
-    stmts = gp.aspif.rules
-    consumed = [id(stmts[rule.statement_index]) in consumed_stmts
-                for rule in rules]
-    # A consumed definition must stay if its head is still referenced by a
-    # surviving rule body.
-    referenced: set[int] = set()
-    for rule, gone in zip(rules, consumed):
-        if gone:
-            continue
-        referenced.update(term for term in rule.pos_body + rule.neg_body
-                          if isinstance(term, int))
-        if rule.raw_weight is not None:
-            referenced.update(abs(l) for l in rule.raw_weight.literals)
-    gp.rules = [rule for rule, gone in zip(rules, consumed)
-                if not gone or not referenced.isdisjoint(rule.heads)]
-
-
-def _build_index(gp: GroundProgram) -> None:
-    for rule in gp.rules:
-        for head in (None,) if rule.kind == CONSTRAINT else rule.heads:
-            gp.index.setdefault(head, []).append(rule)
+    # A consumed atom has one defining rule, so a rule is consumed iff
+    # its head is.
+    read: set[int] = set()
+    for rule in rules:
+        if consumed.isdisjoint(rule.heads):
+            read.update(term for term in rule.pos_body + rule.neg_body
+                        if isinstance(term, int))
+            if rule.raw_weight is not None:
+                read.update(abs(l) for l in rule.raw_weight.literals)
+    for rule in rules:
+        if consumed.isdisjoint(rule.heads) or not read.isdisjoint(rule.heads):
+            gp.rules.append(rule)
+            for head in (None,) if rule.kind == CONSTRAINT else rule.heads:
+                gp.index.setdefault(head, []).append(rule)
 
 
 def _compute_nant(gp: GroundProgram) -> set[int]:

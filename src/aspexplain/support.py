@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from . import nodes
-from .errors import NoSupport, UnsupportedWeightBody
+from .errors import NoSupport
 from .ground import (
     CHOICE,
     ChoiceAtomSpec,
@@ -77,19 +77,11 @@ def _term_true_options(g, term, positive, A, expansion):
     return _holding_alternatives(g, term if positive else -term, A)
 
 
-def _check_interpreted(rule: GroundRule) -> None:
-    """Raise UnsupportedWeightBody for a rule whose body was kept opaque."""
-    if rule.raw_weight is not None:
-        raise UnsupportedWeightBody(
-            f"rule from statement {rule.statement_index} kept opaque: "
-            "heterogeneous weight body")
-
-
 def _body_true_options(g, rule: GroundRule, A, expansion):
     """One supported set per way of satisfying the body; [] if unsatisfied.
     Every term is evaluated, so that the first error is the one the body
     order meets."""
-    _check_interpreted(rule)
+    rule.check_interpreted()
     per_term = []
     for term in rule.pos_body:
         per_term.append(_term_true_options(g, term, True, A, expansion))
@@ -237,7 +229,7 @@ def check_rules(g: GroundProgram, A: frozenset[int]) -> None:
     named = g.named
     for aid in er_key_order(g):
         for rule in g.rules_for_head(aid):
-            _check_interpreted(rule)
+            rule.check_interpreted()
             for terms, sign in ((rule.pos_body, 1), (rule.neg_body, -1)):
                 for term in terms:
                     if isinstance(term, ChoiceAtomSpec):

@@ -160,7 +160,7 @@ def test_p1_weight_bodies(p1_program):
 
 
 def test_p1_choice_heads(p1_program):
-    choice = [r for r in p1_program.rules if r.is_choice]
+    choice = [r for r in p1_program.rules if r.head_type == HEAD_CHOICE]
     assert [r.head for r in choice] == [(7,), (8,)]
 
 
@@ -352,7 +352,8 @@ PARSE_ERRORS = [
         id="condition_count_token"),
     pytest.param(
         "asp 1 0 0\n4 3 abc\n0\n", TruncatedStatement,
-        "line 2: expected condition literal count, statement ends early: ''",
+        "line 2: expected condition literal count, statement ends early: "
+        "'4 3 abc'",
         id="condition_count_end"),
     pytest.param(
         "asp 1 0 0\n4 1 a 2 3 q\n0\n", TruncatedStatement,
@@ -360,7 +361,8 @@ PARSE_ERRORS = [
         id="condition_literal_token"),
     pytest.param(
         "asp 1 0 0\n4 1 a 2 3\n0\n", TruncatedStatement,
-        "line 2: expected condition literal, statement ends early: ' 2 3'",
+        "line 2: expected condition literal, statement ends early: "
+        "'4 1 a 2 3'",
         id="condition_literal_end"),
     pytest.param(
         "asp 1 0 0\n4 1 a 1 3 4\n0\n", TruncatedStatement,
@@ -656,7 +658,7 @@ def reference_parse_line(line: str, lineno: int = 2):
             raise TruncatedStatement(
                 f"line {lineno}: symbol shorter than declared length")
         symbol, tail = tail[:length], tail[length:]
-        fields = _Fields(tail.split(), tail, lineno)
+        fields = _Fields(tail.split(), line, lineno)
         end = 1 + fields.count(0, "condition literal count")
         condition = fields.span(1, end, "condition literal")
         fields.finish(end)

@@ -355,7 +355,8 @@ class TestExplainExitCodes:
     @pytest.mark.parametrize("body, names, answer, message", [
         # b :- 1 <= {c=1, d=2}.
         ("1 0 1 1 0 0\n1 0 1 2 1 1 2 3 1 4 2\n", "abcd", "a",
-         "rule from statement 1 kept opaque: heterogeneous weight body"),
+         "rule from statement 1 kept opaque: its weight body does not fold "
+         "into a choice atom"),
         # b :- l(5).  l(5) :- l(6).  l(6) :- l(5).
         ("1 0 1 1 0 0\n1 0 1 2 0 1 5\n1 0 1 5 0 1 6\n1 0 1 6 0 1 5\n",
          "ab", "a", "auxiliary atom 5 is defined through itself"),
@@ -370,8 +371,8 @@ class TestExplainExitCodes:
          "ab", "a", "auxiliary atom 5 is defined through itself"),
         # :- 1 <= {c=1, d=2}.
         ("1 0 1 1 0 0\n1 0 0 1 1 2 3 1 4 2\n", "abcd", "a",
-         "constraint from statement 1 kept opaque: heterogeneous weight "
-         "body"),
+         "constraint from statement 1 kept opaque: its weight body does not "
+         "fold into a choice atom"),
         # {x}.  {l(9)}.  b :- 1 <= {(x, l(9))}: evaluating the element
         # reaches l(9) only when x is true.
         ("1 0 1 1 0 0\n1 1 1 3 0 0\n1 1 1 9 0 0\n1 0 1 5 0 2 9 3\n"
@@ -393,6 +394,26 @@ class TestExplainExitCodes:
         warnings = "".join(f"warning: {w}\n" for w in
                            reconstruct(parse_aspif(text)).warnings)
         assert (code, out, err) == (2, "", f"{warnings}error: {message}\n")
+
+    @pytest.mark.parametrize("rule, answer, root", [
+        # h :- 1 <= {not p = 1}: the weights agree, an element is negative.
+        ("1 0 1 3 1 1 1 -2 1", "h", "h"),
+        # h :- 0 <= {p = 0}: the common weight is 0.
+        ("1 0 1 3 1 0 1 2 0", "h", "h"),
+        # h :- 1 <= {l(5) = 1}: the element is no tuple atom.
+        ("1 0 1 3 1 1 1 5 1", "", "~h"),
+    ])
+    def test_opaque_uniform_weight_body_exits_2(self, capsys, tmp_path,
+                                                rule, answer, root):
+        path = write(tmp_path, "p.aspif",
+                     f"asp 1 0 0\n{rule}\n" + named("a", "p", "h") + "0\n")
+        code, out, err = run(capsys, "parse", path)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "explain", path, "--answer", answer,
+                             "--root", root)
+        assert (code, out, err) == (
+            2, "", "error: rule from statement 0 kept opaque: its weight "
+                   "body does not fold into a choice atom\n")
 
     def test_unchecked_unsupported_atom_exits_3(self, capsys, tmp_path):
         # a.  b :- c.  The answer {a, b} is not checked, and b, which the

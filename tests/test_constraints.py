@@ -6,6 +6,8 @@ from aspexplain.constraints import constraint_preprocessing, constraint_saviors
 from aspexplain.errors import UnviolableConstraint
 from aspexplain.ground import ChoiceAtomSpec, reconstruct
 
+from test_ground import choice_specs
+
 
 def build(body: str):
     return reconstruct(parse_aspif("asp 1 0 0\n" + body + "0\n"))
@@ -46,7 +48,7 @@ def test_p1_plain_constraint(p1_ec):
 
 
 def test_p1_choice_constraint(p1_ec, p1):
-    choice_node = p1.spec_node(p1.choice_specs[0])
+    choice_node = p1.spec_node(choice_specs(p1)[0])
     assert p1_ec[atom("c")] == [frozenset({tc("c")})]
     assert p1_ec[tc("c")] == [frozenset({choice_node})]
     t = nodes.tuple_node((("m(1)", True), ("n(1)", True)))
@@ -88,7 +90,7 @@ POS_BODY_CHOICE = (
 def test_saviors_neg_side_in_bounds(p1):
     # ":- l(6), not 1<={...}<=1": the bound holds, so ~bound fails.
     saviors, expansion = saviors_of(p1, {"n(1)", "n(2)", "c", "m(1)"})
-    node = p1.spec_node(p1.choice_specs[0], positive=True)
+    node = p1.spec_node(choice_specs(p1)[0], positive=True)
     assert saviors == [node]
     assert node.kind == nodes.CHOICE
     assert node.render() == "1<={(m(1), n(1)), (m(2), n(2))}<=1"
@@ -107,7 +109,7 @@ def test_saviors_neg_side_out_of_bounds_adds_none(p1):
 def test_saviors_pos_side_out_of_bounds():
     gp = build(POS_BODY_CHOICE)
     saviors, expansion = saviors_of(gp, {"a"})
-    node = gp.spec_node(gp.choice_specs[0], positive=False)
+    node = gp.spec_node(choice_specs(gp)[0], positive=False)
     assert saviors == [neg("c"), node]
     assert node.kind == nodes.NEG_CHOICE
     assert node.render() == "~(2<={a, b})"

@@ -16,7 +16,12 @@ import itertools
 import pytest
 
 from aspexplain import cli, oracle
-from aspexplain.aspif import WeightBody, parse_aspif
+from aspexplain.aspif import (
+    HEAD_CHOICE,
+    HEAD_DISJUNCTIVE,
+    WeightBody,
+    parse_aspif,
+)
 from aspexplain.errors import TooLarge
 from aspexplain.ground import reconstruct
 
@@ -126,9 +131,9 @@ def test_random_programs_cover_weight_bodies_choices_and_constraints():
         for stmt in g.aspif.rules:
             if isinstance(stmt.body, WeightBody):
                 kinds.add("weight")
-            if stmt.is_choice:
+            if stmt.head_type == HEAD_CHOICE:
                 kinds.add("choice")
-            if stmt.is_constraint:
+            if stmt.head_type == HEAD_DISJUNCTIVE and not stmt.head:
                 kinds.add("constraint")
     assert kinds == {"weight", "choice", "constraint"}
 

@@ -16,6 +16,13 @@ from aspexplain.support import build_er, dump_table
 from test_cli import DATA, MIXED_WEIGHT_PAIR, element_chain
 
 
+def choice_specs(gp) -> list[ChoiceAtomSpec]:
+    """The distinct choice-atom occurrences of the rules, in rule order."""
+    return list(dict.fromkeys(
+        t for r in gp.rules for t in r.pos_body + r.neg_body
+        if isinstance(t, ChoiceAtomSpec)))
+
+
 def build(body: str):
     return reconstruct(parse_aspif("asp 1 0 0\n" + body + "0\n"))
 
@@ -61,15 +68,15 @@ def test_p1_choice_rules(p1):
 
 
 def test_p1_choice_spec(p1):
-    assert len(p1.choice_specs) == 1
-    spec = p1.choice_specs[0]
+    assert len(choice_specs(p1)) == 1
+    spec = choice_specs(p1)[0]
     assert spec.lower == 1 and spec.upper == 1
     rendered = p1.spec_node(spec).render()
     assert rendered == "1<={(m(1), n(1)), (m(2), n(2))}<=1"
     elements = [tuple(p1.display_atom(abs(l)) for l in e.lits)
                 for e in spec.elements]
     assert elements == [("m(1)", "n(1)"), ("m(2)", "n(2)")]
-    assert [p1.display_atom(e.element) for e in spec.elements] == ["m(1)", "m(2)"]
+    assert [p1.display_atom(e.lits[0]) for e in spec.elements] == ["m(1)", "m(2)"]
 
 
 def test_p1_facts(p1):
@@ -97,10 +104,10 @@ def test_p1_evaluation(p1, p1_answer):
     assert p1.lit_holds(c, p1_answer)
     assert not p1.lit_holds(p1.atom_id("a"), p1_answer)
     assert p1.lit_holds(6, p1_answer)
-    spec = p1.choice_specs[0]
+    spec = choice_specs(p1)[0]
     assert p1.spec_holds(spec, p1_answer)
     sat = p1.satisfied_elements(spec, p1_answer)
-    assert len(sat) == 1 and p1.display_atom(sat[0].element) == "m(1)"
+    assert len(sat) == 1 and p1.display_atom(sat[0].lits[0]) == "m(1)"
     assert not p1.spec_holds(spec, p1_answer | {p1.atom_id("m(2)")})
 
 
@@ -256,7 +263,7 @@ def readable_atoms(gp) -> set[int]:
 def test_lit_holds_matches_reference_walk():
     for text, stride in acyclic_programs():
         gp = reconstruct(parse_aspif(text))
-        in_elements = {abs(lit) for spec in gp.choice_specs
+        in_elements = {abs(lit) for spec in choice_specs(gp)
                        for element in spec.elements for lit in element.lits}
         readable = readable_atoms(gp)
         assert readable >= in_elements
@@ -274,7 +281,7 @@ def test_lit_holds_matches_reference_walk():
 
 def test_element_condition_reads_a_negated_hidden_atom():
     gp = reconstruct(parse_aspif(NEGATED_ELEMENT))
-    spec = gp.choice_specs[0]
+    spec = choice_specs(gp)[0]
     assert [gp.display_lit(l) for l in spec.elements[0].lits] \
         == ["p", "not l(5)"]
     for names, holds in ((["p", "r"], True), (["p", "q"], False),
@@ -428,8 +435,8 @@ def test_coloring_shape(coloring):
     kinds = [r.kind for r in coloring.rules]
     assert kinds.count(CHOICE) == 9
     assert kinds.count(CONSTRAINT) == 12
-    assert len(coloring.choice_specs) == 3
-    for spec in coloring.choice_specs:
+    assert len(choice_specs(coloring)) == 3
+    for spec in choice_specs(coloring):
         assert (spec.lower, spec.upper) == (1, 1)
         assert len(spec.elements) == 3
     # Negation only occurs inside the folded bound tests, which do not count.

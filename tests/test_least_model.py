@@ -15,7 +15,13 @@ import random
 import pytest
 
 from aspexplain import oracle
-from aspexplain.aspif import AspifProgram, WeightBody, parse_aspif
+from aspexplain.aspif import (
+    HEAD_CHOICE,
+    HEAD_DISJUNCTIVE,
+    AspifProgram,
+    WeightBody,
+    parse_aspif,
+)
 from aspexplain.assumptions import well_founded
 from aspexplain.ground import reconstruct
 
@@ -40,9 +46,9 @@ def rescanning_least_model(program: AspifProgram, interpretation,
     while changed:
         changed = False
         for stmt in program.rules:
-            if stmt.is_constraint:
+            if stmt.head_type == HEAD_DISJUNCTIVE and not stmt.head:
                 continue
-            if stmt.is_choice:
+            if stmt.head_type == HEAD_CHOICE:
                 if choosable is None:
                     continue
                 targets = [h for h in stmt.head
@@ -148,8 +154,8 @@ def test_random_programs_cover_every_statement_kind():
         for stmt in g.aspif.rules:
             kinds.add("weight" if isinstance(stmt.body, WeightBody)
                       else "normal")
-            kinds.add("choice" if stmt.is_choice else
-                      "constraint" if stmt.is_constraint else "rule")
+            kinds.add("choice" if stmt.head_type == HEAD_CHOICE else
+                      "constraint" if not stmt.head else "rule")
     assert kinds == {"weight", "normal", "choice", "constraint", "rule"}
 
 

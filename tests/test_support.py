@@ -13,6 +13,8 @@ from aspexplain.support import (
     supported_sets_true,
 )
 
+from test_ground import choice_specs
+
 
 def build(body: str):
     return reconstruct(parse_aspif("asp 1 0 0\n" + body + "0\n"))
@@ -130,7 +132,7 @@ def test_aux_bodies_are_inlined(p1, p1_answer):
 
 
 def test_choice_body_support_satisfied(p1, p1_answer):
-    spec = p1.choice_specs[0]
+    spec = choice_specs(p1)[0]
     node, expansion = choice_body_support(p1, spec, p1_answer)
     assert node.render() == "1<={(m(1), n(1)), (m(2), n(2))}<=1"
     t = nodes.tuple_node((("m(1)", True), ("n(1)", True)))
@@ -139,7 +141,7 @@ def test_choice_body_support_satisfied(p1, p1_answer):
 
 
 def test_choice_body_support_empty(p1):
-    spec = p1.choice_specs[0]
+    spec = choice_specs(p1)[0]
     A = p1.answer_from_names({"n(1)", "n(2)", "a"})
     node, expansion = choice_body_support(p1, spec, A)
     assert expansion[node] == [frozenset({nodes.star_empty_node()})]
