@@ -17,7 +17,7 @@ from . import nodes
 from .constraints import constraint_preprocessing
 from .egraph import find_egraphs, merge_supports
 from .errors import TooLarge
-from .ground import GroundProgram, _minimize_sets
+from .ground import GroundProgram, _minimize_sets, _union_product, run_deep
 from .support import build_er
 
 _PATH_CAP = 512
@@ -85,75 +85,49 @@ def _leaf_ds(node, on_path, non_neg, ta, root):
     return _OPEN
 
 
-class _Frame:
-    """An expanded node: its untried supports, the members of the support
-    being tried and their D-set lists (None once a member has none), and
-    the D-sets found so far."""
-
-    def __init__(self, node, supports):
-        self.node = node
-        self.supports = iter(supports)
-        self.members = iter(())
-        self.lists: list | None = None
-        self.results: list[frozenset[str]] = []
-
-
 def _path_ds(table, start, ta, root):
     """D-sets of all valid derivation paths below a node, or None.
 
     A path is invalid if it re-reaches the root or closes a cycle through
     any non-minus edge; other tentative atoms terminate a path and are
-    collected.  The search is depth-first with an explicit stack, so long
-    chains do not meet the recursion limit.  ``on_path`` maps each node on
-    the path to the number of non-negative-atom nodes above it, so closing
-    a cycle is checked in constant time.  Raises TooLarge when one node's
-    D-sets, before minimisation, pass _PATH_CAP.
+    collected.  The search recurses on :func:`run_deep`, so long chains do
+    not meet the recursion limit.  Raises TooLarge when one node's D-sets,
+    before minimisation, pass _PATH_CAP.
     """
-    on_path: dict[nodes.ENode, int] = {}
-    non_neg = 0
-    frames: list[_Frame] = []
-    node = start
-    while True:
-        value = _leaf_ds(node, on_path, non_neg, ta, root)
-        if value is _OPEN:
-            alternatives = table.get(node)
-            if alternatives is None:
-                value = None
-            else:
-                on_path[node] = non_neg
-                non_neg += node.kind != nodes.NEG_ATOM
-                frames.append(_Frame(node, alternatives))
-        # Hand the value to the frame below it, finishing frames whose
-        # supports are all tried, until a member is left to evaluate.
-        while True:
-            if value is not _OPEN:
-                if not frames:
-                    return value
-                if value is None:
-                    frames[-1].lists = None
-                else:
-                    frames[-1].lists.append(value)
-                value = _OPEN
-            frame = frames[-1]
-            if frame.lists is not None:
-                node = next(frame.members, None)
-                if node is not None:
-                    break
-                for combo in itertools.product(*frame.lists):
-                    frame.results.append(frozenset().union(*combo))
-                    if len(frame.results) > _PATH_CAP:
-                        raise TooLarge(
-                            f"the derivation paths below "
-                            f"{frame.node.render()} have more than "
-                            f"{_PATH_CAP} D-sets")
-            support = next(frame.supports, None)
-            if support is None:
-                frames.pop()
-                non_neg = on_path.pop(frame.node)
-                value = _minimize_sets(frame.results) or None
-            else:
-                frame.members = iter(nodes.sorted_nodes(support))
-                frame.lists = []
+    ds = _leaf_ds(start, {}, 0, ta, root)
+    if ds is not _OPEN:
+        return ds
+    return run_deep(_expand_ds(table, start, ta, root, {}, 0))
+
+
+def _expand_ds(table, node, ta, root, on_path, non_neg):
+    """The D-sets of a node through its supports, or None.  ``on_path``
+    maps each node on the path to the number of non-negative-atom nodes
+    above it, and ``non_neg`` counts those above ``node``, so closing a
+    cycle is checked in constant time."""
+    supports = table.get(node)
+    if supports is None:
+        return None
+    on_path[node] = non_neg
+    non_neg += node.kind != nodes.NEG_ATOM
+    results: list[frozenset[str]] = []
+    for support in supports:
+        lists = []
+        for member in nodes.sorted_nodes(support):
+            ds = _leaf_ds(member, on_path, non_neg, ta, root)
+            if ds is _OPEN:
+                ds = yield _expand_ds(table, member, ta, root, on_path,
+                                      non_neg)
+            if ds is None:
+                break
+            lists.append(ds)
+        else:
+            results += _union_product(lists, cap=_PATH_CAP + 1 - len(results))
+            if len(results) > _PATH_CAP:
+                raise TooLarge(f"the derivation paths below {node.render()} "
+                               f"have more than {_PATH_CAP} D-sets")
+    del on_path[node]
+    return _minimize_sets(results) or None
 
 
 def _stuck_after(da: dict):

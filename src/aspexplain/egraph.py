@@ -193,6 +193,8 @@ def find_egraphs(e: dict, u, root: nodes.ENode,
 
     # Depth-first search over one support choice per pending node, with an
     # explicit stack so that long chains do not meet the recursion limit.
+    # Not on ground.run_deep: a generator per node made minimal_assumption_sets
+    # on the bench loops tables 15-25% slower (2-core Xeon, Python 3.11).
     # A frame holds a node, the nodes pending after it, and its untried
     # supports; the node is in ``chosen`` while a support of it is tried.
     chosen: dict[nodes.ENode, frozenset] = {}
@@ -327,6 +329,9 @@ def _scc_index(adjacency: dict) -> dict:
         if start in index:
             continue
         # Each frame is a node and the iterator over its remaining targets.
+        # Frames, not ground.run_deep: a generator per node gained nothing
+        # and measured up to 10% slower (minimal_assumption_sets on the
+        # bench loops tables).
         index[start] = low[start] = len(index)
         stack.append(start)
         on_stack.add(start)

@@ -9,10 +9,10 @@ of the source program.
 
 A fold that a rule uses consumes the definitions of the hidden atoms it
 stands for: a weight atom's, with the tuple atoms' of its elements, and a
-combiner's, with its lower weight atom's; a named head's weight body
-consumes the definitions of its tuple atoms.  A consumed definition is
-dropped from the rules unless a kept rule reads its head, in its body or in
-an opaque weight body.
+combiner's, with its lower weight atom's; the weight body of a named head
+or of a constraint consumes the definitions of its tuple atoms.  A
+consumed definition is dropped from the rules unless a kept rule reads its
+head, in its body or in an opaque weight body.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class GroundRule:
 
     def check_interpreted(self) -> None:
         """Raise UnsupportedWeightBody if the weight body was kept opaque,
-        whatever kept it so: a head that is not one named atom, weights
-        that differ or are below 1, or an element that is neither a named
-        atom nor a tuple atom."""
+        whatever kept it so: a head that is neither one named atom nor
+        empty, weights that differ or are below 1, a negative element, or
+        an element that is neither a named atom nor a tuple atom."""
         if self.raw_weight is not None:
             what = "constraint" if self.kind == CONSTRAINT else "rule"
             raise UnsupportedWeightBody(
@@ -196,45 +196,20 @@ class GroundProgram:
         never holds.  An auxiliary literal resolves through its
         definitions: a positive one to the alternatives of each body, a
         negative one to every way of falsifying one literal of each body.
-        The walk is depth-first with an explicit stack, so a deep
-        auxiliary chain costs no recursion.  It checks an atom's
-        definitions before it resolves their literals, and resolves those
-        in body order, so the first error raised is the one a recursive
-        walk would meet.  Results are memoised per program and shared, so
-        callers must not change them.
+        The walk recurses on :func:`run_deep`, so a deep auxiliary chain
+        costs no Python recursion.  Results are memoised per program and
+        shared, so callers must not change them.
         """
+        alts = self._resolved(lit)
+        return run_deep(self._resolve(lit, set())) if alts is None else alts
+
+    def _resolved(self, lit: int) -> list[frozenset[int]] | None:
+        """The memoised alternatives of a literal, or those of a named
+        literal or an unnamed external, which it memoises; None for an
+        auxiliary literal not resolved yet."""
         alts = self._resolve_memo.get(lit)
-        if alts is None:
-            alts = self._resolve_leaf(lit)
         if alts is not None:
             return alts
-        path: set[int] = set()
-        # A frame: an auxiliary literal, its definitions, the literals its
-        # alternatives are built from, and their alternatives so far.
-        frames = [self._open_aux(lit, path)]
-        while True:
-            lit, defs, parts, done = frames[-1]
-            if len(done) < len(parts):
-                part = parts[len(done)]
-                alts = self._resolve_memo.get(part)
-                if alts is None:
-                    alts = self._resolve_leaf(part)
-                if alts is None:
-                    frames.append(self._open_aux(part, path))
-                else:
-                    done.append(alts)
-                continue
-            frames.pop()
-            path.discard(abs(lit))
-            alts = self._resolve_memo[lit] = _dedupe_sets(
-                _combine_definitions(lit > 0, defs, done))
-            if not frames:
-                return alts
-            frames[-1][3].append(alts)
-
-    def _resolve_leaf(self, lit: int) -> list[frozenset[int]] | None:
-        """The alternatives of a named literal or an unnamed external,
-        which it memoises; None for an auxiliary literal."""
         if abs(lit) in self.named:
             alts = [frozenset({lit})]
         elif abs(lit) in self.facts:
@@ -244,10 +219,10 @@ class GroundProgram:
         self._resolve_memo[lit] = alts
         return alts
 
-    def _open_aux(self, lit: int, path: set[int]) -> tuple:
-        """The frame of an auxiliary literal that is about to be resolved,
-        after checking that its atom is not on ``path`` and that its
-        definitions are plain normal rules."""
+    def _resolve(self, lit: int, path: set[int]):
+        """Resolve an auxiliary literal whose atom must not be on ``path``.
+        It checks the atom's definitions before it resolves their literals,
+        in body order, so the first error raised is the first one met."""
         aid = abs(lit)
         if aid in path:
             raise AuxCycle(f"auxiliary atom {aid} is defined through itself")
@@ -261,9 +236,24 @@ class GroundProgram:
                     f"auxiliary atom {aid} occurs in a choice head")
         path.add(aid)
         sign = 1 if lit > 0 else -1
-        parts = [sign * body_lit for stmt in defs
-                 for body_lit in stmt.body.literals]
-        return lit, defs, parts, []
+        # The atom holds if some body holds; it is false if each body has a
+        # literal that fails.
+        holds, fails = [], []
+        for stmt in defs:
+            parts = []
+            for body_lit in stmt.body.literals:
+                alts = self._resolved(sign * body_lit)
+                if alts is None:
+                    alts = yield self._resolve(sign * body_lit, path)
+                parts.append(alts)
+            if lit > 0:
+                holds += _union_product(parts)
+            else:
+                fails.append([f for options in parts for f in options])
+        path.discard(aid)
+        alts = self._resolve_memo[lit] = _dedupe_sets(
+            holds if lit > 0 else _union_product(fails))
+        return alts
 
     def constraint_bodies(self, rule: GroundRule) -> list[frozenset[int]]:
         """A constraint's body with its auxiliary atoms resolved.
@@ -343,22 +333,6 @@ def _union_product(factors, base=frozenset(), cap=None) -> list[frozenset]:
     return [base.union(*combo) for combo in combos]
 
 
-def _combine_definitions(positive: bool, defs, resolved: list) -> list:
-    """The alternatives of an auxiliary literal from those of the literals
-    of its definition bodies, listed body by body.  The atom holds if some
-    body holds; it is false if each body has a literal that fails."""
-    per_body = []
-    start = 0
-    for stmt in defs:
-        end = start + len(stmt.body.literals)
-        per_body.append(resolved[start:end])
-        start = end
-    if positive:
-        return [alt for parts in per_body for alt in _union_product(parts)]
-    return _union_product([[f for options in parts for f in options]
-                           for parts in per_body])
-
-
 def _dedupe_sets(sets) -> list[frozenset]:
     """Drop duplicates, preserving first-seen order."""
     return list(dict.fromkeys(sets))
@@ -381,6 +355,26 @@ def _minimize_sets(sets: list[frozenset]) -> list[frozenset]:
         kept.extend([s for s in group if not any(k <= s for k in kept)])
     keep = set(kept)
     return [s for s in sets if s in keep]
+
+
+def run_deep(gen):
+    """Run a recursive generator on a list as its stack, so its depth costs
+    no Python recursion.  Where the walk would call itself it yields the
+    child generator, and it receives the child's return value; the value
+    the outermost generator returns is the result."""
+    stack = [gen]
+    value = None
+    while True:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                return stop.value
+            value = stop.value
+        else:
+            stack.append(child)
+            value = None
 
 
 def reconstruct(aspif_program: AspifProgram) -> GroundProgram:
@@ -447,7 +441,8 @@ class _ChoiceFolder:
             return self._folds[key]
         folded = None
         if isinstance(body, WeightBody):
-            folded = self._read_elements(aid, body)
+            folded = self._read_elements(
+                body, f"for atom {aid}", () if aid in self.named else (aid,))
         elif len(lits := body.literals) == 2 and lits[0] > 0 and lits[1] < 0:
             lo, hi = self._single_def(lits[0]), self._single_def(-lits[1])
             if isinstance(lo, WeightBody) and isinstance(hi, WeightBody) \
@@ -472,34 +467,37 @@ class _ChoiceFolder:
             return None
         return defs[0].body
 
-    def _read_elements(self, aid: int, body: WeightBody) -> tuple | None:
-        """The lower-bound fold of an atom's weight body; None if it does
-        not fold, with a warning if its weights differ."""
+    def _read_elements(self, body: WeightBody, subject: str,
+                       consumed=()) -> tuple | None:
+        """The lower-bound fold of a weight body, which consumes
+        ``consumed`` and the hidden tuple atoms of its elements; None if it
+        does not fold, with a warning about the weight body ``subject``."""
         weights = {w for _, w in body.elements}
         if len(weights) != 1:
-            self.gp.warnings.append(
-                f"weight body for atom {aid} mixes weights {sorted(weights)}; "
-                "kept opaque")
-            return None
+            return self._opaque(subject, f"mixes weights {sorted(weights)}")
         weight = weights.pop()
         if weight < 1:
-            return None
+            return self._opaque(subject, f"has weight {weight}, below 1")
         elements = []
-        consumed = [] if aid in self.named else [aid]
+        consumed = list(consumed)
         memo = self._element_memo
         for lit, _ in body.elements:
             if lit <= 0:
-                return None
+                return self._opaque(subject, f"has a negative element {lit}")
             if lit not in memo:
                 memo[lit] = self._element_for(lit)
             if memo[lit] is None:
-                return None
+                return self._opaque(subject, f"has element {lit}, which is "
+                                    "neither named nor a tuple atom")
             elements.append(memo[lit])
             if lit not in self.named:
                 consumed.append(lit)
         spec = ChoiceAtomSpec(math.ceil(body.lower / weight), None,
                               tuple(elements))
         return spec, tuple(consumed)
+
+    def _opaque(self, subject: str, why: str) -> None:
+        self.gp.warnings.append(f"weight body {subject} {why}; kept opaque")
 
     def _element_for(self, aid: int) -> ChoiceElement | None:
         if aid in self.named:
@@ -539,12 +537,15 @@ def _build_rules(gp: GroundProgram) -> None:
         kind = CHOICE if head_type == HEAD_CHOICE else (
             CONSTRAINT if not head else NORMAL)
         if isinstance(body, WeightBody):
-            # A named atom defined directly by a weight body becomes a
+            # The weight body of a named atom or of a constraint becomes a
             # lower-bound-only choice occurrence; aux heads of the same
             # shape stay as-is and fold at their use sites instead.
             folded = None
             if len(head) == 1 and head[0] in named:
                 folded = folder.fold(head[0], body)
+            elif kind == CONSTRAINT:
+                folded = folder._read_elements(
+                    body, f"of the constraint from statement {idx}")
             if folded is not None:
                 rules.append(GroundRule(kind, head, (folded[0],), (), idx))
                 consumed.update(folded[1])

@@ -15,8 +15,16 @@ import pytest
 
 from aspexplain import cli
 from aspexplain.aspif import parse_aspif
-from aspexplain.egraph import egraph_from_json
+from aspexplain.constraints import constraint_preprocessing
+from aspexplain.egraph import (
+    build_egraph,
+    egraph_from_json,
+    merge_supports,
+    to_json,
+    validate_egraph,
+)
 from aspexplain.ground import reconstruct
+from aspexplain.support import build_er
 
 from test_assumptions import TWO_D_SETS, da_ring
 
@@ -407,13 +415,39 @@ class TestExplainExitCodes:
                                                 rule, answer, root):
         path = write(tmp_path, "p.aspif",
                      f"asp 1 0 0\n{rule}\n" + named("a", "p", "h") + "0\n")
+        why = {"1 0 1 3 1 1 1 -2 1": "has a negative element -2",
+               "1 0 1 3 1 0 1 2 0": "has weight 0, below 1",
+               "1 0 1 3 1 1 1 5 1": "has element 5, which is neither "
+                                    "named nor a tuple atom"}[rule]
+        warning = f"warning: weight body for atom 3 {why}; kept opaque\n"
         code, out, err = run(capsys, "parse", path)
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, warning)
         code, out, err = run(capsys, "explain", path, "--answer", answer,
                              "--root", root)
         assert (code, out, err) == (
-            2, "", "error: rule from statement 0 kept opaque: its weight "
-                   "body does not fold into a choice atom\n")
+            2, "", warning + "error: rule from statement 0 kept opaque: its "
+                   "weight body does not fold into a choice atom\n")
+
+    def test_constraint_weight_body_folds(self, capsys, tmp_path):
+        # {c; d}.  :- 2 <= {c=1, d=1}.
+        path = write(tmp_path, "p.aspif", "asp 1 0 0\n1 1 2 1 2 0 0\n"
+                     "1 0 0 1 2 2 1 1 2 1\n" + named("c", "d") + "0\n")
+        code, out, err = run(capsys, "parse", path)
+        assert (code, out.splitlines()[:2], err) == (
+            0, ["{c, d}.", ":- 2<={c, d}."], "")
+        g = reconstruct(parse_aspif(Path(path).read_text()))
+        A = g.answer_from_names(["c"])
+        table = merge_supports(build_er(g, A), constraint_preprocessing(g, A))
+        for root in ("c", "~d"):
+            code, out, err = run(capsys, "explain", path, "--answer", "c",
+                                 "--root", root, "--format", "json")
+            assert (code, err) == (0, "")
+            graph = build_egraph(table, frozenset(), cli.parse_root(root))[0]
+            assert validate_egraph(graph, table, frozenset())
+            assert out == to_json(graph)
+        code, out, err = run(capsys, "explain", path, "--answer", "c d",
+                             "--root", "c")
+        assert code == 3
 
     def test_unchecked_unsupported_atom_exits_3(self, capsys, tmp_path):
         # a.  b :- c.  The answer {a, b} is not checked, and b, which the

@@ -404,6 +404,37 @@ def test_mixed_weight_bound_pair_warns_once_per_atom():
     assert gp.rule_text(gp.constraints()[0]) == ":- not l(9)."
 
 
+@pytest.mark.parametrize("rule, why", [
+    ("1 0 1 3 1 1 1 -2 1", "has a negative element -2"),
+    ("1 0 1 3 1 0 1 2 0", "has weight 0, below 1"),
+    ("1 0 1 3 1 1 1 5 1",
+     "has element 5, which is neither named nor a tuple atom"),
+])
+def test_every_opaque_weight_body_warns_once(rule, why):
+    # The same statement twice is one (atom, body), so one warning.
+    gp = build(f"{rule}\n{rule}\n4 1 p 1 2\n4 1 h 1 3\n")
+    assert gp.warnings == [f"weight body for atom 3 {why}; kept opaque"]
+    assert all(r.raw_weight is not None for r in gp.rules_for_head(3))
+
+
+def test_constraint_weight_body_folds():
+    # {c; d}.  :- 2 <= {c=1, d=1}.  :- 1 <= {(c, not d)}.
+    gp = build("1 1 2 1 2 0 0\n1 0 0 1 2 2 1 1 2 1\n1 0 1 5 0 2 -2 1\n"
+               "1 0 0 1 1 1 5 1\n4 1 c 1 1\n4 1 d 1 2\n")
+    assert [gp.rule_text(r) for r in gp.rules] == [
+        "{c, d}.", ":- 2<={c, d}.", ":- 1<={(c, not d)}."]
+    assert all(r.raw_weight is None for r in gp.constraints())
+    assert (gp.warnings, gp.nant) == ([], frozenset())
+
+
+def test_opaque_constraint_weight_body_names_its_statement():
+    # {c; d}.  :- 1 <= {c=1, d=2}.
+    gp = build("1 1 2 1 2 0 0\n1 0 0 1 1 2 1 1 2 2\n4 1 c 1 1\n4 1 d 1 2\n")
+    assert gp.warnings == ["weight body of the constraint from statement 1 "
+                           "mixes weights [1, 2]; kept opaque"]
+    assert gp.constraints()[0].raw_weight is not None
+
+
 def test_coloring_choice_conditions(coloring, coloring_answer):
     c1r = coloring.atom_id("colored(1,red)")
     rules = coloring.rules_for_head(c1r)
