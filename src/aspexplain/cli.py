@@ -27,7 +27,7 @@ from .errors import (
     UnviolableConstraint,
 )
 from .ground import GroundProgram, reconstruct
-from .support import build_er, dump_table
+from .support import FactoredRow, build_er, dump_table
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
@@ -262,6 +262,7 @@ def cmd_explain(args) -> int:
     report = minimal_assumption_sets(g, answer, table=table)
     graph = build_egraph(table, report.chosen_u, parse_root(args.root),
                          max_graphs=1)[0]
+    _warn_cut_rows(table)
     if args.format == "dot":
         text = to_dot(graph, ascii_only=args.ascii)
     elif args.format == "json":
@@ -270,6 +271,15 @@ def cmd_explain(args) -> int:
         text = _text_report(er, ec, report, graph, args.ascii)
     _emit(args, text)
     return EXIT_OK
+
+
+def _warn_cut_rows(table) -> None:
+    """One warning on stderr for each row built that holds more supported
+    sets than it keeps."""
+    for key, row in table.items():
+        if isinstance(row, FactoredRow) and row.total > len(row):
+            print(f"warning: the supported sets of {key.render()} are cut "
+                  f"at {len(row)} of {row.total}", file=sys.stderr)
 
 
 def _text_report(er, ec, report, graph, ascii_only: bool) -> str:
@@ -291,8 +301,13 @@ def cmd_assumptions(args) -> int:
         return EXIT_NOT_ANSWER_SET
     g, answer = loaded
     # An unchecked answer may fail in any row, so then every row is built.
-    table = None if args.no_check else SupportTable(g, answer)
+    if args.no_check:
+        table = merge_supports(build_er(g, answer),
+                               constraint_preprocessing(g, answer))
+    else:
+        table = SupportTable(g, answer)
     report = minimal_assumption_sets(g, answer, table=table)
+    _warn_cut_rows(table)
     if not report.min_b_exact:
         print(f"note: min(B) is one greedy cycle break, not every minimal "
               f"set: more than {_EXACT_SEARCH_LIMIT} atoms take part in DA "

@@ -17,7 +17,7 @@ from . import nodes
 from .constraints import check_constraints, constraint_saviors
 from .errors import NoValidGraph, UnknownLiteral
 from .ground import _dedupe_sets
-from .support import _merge_expansion, check_rules, er_row
+from .support import FactoredRow, _merge_expansion, check_rules, er_row
 
 DEFAULT_MAX_GRAPHS = 64
 
@@ -67,16 +67,23 @@ class ExplanationGraph:
 
 
 def merge_supports(er: dict, ec: dict) -> dict:
-    """Key-wise merge: shared keys take the pairwise union product."""
+    """Key-wise merge: shared keys take the pairwise union product.
+
+    A FactoredRow stays factored: the one set of a literal's E_c row, its
+    triggered_constraint node, which is in no E_r set, joins it as one
+    more factor."""
     merged: dict[nodes.ENode, list[frozenset]] = {}
     for key in list(er) + [k for k in ec if k not in er]:
         left = er.get(key)
         right = ec.get(key)
         if left is None or right is None:
-            combined = list(left if left is not None else right)
+            combined = left if left is not None else right
+        elif isinstance(left, FactoredRow) and len(right) == 1:
+            combined = left.joined(right[0])
         else:
             combined = [r | c for r in left for c in right]
-        merged[key] = _dedupe_sets(combined)
+        merged[key] = combined if isinstance(combined, FactoredRow) \
+            else _dedupe_sets(combined)
     return merged
 
 
@@ -113,6 +120,11 @@ class SupportTable:
     def __contains__(self, node: nodes.ENode) -> bool:
         return self._row(node) is not None
 
+    def items(self):
+        """The rows built so far, as (key, row) pairs."""
+        return [(key, row) for key, row in self._rows.items()
+                if row is not None]
+
     def _holding(self, name: str, positive: bool) -> int | None:
         """The signed id of a named literal that holds under A, or None."""
         try:
@@ -148,8 +160,10 @@ class SupportTable:
         _merge_expansion(self._rows, expansion)
         if lit not in self._index:
             return row
-        tc = nodes.constraint_node(name, positive)
-        return _dedupe_sets([s | {tc} for s in row])
+        tc = frozenset({nodes.constraint_node(name, positive)})
+        if isinstance(row, FactoredRow):
+            return row.joined(tc)
+        return _dedupe_sets([s | tc for s in row])
 
     def _constraint_row(self, name: str, positive: bool):
         bodies = self._index.get(self._holding(name, positive))

@@ -1,11 +1,14 @@
 """Supported sets for true and false atoms under a given answer set.
 
-The table maps literal nodes to lists of supported sets.  A true atom gets
-one set per rule that derives it; a false atom gets the cross-product of
-per-rule falsifiers, since its falsity must defeat every rule at once.
-That product is read lazily and cut at its first _CROSS_CAP (4096) sets;
-it needs no minimise pass when the rules' falsifier lists are antichains
-that share no node.
+The table maps literal nodes to rows: sequences of supported sets.  A true
+atom gets one set per rule that derives it; a false atom gets the
+cross-product of per-rule falsifiers, since its falsity must defeat every
+rule at once.  That product is cut at its first _CROSS_CAP (4096) sets.
+When the atom has two or more rules whose falsifier lists are antichains
+that share no node, the product needs no minimise pass, and the row is a
+FactoredRow: it keeps the lists and unions them only as it is iterated, so
+a reader that takes its first set builds one union, not 4096.  Any other
+row is a list.
 Choice-atom occurrences contribute marker nodes (+choice/-choice, bound
 nodes, tuples, *True/*Empty) alongside the plain literals.
 """
@@ -13,6 +16,7 @@ nodes, tuples, *True/*Empty) alongside the plain literals.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import nodes
 from .errors import NoSupport
@@ -28,6 +32,47 @@ from .ground import (
 )
 
 _CROSS_CAP = 4096
+_BOTTOM = frozenset({nodes.bottom_node()})
+
+
+class FactoredRow:
+    """A false atom's row kept as its factors, one falsifier list per rule.
+
+    It stands for the list of the unions of one set from each factor, in
+    product order (the first factor outermost), cut at _CROSS_CAP, with an
+    empty union read as {⊥}.  It iterates that list, has its len() and
+    equals it; ``total`` is the uncut size.  The factors must be disjoint
+    antichains (_disjoint_antichains), so the unions are minimal and
+    distinct.
+    """
+
+    __slots__ = ("factors", "total")
+    __hash__ = None
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.total = math.prod(map(len, self.factors))
+
+    def __iter__(self):
+        for combo in itertools.islice(itertools.product(*self.factors),
+                                      _CROSS_CAP):
+            yield frozenset().union(*combo) or _BOTTOM
+
+    def __len__(self) -> int:
+        return min(self.total, _CROSS_CAP)
+
+    def __eq__(self, other):
+        if isinstance(other, (FactoredRow, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def joined(self, extra: frozenset) -> FactoredRow:
+        """The row with ``extra`` added to each set, as one more factor;
+        ``extra`` shares no node with the factors."""
+        if not any(map(any, self.factors)):
+            # The one union is empty and reads as {⊥}, which the join keeps.
+            extra = extra | _BOTTOM
+        return FactoredRow((*self.factors, [extra]))
 
 
 def _cross_union(option_lists) -> list[frozenset]:
@@ -132,7 +177,7 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
             "interpretation is not an answer set")
     rules = g.rules_for_head(c)
     if not rules:
-        return [frozenset({nodes.bottom_node()})]
+        return [_BOTTOM]
     per_rule = []
     for rule in rules:
         options: list[frozenset[nodes.ENode]] = []
@@ -155,11 +200,22 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
                                                       expansion))
             options = _minimize_sets(options)
         per_rule.append(options)
+    return _false_row(per_rule)
+
+
+def _false_row(per_rule):
+    """The row of a false atom from its rules' falsifier lists: the first
+    _CROSS_CAP unions of their product, minimised, with an empty union read
+    as {⊥}.  It is a FactoredRow when there are two or more lists and they are
+    disjoint antichains, else a list."""
+    disjoint = _disjoint_antichains(per_rule)
+    if disjoint and len(per_rule) > 1:
+        return FactoredRow(per_rule)
     combined = _cross_union(per_rule)
-    if not _disjoint_antichains(per_rule):
+    if not disjoint:
         combined = _minimize_sets(combined)
     # Unconditional falsity renders with the same glyph as a missing rule.
-    return [s or frozenset({nodes.bottom_node()}) for s in combined]
+    return [s or _BOTTOM for s in combined]
 
 
 def _disjoint_antichains(per_rule) -> bool:

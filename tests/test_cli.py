@@ -839,6 +839,34 @@ def test_reconstruction_warnings_go_to_stderr(capsys, tmp_path, command,
     assert (out.splitlines() or [None])[0] == first_line
 
 
+@pytest.mark.parametrize("options", [
+    ["explain", "--root", "~d", "--no-check"],
+    ["explain", "--root", "~d", "--ascii"],
+    ["explain", "--root", "a(1)"],
+    ["assumptions", "--no-check"],
+    ["assumptions", "--enumerate-assumption-sets"],
+])
+def test_a_cut_row_warns_once_on_stderr(capsys, tmp_path, options):
+    # ~d has 13 rules of two falsifiers each: 8192 sets, cut at 4096.  The
+    # shrink of U builds a graph of every named literal, so explaining
+    # a(1) builds the row of ~d too.
+    from test_shrink import families
+
+    inst = families.loops(26, 13)
+    path = write(tmp_path, "loops.aspif", inst.text)
+    name, *rest = options
+    answered = [path, "--answer", " ".join(inst.answer)]
+    code, out, err = run(capsys, name, *answered, *rest)
+    assert code == 0
+    assert err == "warning: the supported sets of ~d are cut at 4096 of 8192\n"
+    # 2^12 sets fill the cap exactly: nothing is cut.
+    small = families.loops(26, 12)
+    path = write(tmp_path, "small.aspif", small.text)
+    code, _, err = run(capsys, name, path, "--answer",
+                       " ".join(small.answer), *rest)
+    assert (code, err) == (0, "")
+
+
 class TestNotUtf8:
     """Input that does not decode as UTF-8 exits 1 with an error line."""
 

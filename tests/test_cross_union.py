@@ -3,7 +3,9 @@
 ``reference_cross_union`` is ``support._cross_union`` before the product
 was read lazily: it unions every pair of a growing list and cuts the list
 to _CROSS_CAP after each step.  It stays here as the slow reference; the
-lazy product must return the same sets in the same order.
+lazy product must return the same sets in the same order.  A false atom's
+row kept as its factors (``FactoredRow``) must stand for the minimised
+reference product, with {⊥} for an empty union.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aspexplain import support
+from aspexplain import nodes, support
 from aspexplain.aspif import parse_aspif
 from aspexplain.ground import _minimize_sets, _union_product, reconstruct
 from aspexplain.support import (
     _CROSS_CAP,
+    FactoredRow,
     _cross_union,
     _disjoint_antichains,
+    _false_row,
     build_er,
     dump_table,
     supported_sets_false,
@@ -87,6 +91,77 @@ def test_lazy_product_matches_reference(lists):
     if math.prod(map(len, lists)) <= 20000:
         base = frozenset({99})
         assert _union_product(lists, base) == reference_conjoin(lists, base)
+
+
+BOTTOM = frozenset({nodes.bottom_node()})
+
+
+def reference_false_row(lists) -> list[frozenset]:
+    """The row supported_sets_false built from falsifier lists before rows
+    were kept as factors."""
+    return [s or BOTTOM for s in _minimize_sets(reference_cross_union(lists))]
+
+
+@st.composite
+def disjoint_antichains(draw):
+    """Two to five falsifier lists, each of distinct sets of one size over
+    nodes of its own."""
+    lists = []
+    for i in range(draw(st.integers(2, 5))):
+        size = draw(st.integers(0, 2))
+        pool = [frozenset(c) for c in
+                itertools.combinations(range(10 * i, 10 * i + 5), size)]
+        lists.append(draw(st.lists(st.sampled_from(pool), unique=True,
+                                   max_size=6)))
+    return lists
+
+
+def _check_factored(lists):
+    row = _false_row(lists)
+    expected = reference_false_row(lists)
+    assert isinstance(row, FactoredRow)
+    assert list(row) == expected
+    assert len(row) == len(expected)
+    assert row == expected and expected == row and row == _false_row(lists)
+    assert row.total == math.prod(map(len, lists))
+    tc = frozenset({nodes.constraint_node("p", False)})
+    assert row.joined(tc) == [s | tc for s in expected]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(disjoint_antichains())
+# 3 * 3 * 5 * 7 * 13, 64 * 64 and 17 * 241 combinations: the cap and
+# either side of it.
+@example([_factor(n, 20 * i) for i, n in enumerate((3, 3, 5, 7, 13))])
+@example([_factor(64, 0), _factor(64, 100)])
+@example([_factor(17, 0), _factor(241, 100)])
+@example([[frozenset()]] * 3)
+@example([[frozenset()], _factor(2, 10)])
+@example([_factor(3, 0), []])
+def test_factored_row_matches_minimised_product(lists):
+    _check_factored(lists)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(factors)
+@example([[frozenset("a"), frozenset("b")], [frozenset("a"), frozenset("c")]])
+@example([[frozenset("a"), frozenset("ab")], [frozenset("c")]])
+def test_other_falsifier_lists_give_the_minimised_list(lists):
+    if not lists:
+        return
+    row = _false_row(lists)
+    if len(lists) > 1 and _disjoint_antichains(lists):
+        _check_factored(lists)
+    else:
+        assert type(row) is list
+        assert row == reference_false_row(lists)
+
+
+def test_factored_row_is_no_list():
+    row = _false_row([_factor(2, 0), _factor(3, 10)])
+    assert row != tuple(row) and row != set(row)
+    assert row != _false_row([_factor(3, 10), _factor(2, 0)])
+    assert row != reference_false_row([_factor(2, 0)])
 
 
 def random_rules(rng: random.Random) -> list[list[frozenset]]:

@@ -235,3 +235,50 @@ def test_chain_tip_matches_golden_digest(capsys, tmp_path, reverse):
     assert (code, captured.err) == (0, "")
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert digest == GOLDEN_CHAIN
+
+
+# sha256 of the stdout of `explain --root "~d"` and of `assumptions` on
+# bench/families.loops(n, k), recorded before a false atom's row was kept
+# as its factors.  ~d has k rules, so its row stands for 2^k sets; at
+# k = 13 it is cut at 4096 of 8192, which stderr says once.
+GOLDEN_LOOPS = {
+    ((24, 12), "dot"):
+        "61461036bf0f2bad42450a975d352fb348ba40d455ecc307d5be747d4cbaa664",
+    ((24, 12), "json"):
+        "4e046fe4d3de552157b59ce71768c8c86b345ec1676557c24dc2d75f3d79f896",
+    ((24, 12), "text"):
+        "12c0246ecfe59ffbd7afa40d5420bd2a2ca4cc8543630d348264dc596983072c",
+    ((24, 12), "assumptions"):
+        "d38ab084277c370b7b5bc16d3c2476595a6a319a1ba6e59f32e8993fed93e761",
+    ((26, 13), "dot"):
+        "9b5b2c5d157e5d145d7c2b32b2f75f19f56e8d81c7ff341b5821ce5c6e00cbbd",
+    ((26, 13), "json"):
+        "db20d8904672139c9582218766b9d5ef099f81a19bd1bbba1f125b66caa8f2f1",
+    ((26, 13), "text"):
+        "9662850c5e21fec9de908365f21ca68a7d30de17fac44a634e71aa999b10b029",
+    ((26, 13), "assumptions"):
+        "420fdd4272320e2cec7093adfdd56a312e7e4e358f5a279dd22b319bffcf6c5e",
+}
+
+
+@pytest.mark.parametrize("size, command", sorted(GOLDEN_LOOPS))
+def test_loops_false_atom_matches_golden_digest(capsys, tmp_path, size,
+                                                command):
+    from test_shrink import families
+
+    inst = families.loops(*size)
+    path = tmp_path / "loops.aspif"
+    path.write_text(inst.text)
+    answered = [str(path), "--answer", " ".join(inst.answer)]
+    if command == "assumptions":
+        code = cli.main(["assumptions", *answered])
+    else:
+        code = cli.main(["explain", *answered, "--root", "~d",
+                         "--format", command])
+    captured = capsys.readouterr()
+    cut = size == (26, 13)
+    assert code == 0
+    assert captured.err == ("warning: the supported sets of ~d are cut at "
+                            "4096 of 8192\n" if cut else "")
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == GOLDEN_LOOPS[size, command]

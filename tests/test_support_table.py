@@ -122,3 +122,29 @@ def test_cold_explain_of_a_chain_tip_builds_each_row_once(monkeypatch,
     assert code == 0
     assert out.count(" -> ") == n
     assert rows == n
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_cold_explain_of_a_false_atom_draws_few_sets(monkeypatch, tmp_path,
+                                                    capsys, fmt):
+    # ~d has 12 rules, so its row stands for 4096 sets; the search takes
+    # the first, and the shrink's graph of ~d takes it again.
+    inst = families.loops(24, 12)
+    path = tmp_path / "loops.aspif"
+    path.write_text(inst.text)
+    drawn = []
+    iterate = support.FactoredRow.__iter__
+
+    def counting(row):
+        drawn.append(0)
+        for s in iterate(row):
+            drawn[-1] += 1
+            yield s
+
+    monkeypatch.setattr(support.FactoredRow, "__iter__", counting)
+    code = cli.main(["explain", str(path), "--answer", " ".join(inst.answer),
+                     "--root", "~d", "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "~d" in captured.out
+    assert drawn and sum(drawn) <= 4, drawn
