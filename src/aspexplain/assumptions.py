@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import nodes
+from .aspif import HEAD_DISJUNCTIVE, AspifProgram, NormalBody, RuleStatement
 from .constraints import constraint_preprocessing
 from .egraph import find_egraphs, merge_supports
 from .errors import TooLarge
@@ -131,24 +132,24 @@ def _expand_ds(table, node, ta, root, on_path, non_neg):
 
 
 def _stuck_after(da: dict):
-    """A function from a set of broken atoms to the DA keys that stay
-    unresolved once those atoms are assumed."""
-    keys = set(da)
-    base = {a for ds in da.values() for d in ds for a in d} - keys
+    """A function from a set of broken DA keys to the DA keys that stay
+    unresolved once those keys are assumed.
+
+    DA reads as the rules ``k :- d``, one per D-set d of each key k; a key
+    is resolved when it is in the least model of those rules with the
+    broken keys and the atoms that are no key as facts."""
+    names = set(da).union(*(d for ds in da.values() for d in ds))
+    ids = {name: aid for aid, name in enumerate(names, start=1)}
+    program = AspifProgram([
+        RuleStatement(HEAD_DISJUNCTIVE, (ids[k],),
+                      NormalBody(tuple(ids[a] for a in d)))
+        for k, ds in da.items() for d in ds])
+    base = [ids[a] for a in names if a not in da]
 
     def stuck_after(broken: frozenset[str]) -> set[str]:
-        resolved = set(broken) | base
-        pending = {k for k in keys if k not in broken}
-        changed = True
-        while changed and pending:
-            changed = False
-            for k in sorted(pending):
-                if any(d <= resolved for d in da[k]):
-                    resolved.add(k)
-                    pending.discard(k)
-                    changed = True
-                    break
-        return pending
+        facts = base + [ids[a] for a in broken]
+        resolved = program.least_model((), None, facts)
+        return {k for k in da if ids[k] not in resolved}
 
     return stuck_after
 

@@ -40,16 +40,15 @@ class ExplanationGraph:
         if self._doc_cache is None:
             import hashlib
 
-            labels = {n: n.render() for n in self.nodes}
             ids = {
                 n: hashlib.sha1(
-                    (n.kind + "\x00" + labels[n]).encode()).hexdigest()[:12]
+                    (n.kind + "\x00" + n.label).encode()).hexdigest()[:12]
                 for n in self.nodes
             }
             self._doc_cache = {
                 "root": ids[self.root],
                 "nodes": [
-                    {"id": ids[n], "kind": n.kind, "label": labels[n]}
+                    {"id": ids[n], "kind": n.kind, "label": n.label}
                     for n in self.nodes
                 ],
                 "edges": [
@@ -212,7 +211,6 @@ def find_egraphs(e: dict, u, root: nodes.ENode,
     # A frame holds a node, the nodes pending after it, and its untried
     # supports; the node is in ``chosen`` while a support of it is tried.
     chosen: dict[nodes.ENode, frozenset] = {}
-    keys = _SortKeys()
     frames: list[tuple] = []
     pending: tuple = (root,)
     while True:
@@ -224,7 +222,7 @@ def find_egraphs(e: dict, u, root: nodes.ENode,
                 frames.append((pending[0], pending[1:],
                                iter(options(pending[0]))))
             else:
-                graph = _assemble(root, chosen, keys)
+                graph = _assemble(root, chosen)
                 if graph is not None:
                     results.append(graph)
         while frames:
@@ -242,7 +240,7 @@ def find_egraphs(e: dict, u, root: nodes.ENode,
             if len(support) == 1:
                 pending = rest + tuple(support)
             else:
-                pending = rest + tuple(sorted(support, key=keys.__getitem__))
+                pending = rest + tuple(nodes.sorted_nodes(support))
             break
         else:
             break
@@ -264,16 +262,7 @@ def _check_root(e: dict, root: nodes.ENode) -> None:
         f"cannot explain {root.render()}: not a literal of the program")
 
 
-class _SortKeys(dict):
-    """Each node's sort key, computed on first use."""
-
-    def __missing__(self, node: nodes.ENode) -> tuple:
-        key = self[node] = node.sort_key()
-        return key
-
-
-def _assemble(root: nodes.ENode, chosen: dict,
-              keys: _SortKeys) -> ExplanationGraph | None:
+def _assemble(root: nodes.ENode, chosen: dict) -> ExplanationGraph | None:
     """The graph of the chosen supports, or None if it is not cycle safe.
     The cycle test reads the edges unsorted, so a rejected candidate is
     never sorted."""
@@ -284,13 +273,13 @@ def _assemble(root: nodes.ENode, chosen: dict,
         return None
     node_set = {root, *chosen}
     node_set.update(edge.target for edge in edges)
-    return _sorted_graph(root, node_set, edges, keys)
+    return _sorted_graph(root, node_set, edges)
 
 
-def _sorted_graph(root: nodes.ENode, node_set, edges: list,
-                  keys: _SortKeys) -> ExplanationGraph:
+def _sorted_graph(root: nodes.ENode, node_set,
+                  edges: list) -> ExplanationGraph:
     """The graph with nodes and edges in sort-key order."""
-    key = keys.__getitem__
+    key = nodes.ENode.sort_key
     edges.sort(key=lambda e: (key(e.source), key(e.target)))
     return ExplanationGraph(root, tuple(sorted(node_set, key=key)),
                             tuple(edges))
@@ -441,13 +430,14 @@ def _quote(label: str) -> str:
 def to_dot(g: ExplanationGraph, ascii_only: bool = False) -> str:
     """Graphviz text.  DOT names a node by its label, so where two nodes of
     the graph render alike (a one-element tuple renders like its atom),
-    each after the first is named with its kind added, as ``a (tuple)``."""
+    each after the first is named with its kind added, as ``a (tuple)``,
+    and added again until the name is free."""
     lines = ["digraph explanation {"]
     names: dict[nodes.ENode, str] = {}
     taken: set[str] = set()
     for node in g.nodes:
         label = node.render(ascii_only)
-        if label in taken:
+        while label in taken:
             label = f"{label} ({node.kind})"
         taken.add(label)
         names[node] = _quote(label)
@@ -470,13 +460,9 @@ def egraph_from_json(text: str) -> ExplanationGraph:
     import json
 
     doc = json.loads(text)
-    by_id = {
-        entry["id"]: nodes.ENode(entry["kind"], (),
-                                 label_override=entry["label"])
-        for entry in doc["nodes"]
-    }
+    by_id = {entry["id"]: nodes.ENode(entry["kind"], (), entry["label"])
+             for entry in doc["nodes"]}
     edges = [
         EEdge(by_id[entry["from"]], by_id[entry["to"]], entry["label"])
         for entry in doc["edges"]]
-    return _sorted_graph(by_id[doc["root"]], by_id.values(), edges,
-                         _SortKeys())
+    return _sorted_graph(by_id[doc["root"]], by_id.values(), edges)

@@ -1,8 +1,13 @@
 """Node vocabulary for support tables and explanation graphs.
 
-A node is a (kind, payload) named tuple, so it hashes and compares by its
-fields in C.  Payloads hold display names, not atom ids, so tables and
-graphs can be rendered and serialized without the program they came from.
+A node is a (kind, payload, label) named tuple, so it hashes and compares
+by its fields in C.  Payloads hold display names, not atom ids, so tables
+and graphs can be rendered and serialized without the program they came
+from.  Each constructor below computes the label once, when it makes the
+node, and the seven terminal nodes are made once, at import; a node
+rebuilt from JSON takes the label that was serialized.  Rendering returns
+the label, except that ``⊤`` and ``⊥`` read ``T`` and ``F`` in ASCII, and
+nodes sort by the rank of their kind, then by label.
 """
 
 from __future__ import annotations
@@ -49,51 +54,21 @@ _KIND_RANK = {
     TOP: 10, BOTTOM: 11, ASSUME: 12,
 }
 
-_FIXED_LABELS = {
-    ASSUME: ("assume", "assume"),
-    PLUS_CHOICE: ("+choice", "+choice"),
-    MINUS_CHOICE: ("-choice", "-choice"),
-    STAR_TRUE: ("*True", "*True"),
-    STAR_EMPTY: ("*Empty", "*Empty"),
-    TOP: ("⊤", "T"),
-    BOTTOM: ("⊥", "F"),
-}
+_ASCII_LABELS = {TOP: "T", BOTTOM: "F"}
 
 
 class ENode(NamedTuple):
     kind: str
-    payload: tuple = ()
-    # Set on nodes rebuilt from serialized graphs, where only the rendered
-    # label survives.
-    label_override: str | None = None
+    payload: tuple
+    label: str
 
     def render(self, ascii_only: bool = False) -> str:
-        if self.label_override is not None:
-            return self.label_override
-        if self.kind in _FIXED_LABELS:
-            pretty, plain = _FIXED_LABELS[self.kind]
-            return plain if ascii_only else pretty
-        if self.kind == ATOM:
-            return self.payload[0]
-        if self.kind == NEG_ATOM:
-            return "~" + self.payload[0]
-        if self.kind == TUPLE:
-            return _render_tuple(self.payload)
-        if self.kind == CHOICE:
-            return _render_bounds(self.payload)
-        if self.kind == NEG_CHOICE:
-            return "~(" + _render_bounds(self.payload) + ")"
-        if self.kind == CONSTRAINT:
-            return "triggered_constraint(%s)" % _render_lit(self.payload[0])
-        raise ValueError(f"unknown node kind {self.kind!r}")
+        if ascii_only and self.kind in _ASCII_LABELS:
+            return _ASCII_LABELS[self.kind]
+        return self.label
 
     def sort_key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.render())
-
-
-def _render_lit(item: tuple[str, bool]) -> str:
-    name, positive = item
-    return name if positive else "~" + name
+        return (_KIND_RANK[self.kind], self.label)
 
 
 def _render_tuple(items: tuple) -> str:
@@ -103,66 +78,75 @@ def _render_tuple(items: tuple) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-def _render_bounds(payload: tuple) -> str:
-    lower, upper, tuples = payload
-    inner = "{" + ", ".join(_render_tuple(t) for t in tuples) + "}"
-    if upper is None:
-        return f"{lower}<={inner}"
-    return f"{lower}<={inner}<={upper}"
-
-
 def atom_node(name: str) -> ENode:
-    return ENode(ATOM, (name,))
+    return ENode(ATOM, (name,), name)
 
 
 def neg_atom_node(name: str) -> ENode:
-    return ENode(NEG_ATOM, (name,))
+    return ENode(NEG_ATOM, (name,), "~" + name)
 
 
 def literal_node(name: str, positive: bool) -> ENode:
     return atom_node(name) if positive else neg_atom_node(name)
 
 
+_TOP = ENode(TOP, (), "⊤")
+_BOTTOM = ENode(BOTTOM, (), "⊥")
+_ASSUME = ENode(ASSUME, (), "assume")
+_PLUS_CHOICE = ENode(PLUS_CHOICE, (), "+choice")
+_MINUS_CHOICE = ENode(MINUS_CHOICE, (), "-choice")
+_STAR_TRUE = ENode(STAR_TRUE, (), "*True")
+_STAR_EMPTY = ENode(STAR_EMPTY, (), "*Empty")
+
+
 def top_node() -> ENode:
-    return ENode(TOP)
+    return _TOP
 
 
 def bottom_node() -> ENode:
-    return ENode(BOTTOM)
+    return _BOTTOM
 
 
 def assume_node() -> ENode:
-    return ENode(ASSUME)
+    return _ASSUME
 
 
 def plus_choice_node() -> ENode:
-    return ENode(PLUS_CHOICE)
+    return _PLUS_CHOICE
 
 
 def minus_choice_node() -> ENode:
-    return ENode(MINUS_CHOICE)
+    return _MINUS_CHOICE
 
 
 def star_true_node() -> ENode:
-    return ENode(STAR_TRUE)
+    return _STAR_TRUE
 
 
 def star_empty_node() -> ENode:
-    return ENode(STAR_EMPTY)
+    return _STAR_EMPTY
 
 
 def tuple_node(items: tuple[tuple[str, bool], ...]) -> ENode:
-    return ENode(TUPLE, tuple(items))
+    items = tuple(items)
+    return ENode(TUPLE, items, _render_tuple(items))
 
 
 def choice_node(lower: int, upper: int | None,
                 tuples: tuple[tuple, ...], positive: bool = True) -> ENode:
-    kind = CHOICE if positive else NEG_CHOICE
-    return ENode(kind, (lower, upper, tuple(tuples)))
+    tuples = tuple(tuples)
+    inner = "{" + ", ".join(_render_tuple(t) for t in tuples) + "}"
+    label = f"{lower}<={inner}" if upper is None \
+        else f"{lower}<={inner}<={upper}"
+    if positive:
+        return ENode(CHOICE, (lower, upper, tuples), label)
+    return ENode(NEG_CHOICE, (lower, upper, tuples), "~(" + label + ")")
 
 
 def constraint_node(name: str, positive: bool) -> ENode:
-    return ENode(CONSTRAINT, ((name, positive),))
+    lit = name if positive else "~" + name
+    return ENode(CONSTRAINT, ((name, positive),),
+                 f"triggered_constraint({lit})")
 
 
 def edge_label(target: ENode) -> str:

@@ -68,11 +68,51 @@ TWO_D_SETS = (
 )
 
 
+def two_cycles(n: int) -> str:
+    """n copies of x1 :- x2.  x2 :- x1.  x1 :- not y.  y :- not z.
+    z :- not y.  w :- not x1.  w :- not x2.  With every y(i) and w(i)
+    true, DA has 2n participants in n disjoint 2-cycles."""
+    rules = symbols = ""
+    for i in range(n):
+        x1, x2, y, z, w = range(5 * i + 1, 5 * i + 6)
+        rules += (f"1 0 1 {x1} 0 1 {x2}\n1 0 1 {x2} 0 1 {x1}\n"
+                  f"1 0 1 {x1} 0 1 -{y}\n1 0 1 {y} 0 1 -{z}\n"
+                  f"1 0 1 {z} 0 1 -{y}\n1 0 1 {w} 0 1 -{x1}\n"
+                  f"1 0 1 {w} 0 1 -{x2}\n")
+        for name, aid in zip(("x1", "x2", "y", "z", "w"), (x1, x2, y, z, w)):
+            symbol = f"{name}({i})"
+            symbols += f"4 {len(symbol)} {symbol} 1 {aid}\n"
+    return rules + symbols
+
+
+def reference_stuck_after(da: dict):
+    """The DA keys left unresolved once the broken atoms are assumed, by
+    rescanning the pending keys after each key resolved."""
+    keys = set(da)
+    base = {a for ds in da.values() for d in ds for a in d} - keys
+
+    def stuck_after(broken: frozenset[str]) -> set[str]:
+        resolved = set(broken) | base
+        pending = {k for k in keys if k not in broken}
+        changed = True
+        while changed and pending:
+            changed = False
+            for k in sorted(pending):
+                if any(d <= resolved for d in da[k]):
+                    resolved.add(k)
+                    pending.discard(k)
+                    changed = True
+                    break
+        return pending
+
+    return stuck_after
+
+
 def reference_min_cycle_break(da: dict) -> list[frozenset[str]]:
     """The exhaustive min(B) search: every combination of every size of
     the DA cycle participants, smallest first, kept unless a found set
     lies inside it."""
-    stuck_after = _stuck_after(da)
+    stuck_after = reference_stuck_after(da)
     participants = sorted(stuck_after(frozenset()))
     if not participants:
         return [frozenset()]
@@ -387,6 +427,33 @@ class TestMinCycleBreakReference:
                     assert min_cycle_break(da) == reference_min_cycle_break(da)
                     cyclic += bool(_stuck_after(da)(frozenset()))
         assert cyclic >= 3
+
+    def test_stuck_keys_match_the_rescan(self):
+        rng = random.Random(1)
+        for _ in range(3000):
+            keys = rng.sample("abcdefghij", rng.randint(1, 10))
+            atoms = keys + ["u", "v"]
+            da = {k: [frozenset(rng.sample(atoms, rng.randint(0, 2)))
+                      for _ in range(rng.randint(1, 2))] for k in keys}
+            stuck_after = _stuck_after(da)
+            reference = reference_stuck_after(da)
+            for _ in range(6):
+                broken = frozenset(rng.sample(keys, rng.randint(
+                    0, min(3, len(keys)))))
+                assert stuck_after(broken) == reference(broken)
+
+    def test_two_cycle_components(self, monkeypatch):
+        n = 6
+        g = build(two_cycles(n))
+        answer = g.answer_from_names(
+            [f"{a}({i})" for i in range(n) for a in "yw"])
+        ta = tentative_assumptions(g, answer)
+        _, _, da = derivation_analysis(build_er(g, answer), ta)
+        found = min_cycle_break(da)
+        assert len(found) == 2 ** n
+        monkeypatch.setattr(assumptions, "_stuck_after",
+                            reference_stuck_after)
+        assert min_cycle_break(da) == found
 
     @pytest.mark.parametrize("n", range(16, _EXACT_SEARCH_LIMIT + 1))
     def test_da_rings(self, n):

@@ -334,6 +334,49 @@ class TestSerialization:
         assert '  "a";\n' in dot
         assert '  "1<={g, h, a}" -> "a (tuple)" [style=solid];\n' in dot
 
+    def test_dot_name_with_a_kind_added_is_still_free(self):
+        # {a}.  a (tuple).  c :- 1<={a}, a, a (tuple).  The tuple node of a
+        # renders as "a", and the atom "a (tuple)" already takes the name
+        # the tuple would get.
+        g = build(
+            "1 1 1 1 0 0\n"
+            "1 0 1 2 0 0\n"
+            "1 0 1 4 1 1 1 1 1\n"
+            "1 0 1 3 0 3 1 2 4\n"
+            "4 1 a 1 1\n"
+            "4 9 a (tuple) 1 2\n"
+            "4 1 c 1 3\n"
+        )
+        answer = g.answer_from_names(["a", "a (tuple)", "c"])
+        graph = build_egraph(*pipeline(g, answer), nodes.atom_node("c"))[0]
+        dot = to_dot(graph)
+        assert dot_node_ids(dot) == len(graph.nodes)
+        assert '  "a (tuple)" -> "⊤" [style=dotted];\n' in dot
+        assert ('  "1<={a}" -> "a (tuple) (tuple)" [style=solid];\n'
+                in dot)
+        assert '  "a (tuple) (tuple)" -> "*True"' in dot
+
+    def test_ascii_dot_of_a_rebuilt_graph(self):
+        # a.  b :- y.  b :- not a.  ~b rests on ~y, which has no rule, and
+        # on the fact a.
+        g = build(
+            "1 0 1 1 0 0\n"
+            "1 0 1 2 0 1 3\n"
+            "1 0 1 2 0 1 -1\n"
+            "4 1 a 1 1\n"
+            "4 1 b 1 2\n"
+            "4 1 y 1 3\n"
+        )
+        answer = g.answer_from_names(["a"])
+        graph = build_egraph(*pipeline(g, answer),
+                             nodes.neg_atom_node("b"))[0]
+        assert {nodes.top_node(), nodes.bottom_node()} <= set(graph.nodes)
+        rebuilt = egraph_from_json(to_json(graph))
+        dot = to_dot(graph, ascii_only=True)
+        assert '"T"' in dot and '"F"' in dot
+        assert to_dot(rebuilt, ascii_only=True) == dot
+        assert to_dot(rebuilt) == to_dot(graph)
+
     def test_dot_node_ids_are_distinct_across_a_sweep(self):
         graphs = collisions = 0
         for seed in range(60):

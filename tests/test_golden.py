@@ -19,7 +19,13 @@ from aspexplain import cli, nodes, oracle
 from aspexplain.aspif import parse_aspif
 from aspexplain.assumptions import minimal_assumption_sets
 from aspexplain.constraints import constraint_preprocessing
-from aspexplain.egraph import EEdge, SupportTable, build_egraph, to_dot
+from aspexplain.egraph import (
+    EEdge,
+    SupportTable,
+    build_egraph,
+    merge_supports,
+    to_dot,
+)
 from aspexplain.errors import AspExplainError
 from aspexplain.ground import reconstruct
 from aspexplain.support import build_er, dump_table
@@ -107,7 +113,7 @@ EVERY_KIND = [
     nodes.choice_node(1, 2, ((("a", True),), (("b", True), ("c", False)))),
     nodes.choice_node(0, None, ((("a", True),),), positive=False),
     nodes.constraint_node("a", False),
-    nodes.ENode(nodes.ATOM, (), label_override="a"),
+    nodes.ENode(nodes.ATOM, (), "a"),
 ]
 
 
@@ -117,10 +123,84 @@ def test_every_node_kind_is_covered():
 
 @pytest.mark.parametrize("node", EVERY_KIND, ids=lambda n: n.render())
 def test_node_hashes_as_its_field_tuple(node):
-    fields = (node.kind, node.payload, node.label_override)
+    fields = (node.kind, node.payload, node.label)
     assert tuple(node) == fields
     assert hash(node) == hash(tuple(node)) == hash(fields)
     assert node == fields
+
+
+def reference_render(node: nodes.ENode, ascii_only: bool) -> str:
+    """A node's label rebuilt from its kind and payload."""
+    fixed = {
+        nodes.ASSUME: ("assume", "assume"),
+        nodes.PLUS_CHOICE: ("+choice", "+choice"),
+        nodes.MINUS_CHOICE: ("-choice", "-choice"),
+        nodes.STAR_TRUE: ("*True", "*True"),
+        nodes.STAR_EMPTY: ("*Empty", "*Empty"),
+        nodes.TOP: ("⊤", "T"),
+        nodes.BOTTOM: ("⊥", "F"),
+    }
+
+    def tuple_text(items):
+        parts = [name if positive else "not " + name
+                 for name, positive in items]
+        return parts[0] if len(parts) == 1 else "(" + ", ".join(parts) + ")"
+
+    def bounds_text(payload):
+        lower, upper, tuples = payload
+        inner = "{" + ", ".join(tuple_text(t) for t in tuples) + "}"
+        if upper is None:
+            return f"{lower}<={inner}"
+        return f"{lower}<={inner}<={upper}"
+
+    kind = node.kind
+    if kind in fixed:
+        pretty, plain = fixed[kind]
+        return plain if ascii_only else pretty
+    if kind == nodes.ATOM:
+        return node.payload[0]
+    if kind == nodes.NEG_ATOM:
+        return "~" + node.payload[0]
+    if kind == nodes.TUPLE:
+        return tuple_text(node.payload)
+    if kind == nodes.CHOICE:
+        return bounds_text(node.payload)
+    if kind == nodes.NEG_CHOICE:
+        return "~(" + bounds_text(node.payload) + ")"
+    if kind == nodes.CONSTRAINT:
+        name, positive = node.payload[0]
+        return "triggered_constraint(%s)" % (name if positive else "~" + name)
+    raise ValueError(f"unknown node kind {kind!r}")
+
+
+def _table_nodes(g, A):
+    """Every key and every member of a set of the merged support table."""
+    table = merge_supports(build_er(g, A), constraint_preprocessing(g, A))
+    for key, row in table.items():
+        yield key
+        for support in row:
+            yield from support
+
+
+def test_constructors_label_as_the_reference_renders(p1, p1_answer, coloring,
+                                                      coloring_answer):
+    made = [*_table_nodes(p1, p1_answer),
+            *_table_nodes(coloring, coloring_answer)]
+    for seed in range(200):
+        g = oracle.random_program(seed)
+        for model in oracle.enumerate_answer_sets(g)[:3]:
+            try:
+                made += _table_nodes(g, g.answer_from_names(model))
+            except AspExplainError:
+                continue
+    # Only a graph holds the assume node.
+    assert {node.kind for node in made} == set(nodes.EDGE_LABEL) - {
+        nodes.ASSUME}
+    # The last node of EVERY_KIND is rebuilt from JSON: it has no payload.
+    for node in {*made, *EVERY_KIND[:-1]}:
+        for ascii_only in (False, True):
+            assert node.render(ascii_only) == reference_render(node,
+                                                               ascii_only)
 
 
 def test_edge_hashes_as_its_field_tuple():
