@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import nodes
 from .aspif import HEAD_DISJUNCTIVE, AspifProgram, NormalBody, RuleStatement
 from .constraints import constraint_preprocessing
-from .egraph import find_egraphs, merge_supports
+from .egraph import merge_supports, search_supports
 from .errors import TooLarge
 from .ground import GroundProgram, _minimize_sets, _union_product, run_deep
 from .support import build_er
@@ -204,7 +204,7 @@ def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
     therefore shrunk against actual graph buildability, one atom at a time
     in sorted order; validity is monotone in the assumed set, so one pass
     reaches a subset-minimal U.  Each candidate U - {X} costs one graph
-    build, for ~X.
+    search, for ~X.
 
     The analysis and the shrink read ``table``, the support table E; when
     it is not given, E is built whole, from ``er`` if that is given.
@@ -241,25 +241,25 @@ def _shrink_against_graphs(g, A, table, chosen: frozenset[str]):
     place, each of its nodes keeping that graph's support.  No edge leads
     out of the graph of ~X, so every cycle lies inside one part and stays
     safe, and no other node's options change, since no graph under U holds
-    the atom X.  So each candidate costs one build.
+    the atom X.  So each candidate costs one search.
 
-    In the first pass a literal that is a node of a graph built earlier in
-    the pass needs no build: the part of a valid graph reachable from any
-    of its nodes is a valid graph for that node.
+    The first pass asks whether every literal has a graph with one search
+    per literal over one shared choice of supports: a literal already
+    chosen costs nothing, since the part of a valid graph reachable from
+    any of its nodes is a valid graph for that node, and a later search
+    that keeps those supports finds a graph whenever one exists, since
+    the chosen nodes reach no other.  Neither pass assembles a graph.
     """
     if not chosen:
         return chosen
-    covered: set[nodes.ENode] = set()
+    supports: dict = {}
     for aid in sorted(g.named_ids()):
         root = nodes.literal_node(g.display_atom(aid), aid in A)
-        if root in covered:
-            continue
-        graphs = find_egraphs(table, chosen, root, max_graphs=1)
-        if not graphs:
+        if next(search_supports(table, chosen, root, supports), None) is None:
             return chosen
-        covered.update(graphs[0].nodes)
     for name in sorted(chosen):
-        if find_egraphs(table, chosen - {name}, nodes.neg_atom_node(name),
-                        max_graphs=1):
-            chosen = chosen - {name}
+        u = chosen - {name}
+        if next(search_supports(table, u, nodes.neg_atom_node(name), {}),
+                None) is not None:
+            chosen = u
     return chosen

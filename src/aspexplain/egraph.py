@@ -40,11 +40,17 @@ class ExplanationGraph:
         if self._doc_cache is None:
             import hashlib
 
-            ids = {
-                n: hashlib.sha1(
-                    (n.kind + "\x00" + n.label).encode()).hexdigest()[:12]
-                for n in self.nodes
-            }
+            # Two nodes of one kind can render alike; the later one's text
+            # is extended with its kind, as to_dot extends a name.
+            ids: dict[nodes.ENode, str] = {}
+            taken: set[str] = set()
+            for n in self.nodes:
+                text = n.kind + "\x00" + n.label
+                while (ident := hashlib.sha1(
+                        text.encode()).hexdigest()[:12]) in taken:
+                    text += f" ({n.kind})"
+                taken.add(ident)
+                ids[n] = ident
             self._doc_cache = {
                 "root": ids[self.root],
                 "nodes": [
@@ -193,9 +199,43 @@ def build_egraph(e: dict, u, root: nodes.ENode,
 def find_egraphs(e: dict, u, root: nodes.ENode,
                  max_graphs: int = DEFAULT_MAX_GRAPHS) -> list[ExplanationGraph]:
     """The graphs build_egraph gives, or [] when there is none."""
-    assumed = frozenset(u)
+    if max_graphs < 1:
+        raise ValueError(f"max_graphs must be at least 1, not {max_graphs}")
     _check_root(e, root)
+    label = nodes.EDGE_LABEL
     results: list[ExplanationGraph] = []
+    for chosen in search_supports(e, u, root, {}):
+        edges = [(source, target, label[target.kind])
+                 for source, support in chosen.items() for target in support]
+        results.append(_sorted_graph(
+            root, {root, *chosen}.union(*chosen.values()), edges))
+        if len(results) == max_graphs:
+            break
+    return results
+
+
+def _sorted_graph(root: nodes.ENode, node_set, edges) -> ExplanationGraph:
+    """The graph of (source, target, label) edges, its nodes sorted once
+    and its edges by the positions of their ends."""
+    order = nodes.sorted_nodes(node_set)
+    at = {node: i for i, node in enumerate(order)}
+    ranked = sorted((at[source], at[target], label)
+                    for source, target, label in edges)
+    return ExplanationGraph(root, tuple(order), tuple(
+        EEdge(order[i], order[j], label) for i, j, label in ranked))
+
+
+def search_supports(e, u, root: nodes.ENode, chosen: dict):
+    """Depth-first search over one support per node reachable from
+    ``root``; yields ``chosen`` each time it holds a support for every such
+    node, and undoes its own choices as it backtracks.
+
+    Nodes already in ``chosen`` keep their supports.  A support that would
+    close a cycle holding a non-minus edge is refused where it closes it:
+    the cycle stays in every completion, so each leaf is cycle safe, and
+    the valid leaves come in the order an unpruned search meets them.
+    """
+    assumed = frozenset(u)
 
     def options(node: nodes.ENode):
         if node.kind == nodes.NEG_ATOM and node.payload[0] in assumed:
@@ -204,47 +244,68 @@ def find_egraphs(e: dict, u, root: nodes.ENode,
             return []
         return e.get(node, [])
 
-    # Depth-first search over one support choice per pending node, with an
-    # explicit stack so that long chains do not meet the recursion limit.
-    # Not on ground.run_deep: a generator per node made minimal_assumption_sets
-    # on the bench loops tables 15-25% slower (2-core Xeon, Python 3.11).
-    # A frame holds a node, the nodes pending after it, and its untried
-    # supports; the node is in ``chosen`` while a support of it is tried.
-    chosen: dict[nodes.ENode, frozenset] = {}
+    # An explicit stack, so that long chains do not meet the recursion
+    # limit (a generator per node on ground.run_deep measured 15-25% slower
+    # on the bench loops tables).  A frame holds a node, the nodes pending
+    # after it, and its untried supports; the node is in ``chosen`` and
+    # ``own`` while a support of it is tried.
+    own: set[nodes.ENode] = set()
     frames: list[tuple] = []
     pending: tuple = (root,)
     while True:
-        if len(results) < max_graphs:
-            while pending and (pending[0] in chosen
-                               or pending[0].kind in nodes.TERMINAL_KINDS):
-                pending = pending[1:]
-            if pending:
-                frames.append((pending[0], pending[1:],
-                               iter(options(pending[0]))))
-            else:
-                graph = _assemble(root, chosen)
-                if graph is not None:
-                    results.append(graph)
+        while pending and (pending[0] in chosen
+                           or pending[0].kind in nodes.TERMINAL_KINDS):
+            pending = pending[1:]
+        if pending:
+            frames.append((pending[0], pending[1:],
+                           iter(options(pending[0]))))
+        else:
+            yield chosen
         while frames:
             node, rest, supports = frames[-1]
-            if node in chosen:
+            if node in own:
                 del chosen[node]
-                if len(results) >= max_graphs:
-                    frames.pop()
-                    continue
-            support = next(supports, None)
-            if support is None:
+                own.remove(node)
+            for support in supports:
+                if own.isdisjoint(support) and node not in support \
+                        or not _closes_bad_cycle(node, support, chosen, own):
+                    break
+            else:
                 frames.pop()
                 continue
             chosen[node] = support
+            own.add(node)
             if len(support) == 1:
                 pending = rest + tuple(support)
             else:
                 pending = rest + tuple(nodes.sorted_nodes(support))
             break
         else:
-            break
-    return results
+            return
+
+
+def _closes_bad_cycle(v: nodes.ENode, support, chosen: dict, own) -> bool:
+    """Whether giving ``v`` the support closes a cycle with a non-minus
+    edge: a walk from ``v`` through the support, then over the supports
+    this search chose, back to ``v``.  A walk state records whether it
+    passed a non-minus edge.  Edges into triggered constraints are diamond
+    edges, which the cycle test drops, and nodes chosen before the search
+    began reach none of its own."""
+    seen: set[tuple] = set()
+    stack = [(support, False)]
+    while stack:
+        targets, bad = stack.pop()
+        for t in targets:
+            if t.kind == nodes.CONSTRAINT:
+                continue
+            passed = bad or nodes.EDGE_LABEL[t.kind] != "minus"
+            if t == v:
+                if passed:
+                    return True
+            elif t in own and (t, passed) not in seen:
+                seen.add((t, passed))
+                stack.append((chosen[t], passed))
+    return False
 
 
 def _check_root(e: dict, root: nodes.ENode) -> None:
@@ -260,29 +321,6 @@ def _check_root(e: dict, root: nodes.ENode) -> None:
                 f"answer set; query {opposite.render()} instead")
     raise UnknownLiteral(
         f"cannot explain {root.render()}: not a literal of the program")
-
-
-def _assemble(root: nodes.ENode, chosen: dict) -> ExplanationGraph | None:
-    """The graph of the chosen supports, or None if it is not cycle safe.
-    The cycle test reads the edges unsorted, so a rejected candidate is
-    never sorted."""
-    label = nodes.EDGE_LABEL
-    edges = [EEdge(source, target, label[target.kind])
-             for source, support in chosen.items() for target in support]
-    if not _cycle_safe(edges):
-        return None
-    node_set = {root, *chosen}
-    node_set.update(edge.target for edge in edges)
-    return _sorted_graph(root, node_set, edges)
-
-
-def _sorted_graph(root: nodes.ENode, node_set,
-                  edges: list) -> ExplanationGraph:
-    """The graph with nodes and edges in sort-key order."""
-    key = nodes.ENode.sort_key
-    edges.sort(key=lambda e: (key(e.source), key(e.target)))
-    return ExplanationGraph(root, tuple(sorted(node_set, key=key)),
-                            tuple(edges))
 
 
 def _cycle_safe(edges) -> bool:
@@ -459,10 +497,11 @@ def to_json(g: ExplanationGraph) -> str:
 def egraph_from_json(text: str) -> ExplanationGraph:
     import json
 
+    # A rebuilt node's payload is its position in the list, so nodes that
+    # render alike stay apart and keep their order.
     doc = json.loads(text)
-    by_id = {entry["id"]: nodes.ENode(entry["kind"], (), entry["label"])
-             for entry in doc["nodes"]}
-    edges = [
-        EEdge(by_id[entry["from"]], by_id[entry["to"]], entry["label"])
-        for entry in doc["edges"]]
+    by_id = {entry["id"]: nodes.ENode(entry["kind"], (i,), entry["label"])
+             for i, entry in enumerate(doc["nodes"])}
+    edges = [(by_id[entry["from"]], by_id[entry["to"]], entry["label"])
+             for entry in doc["edges"]]
     return _sorted_graph(by_id[doc["root"]], by_id.values(), edges)

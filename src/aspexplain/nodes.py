@@ -7,7 +7,8 @@ from.  Each constructor below computes the label once, when it makes the
 node, and the seven terminal nodes are made once, at import; a node
 rebuilt from JSON takes the label that was serialized.  Rendering returns
 the label, except that ``⊤`` and ``⊥`` read ``T`` and ``F`` in ASCII, and
-nodes sort by the rank of their kind, then by label.
+nodes sort by the rank of their kind, then by label, then by payload, so
+two nodes that render alike still sort the same way in every process.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class ENode(NamedTuple):
         return self.label
 
     def sort_key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.label)
+        return (_KIND_RANK[self.kind], self.label, self.payload)
 
 
 def _render_tuple(items: tuple) -> str:

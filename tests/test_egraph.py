@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -20,11 +25,12 @@ from aspexplain.egraph import (
     egraph_from_json,
     find_egraphs,
     merge_supports,
+    search_supports,
     to_dot,
     to_json,
     validate_egraph,
 )
-from aspexplain.errors import NoValidGraph, UnknownLiteral
+from aspexplain.errors import NoValidGraph, TooLarge, UnknownLiteral
 from aspexplain.ground import reconstruct
 from aspexplain.support import build_er
 
@@ -282,6 +288,15 @@ class TestEnumeration:
         assert len(build_egraph(e, u, nodes.atom_node("a"),
                                 max_graphs=1)) == 1
 
+    def test_max_graphs_below_one_is_refused(self, p1, p1_answer):
+        e, u = pipeline(p1, p1_answer)
+        root = nodes.atom_node("n(1)")
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="max_graphs"):
+                build_egraph(e, u, root, max_graphs=cap)
+            with pytest.raises(ValueError, match="max_graphs"):
+                find_egraphs(e, u, root, max_graphs=cap)
+
 
 class TestSerialization:
     def test_dot_styles(self, p1, p1_answer):
@@ -396,6 +411,79 @@ class TestSerialization:
         assert graphs > 100 and collisions > 0
 
 
+# {"not y"}.  t :- not y.  h :- 1 <= {"not y"; t}.  c :- h.  The graph of
+# c for the answer {"not y", c} holds two tuple nodes that both render
+# "not y": the tuple of the atom named "not y" and that of the literal
+# "not y".
+CLASH_TEXT = (
+    "asp 1 0 0\n"
+    "1 1 1 1 0 0\n"
+    "1 0 1 5 0 1 -2\n"
+    "1 0 1 4 1 1 2 1 1 5 1\n"
+    "1 0 1 3 0 1 4\n"
+    "4 5 not y 1 1\n"
+    "4 1 y 1 2\n"
+    "4 1 c 1 3\n"
+    "0\n"
+)
+
+CLASH_SCRIPT = f"""
+import hashlib
+from aspexplain import nodes
+from aspexplain.aspif import parse_aspif
+from aspexplain.assumptions import minimal_assumption_sets
+from aspexplain.egraph import SupportTable, build_egraph, to_dot, to_json
+from aspexplain.ground import reconstruct
+g = reconstruct(parse_aspif({CLASH_TEXT!r}))
+A = g.answer_from_names(["not y", "c"])
+table = SupportTable(g, A)
+u = minimal_assumption_sets(g, A, table=table).chosen_u
+graph = build_egraph(table, u, nodes.atom_node("c"))[0]
+for text in (to_dot(graph), to_json(graph)):
+    print(hashlib.sha1(text.encode()).hexdigest())
+"""
+
+
+def clash_graph():
+    g = reconstruct(parse_aspif(CLASH_TEXT))
+    answer = g.answer_from_names(["not y", "c"])
+    return build_egraph(*pipeline(g, answer), nodes.atom_node("c"))[0]
+
+
+class TestNodesThatRenderAlike:
+    def test_two_tuples_render_alike(self):
+        graph = clash_graph()
+        tuples = [n for n in graph.nodes if n.kind == nodes.TUPLE]
+        assert [n.label for n in tuples] == ["not y", "not y"]
+        assert [n.payload for n in tuples] == [(("not y", True),),
+                                               (("y", False),)]
+
+    def test_same_output_across_hash_seeds(self):
+        digests = set()
+        for hash_seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                       PYTHONPATH=str(pathlib.Path(__file__).parent.parent
+                                      / "src"))
+            proc = subprocess.run([sys.executable, "-c", CLASH_SCRIPT],
+                                  capture_output=True, env=env, check=True)
+            digests.add(proc.stdout)
+        assert len(digests) == 1, digests
+
+    def test_json_ids_are_unique_and_round_trip(self):
+        graph = clash_graph()
+        doc = graph.doc()
+        assert len(graph.nodes) == 5
+        assert len({entry["id"] for entry in doc["nodes"]}) == 5
+        assert len({(e["from"], e["to"]) for e in doc["edges"]}) \
+            == len(graph.edges) == 5
+        text = to_json(graph)
+        rebuilt = egraph_from_json(text)
+        assert len(rebuilt.nodes) == 5 and len(rebuilt.edges) == 5
+        assert to_json(rebuilt) == text
+        assert to_dot(rebuilt) == to_dot(graph)
+        assert dot_node_ids(to_dot(graph)) == 5
+
+
 def dot_node_ids(dot: str) -> int:
     """Distinct node identifiers of a DOT text; edges name no others."""
     quoted = r'"((?:[^"\\]|\\.)*)"'
@@ -464,3 +552,124 @@ def test_cycle_safe_matches_tarjan_reference():
     # Acyclic graphs, safe cyclic ones and unsafe ones all occur.
     assert set(verdicts) == {(True, False), (True, True), (False, True)}
     assert min(verdicts.values()) > 100, verdicts
+
+
+def reference_find_egraphs(e, u, root, max_graphs=64):
+    """The graph search that tests for cycles only at a leaf: every pending
+    node takes each of its supports in turn, and a leaf whose graph is not
+    cycle safe is dropped."""
+    assumed = frozenset(u)
+    results = []
+
+    def options(node):
+        if node.kind == nodes.NEG_ATOM and node.payload[0] in assumed:
+            return [frozenset({nodes.assume_node()})]
+        if node.kind == nodes.ATOM and node.payload[0] in assumed:
+            return []
+        return e.get(node, [])
+
+    def search(pending, chosen):
+        while pending and (pending[0] in chosen
+                           or pending[0].kind in nodes.TERMINAL_KINDS):
+            pending = pending[1:]
+        if not pending:
+            edges = [EEdge(source, target, nodes.edge_label(target))
+                     for source, support in chosen.items()
+                     for target in support]
+            if _cycle_safe(edges):
+                key = nodes.ENode.sort_key
+                edges.sort(key=lambda e: (key(e.source), key(e.target)))
+                node_set = {root, *chosen, *(e.target for e in edges)}
+                results.append(ExplanationGraph(
+                    root, tuple(sorted(node_set, key=key)), tuple(edges)))
+            return
+        node = pending[0]
+        for support in options(node):
+            if len(results) >= max_graphs:
+                return
+            chosen[node] = support
+            search(pending[1:] + tuple(nodes.sorted_nodes(support)), chosen)
+            del chosen[node]
+
+    search((root,), {})
+    return results
+
+
+def named_roots(g, answer):
+    return [nodes.literal_node(g.display_atom(aid), aid in answer)
+            for aid in sorted(g.named_ids())]
+
+
+def test_search_matches_the_leaf_test_reference():
+    roots = 0
+    for seed in range(300):
+        for n_atoms in (6, 8):
+            g = oracle.random_program(seed, n_atoms=n_atoms)
+            try:
+                models = oracle.enumerate_answer_sets(g)
+            except TooLarge:
+                continue
+            for model in models[:3]:
+                answer = g.answer_from_names(sorted(model))
+                e, u = pipeline(g, answer)
+                for root in named_roots(g, answer):
+                    expected = reference_find_egraphs(e, u, root)
+                    assert find_egraphs(e, u, root) == expected, (seed, root)
+                    roots += 1
+    assert roots > 2000, roots
+
+
+@pytest.mark.parametrize("example", ["p1", "coloring"])
+def test_search_matches_the_leaf_test_reference_on_examples(example,
+                                                            request):
+    g = request.getfixturevalue(example)
+    answer = request.getfixturevalue(example + "_answer")
+    e, u = pipeline(g, answer)
+    for root in named_roots(g, answer):
+        assert find_egraphs(e, u, root) == reference_find_egraphs(e, u, root)
+
+
+def backtrack(n: int):
+    """f.  r :- x(1), ..., x(n).  x(i) :- r.  x(i) :- f.  Every x(i) tries
+    {r} first, which closes the plus cycle r -> x(i) -> r."""
+    x = range(3, n + 3)
+    lines = ["asp 1 0 0", "1 0 1 1 0 0",
+             f"1 0 1 2 0 {n} " + " ".join(map(str, x))]
+    lines += [f"1 0 1 {i} 0 1 2" for i in x]
+    lines += [f"1 0 1 {i} 0 1 1" for i in x]
+    lines += ["4 1 f 1 1", "4 1 r 1 2"]
+    lines += [f"4 {len(f'x({i - 2})')} x({i - 2}) 1 {i}" for i in x]
+    return reconstruct(parse_aspif("\n".join(lines + ["0\n"])))
+
+
+def backtrack_table(n: int):
+    g = backtrack(n)
+    return merge_supports(build_er(g, frozenset(g.named_ids())), {})
+
+
+def test_backtrack_refuses_each_cycle_where_it_closes():
+    # The leaf test tries all 2^n mixes of {r} and {f} first, which takes
+    # minutes at n = 24.
+    e = backtrack_table(24)
+    started = time.perf_counter()
+    graph, = find_egraphs(e, frozenset(), nodes.atom_node("r"), max_graphs=1)
+    assert time.perf_counter() - started < 5
+    assert ("x(24)", "f", "plus") in triples(graph)
+    assert len(graph.nodes) == 27 and validate_egraph(graph, e, frozenset())
+    small = backtrack_table(8)
+    for root in small:
+        assert find_egraphs(small, frozenset(), root) \
+            == reference_find_egraphs(small, frozenset(), root)
+
+
+def test_shared_supports_are_kept_across_searches():
+    # A search over supports chosen by an earlier one leaves them as they
+    # are and needs no support for a root already chosen.
+    e = backtrack_table(4)
+    chosen: dict = {}
+    first = next(search_supports(e, frozenset(), nodes.atom_node("r"),
+                                 chosen))
+    assert first is chosen and len(chosen) == 6
+    kept = dict(chosen)
+    assert next(search_supports(e, frozenset(), nodes.atom_node("x(2)"),
+                                chosen)) == kept

@@ -1,4 +1,4 @@
-"""U-shrinking with one build per candidate against the full-pass shrink.
+"""U-shrinking with one search per candidate against the full-pass shrink.
 
 ``reference_shrink`` is the shrink that builds a graph for every named
 literal for each candidate U.  It stays here as the slow reference;
@@ -20,7 +20,7 @@ import pytest
 from aspexplain import assumptions, egraph, nodes, oracle
 from aspexplain.aspif import parse_aspif
 from aspexplain.constraints import constraint_preprocessing
-from aspexplain.egraph import build_egraph, find_egraphs, merge_supports
+from aspexplain.egraph import build_egraph, merge_supports, search_supports
 from aspexplain.errors import NoValidGraph, TooLarge
 from aspexplain.ground import reconstruct
 from aspexplain.support import build_er
@@ -102,29 +102,39 @@ def test_loops_match_reference(n, k):
     check_against_reference(g, g.answer_from_names(inst.answer))
 
 
+def counted_searches(monkeypatch, g, A, table):
+    """The report of minimal_assumption_sets and the number of graph
+    searches its shrink ran whose root no earlier search had chosen: a
+    root that is already chosen is explained by an earlier graph and costs
+    no search."""
+    calls = 0
+
+    def counting(table, u, root, chosen):
+        nonlocal calls
+        calls += root not in chosen
+        return search_supports(table, u, root, chosen)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assumptions, "search_supports", counting)
+        report = assumptions.minimal_assumption_sets(g, A, table=table)
+    return report, calls
+
+
 def shrink_builds(monkeypatch, n: int) -> int:
     inst = families.loops(n)
     g = reconstruct(parse_aspif(inst.text))
     A = g.answer_from_names(inst.answer)
     er = build_er(g, A)
     table = merge_supports(er, constraint_preprocessing(g, A))
-    calls = 0
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return find_egraphs(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(assumptions, "find_egraphs", counting)
-        report = assumptions.minimal_assumption_sets(g, A, table=table)
+    report, calls = counted_searches(monkeypatch, g, A, table)
     assert sorted(report.chosen_u) == inst.expect["u"]
     return calls
 
 
 def test_shrink_builds_scale_linearly(monkeypatch):
-    # Doubling the loops doubles the literals; rebuilding every literal for
-    # every candidate U quadruples the builds (3.8x from 40 to 80).
+    # Doubling the loops doubles the literals; searching every literal for
+    # every candidate U quadruples the searches (3.8x from 40 to 80).  Here
+    # loops(40) and loops(80) take 81 and 161 searches.
     small = shrink_builds(monkeypatch, 40)
     large = shrink_builds(monkeypatch, 80)
     assert large <= 2.5 * small, (small, large)
@@ -158,23 +168,14 @@ def false_chain(n: int):
 @pytest.mark.parametrize("n", [50, 600])
 def test_first_pass_skips_literals_of_earlier_graphs(monkeypatch, n):
     # Under U = {x(1)} the graph of ~x(2) runs down the chain to y and back
-    # to ~x(1), so it covers every literal but ~x(1), whose graph is built
-    # first; the one candidate, U = {}, costs one more build.  Building a
-    # graph for every literal took n + 2 builds, each walking the chain.
+    # to ~x(1), so it covers every literal but ~x(1), which is searched
+    # first; the one candidate, U = {}, costs one more search.  Searching
+    # for every literal took n + 2 searches, each walking the chain.
     g = false_chain(n)
     A = g.answer_from_names(["y"])
     er = build_er(g, A)
     table = merge_supports(er, constraint_preprocessing(g, A))
-    calls = 0
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return find_egraphs(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(assumptions, "find_egraphs", counting)
-        report = assumptions.minimal_assumption_sets(g, A, table=table)
+    report, calls = counted_searches(monkeypatch, g, A, table)
     assert report.chosen_u == frozenset({"x(1)"})
     assert calls == 3
     if n < 100:  # the reference builds n + 2 graphs of up to n + 2 nodes
