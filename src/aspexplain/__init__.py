@@ -46,7 +46,6 @@ from .errors import (
 )
 from .ground import (
     ChoiceAtomSpec,
-    ChoiceElement,
     GroundProgram,
     GroundRule,
     reconstruct,
@@ -69,7 +68,6 @@ __all__ = [
     "AssumptionReport",
     "AuxCycle",
     "ChoiceAtomSpec",
-    "ChoiceElement",
     "DuplicateSymbol",
     "EEdge",
     "ExplanationGraph",

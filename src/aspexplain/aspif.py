@@ -173,13 +173,10 @@ class AspifProgram:
             self._ready.append(index)
 
     @cached_property
-    def _atom_ids(self) -> frozenset[int]:
-        return frozenset(self._ids).union(
-            self.definitions, self._positive, self._negative)
-
     def atom_ids(self) -> frozenset[int]:
         """Every atom id referenced by a structural statement."""
-        return self._atom_ids
+        return frozenset(self._ids).union(
+            self.definitions, self._positive, self._negative)
 
     def _fired(self, index: int, choosable):
         """The heads a rule derives when its body holds."""
@@ -296,7 +293,7 @@ class AspifProgram:
         ``false``.  From there on a larger lower bound gives a smaller
         upper bound, and a smaller upper bound a larger lower bound.
         """
-        atoms = self.atom_ids()
+        atoms = self.atom_ids
         upper = atoms if possible is None else possible
         missing, queue = self._start(upper, None, true)
         lower: set[int] = set()
@@ -317,17 +314,14 @@ class AspifProgram:
                 return lower, upper
 
     @cached_property
-    def _well_founded(self) -> tuple[frozenset[int], frozenset[int]]:
-        true, possible = self.alternating_fixpoint()
-        return frozenset(true), self.atom_ids() - possible
-
     def well_founded(self) -> tuple[frozenset[int], frozenset[int]]:
         """(true, false) atom ids of the well-founded model, computed once.
 
         This is the alternating fixpoint without assumptions: every answer
         set contains the true atoms and none of the false ones.
         """
-        return self._well_founded
+        true, possible = self.alternating_fixpoint()
+        return frozenset(true), self.atom_ids - possible
 
 
 def _integers(tokens: list[str]) -> tuple[int, ...]:

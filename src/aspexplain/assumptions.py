@@ -41,7 +41,7 @@ class AssumptionReport:
 def well_founded(g: GroundProgram) -> tuple[frozenset[int], frozenset[int]]:
     """(true, false) atom ids of the well-founded model of ``g``'s program,
     computed once per program."""
-    return g.aspif.well_founded()
+    return g.aspif.well_founded
 
 
 def tentative_assumptions(g: GroundProgram, A: frozenset[int]) -> frozenset[str]:
@@ -95,9 +95,6 @@ def _path_ds(table, start, ta, root):
     not meet the recursion limit.  Raises TooLarge when one node's D-sets,
     before minimisation, pass _PATH_CAP.
     """
-    ds = _leaf_ds(start, {}, 0, ta, root)
-    if ds is not _OPEN:
-        return ds
     return run_deep(_expand_ds(table, start, ta, root, {}, 0))
 
 

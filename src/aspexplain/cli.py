@@ -262,7 +262,7 @@ def cmd_explain(args) -> int:
     report = minimal_assumption_sets(g, answer, table=table)
     graph = build_egraph(table, report.chosen_u, parse_root(args.root),
                          max_graphs=1)[0]
-    _warn_cut_rows(table)
+    _warn(table, report)
     if args.format == "dot":
         text = to_dot(graph, ascii_only=args.ascii)
     elif args.format == "json":
@@ -273,13 +273,17 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _warn_cut_rows(table) -> None:
-    """One warning on stderr for each row built that holds more supported
-    sets than it keeps."""
+def _warn(table, report) -> None:
+    """On stderr, one warning for each row built that holds more supported
+    sets than it keeps, then a note if min(B) is one greedy break."""
     for key, row in table.items():
         if isinstance(row, FactoredRow) and row.total > len(row):
             print(f"warning: the supported sets of {key.render()} are cut "
                   f"at {len(row)} of {row.total}", file=sys.stderr)
+    if not report.min_b_exact:
+        print(f"note: min(B) is one greedy cycle break, not every minimal "
+              f"set: more than {_EXACT_SEARCH_LIMIT} atoms take part in DA "
+              f"cycles", file=sys.stderr)
 
 
 def _text_report(er, ec, report, graph, ascii_only: bool) -> str:
@@ -307,11 +311,7 @@ def cmd_assumptions(args) -> int:
     else:
         table = SupportTable(g, answer)
     report = minimal_assumption_sets(g, answer, table=table)
-    _warn_cut_rows(table)
-    if not report.min_b_exact:
-        print(f"note: min(B) is one greedy cycle break, not every minimal "
-              f"set: more than {_EXACT_SEARCH_LIMIT} atoms take part in DA "
-              f"cycles", file=sys.stderr)
+    _warn(table, report)
     lines = [
         "TA = " + _fmt_set(report.ta),
         "T = " + _fmt_set(report.t_must),

@@ -18,18 +18,6 @@ from .ground import ChoiceAtomSpec, GroundProgram, GroundRule, _dedupe_sets
 from .support import _merge_expansion, _term_true_options
 
 
-def check_constraints(g: GroundProgram, A: frozenset[int]) -> None:
-    """Raise the first UnsupportedWeightBody, AuxCycle or
-    ReconstructionError that constraint_preprocessing would raise: each
-    constraint's body is resolved, and its choice occurrences are evaluated
-    when it has a resolved body."""
-    for rule in g.constraints():
-        if g.constraint_bodies(rule):
-            for term in (*rule.pos_body, *rule.neg_body):
-                if isinstance(term, ChoiceAtomSpec):
-                    g.satisfied_elements(term, A)
-
-
 def constraint_saviors(g: GroundProgram, A: frozenset[int], rule: GroundRule,
                       body: frozenset[int]):
     """The violating literals of one resolved constraint body under A, its

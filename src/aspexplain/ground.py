@@ -45,17 +45,10 @@ CONSTRAINT = "constraint"
 
 
 @dataclass(frozen=True)
-class ChoiceElement:
-    """One element of a choice atom: its literals with the element first."""
-
-    lits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ChoiceAtomSpec:
     lower: int
     upper: int | None
-    elements: tuple[ChoiceElement, ...]
+    elements: tuple[tuple[int, ...], ...]  # each one's literals, element first
 
 
 @dataclass
@@ -112,10 +105,6 @@ class GroundProgram:
         name = self.named.get(aid)
         return name if name is not None else f"l({aid})"
 
-    def display_lit(self, lit: int) -> str:
-        name = self.display_atom(abs(lit))
-        return name if lit > 0 else "not " + name
-
     def atom_id(self, name: str) -> int:
         try:
             return self._by_name[name]
@@ -141,10 +130,10 @@ class GroundProgram:
                 self.display_atom(abs(lit)), lit > 0)
         return node
 
-    def element_payload(self, element: ChoiceElement) -> tuple:
-        return tuple((self.display_atom(abs(lit)), lit > 0) for lit in element.lits)
+    def element_payload(self, element: tuple[int, ...]) -> tuple:
+        return tuple((self.display_atom(abs(lit)), lit > 0) for lit in element)
 
-    def tuple_node(self, element: ChoiceElement) -> nodes.ENode:
+    def tuple_node(self, element: tuple[int, ...]) -> nodes.ENode:
         return nodes.tuple_node(self.element_payload(element))
 
     def spec_node(self, spec: ChoiceAtomSpec, positive: bool = True) -> nodes.ENode:
@@ -175,9 +164,9 @@ class GroundProgram:
                    for alt in self.resolve_aux(lit))
 
     def satisfied_elements(self, spec: ChoiceAtomSpec,
-                           answer: frozenset[int]) -> tuple[ChoiceElement, ...]:
+                           answer: frozenset[int]) -> tuple[tuple[int, ...], ...]:
         return tuple(e for e in spec.elements
-                     if all(self.lit_holds(lit, answer) for lit in e.lits))
+                     if all(self.lit_holds(lit, answer) for lit in e))
 
     def spec_holds(self, spec: ChoiceAtomSpec, answer: frozenset[int]) -> bool:
         count = len(self.satisfied_elements(spec, answer))
@@ -304,7 +293,8 @@ class GroundProgram:
         neg = sorted(self.term_text(t, False) for t in rule.neg_body)
         if rule.raw_weight is not None:
             pairs = ", ".join(
-                f"{self.display_lit(l)}={w}" for l, w in rule.raw_weight.elements)
+                f"{self.term_text(abs(l), l > 0)}={w}"
+                for l, w in rule.raw_weight.elements)
             pos = [f"{rule.raw_weight.lower}<={{{pairs}}}"]
         body = ", ".join(pos + neg)
         if rule.kind == CONSTRAINT:
@@ -421,7 +411,7 @@ class _ChoiceFolder:
         self._folds: dict[tuple, tuple | None] = {}
         # tuple atom -> what _element_for gives.  A bound pair's two weight
         # bodies hold the same elements, which are read once.
-        self._element_memo: dict[int, ChoiceElement | None] = {}
+        self._element_memo: dict[int, tuple[int, ...] | None] = {}
 
     def fold_hidden(self, aid: int) -> tuple | None:
         """The fold of a hidden atom's one definition, or None."""
@@ -499,9 +489,9 @@ class _ChoiceFolder:
     def _opaque(self, subject: str, why: str) -> None:
         self.gp.warnings.append(f"weight body {subject} {why}; kept opaque")
 
-    def _element_for(self, aid: int) -> ChoiceElement | None:
+    def _element_for(self, aid: int) -> tuple[int, ...] | None:
         if aid in self.named:
-            return ChoiceElement((aid,))
+            return (aid,)
         body = self._single_def(aid)
         if not isinstance(body, NormalBody) or not body.literals:
             return None
@@ -516,9 +506,8 @@ class _ChoiceFolder:
             if len(positives) == 1:
                 element = positives[0]
         if element is None:
-            return ChoiceElement(lits)
-        ordered = (element,) + tuple(l for l in lits if l != element)
-        return ChoiceElement(ordered)
+            return lits
+        return (element,) + tuple(l for l in lits if l != element)
 
 
 def _build_rules(gp: GroundProgram) -> None:

@@ -4,11 +4,12 @@ A node is a (kind, payload, label) named tuple, so it hashes and compares
 by its fields in C.  Payloads hold display names, not atom ids, so tables
 and graphs can be rendered and serialized without the program they came
 from.  Each constructor below computes the label once, when it makes the
-node, and the seven terminal nodes are made once, at import; a node
-rebuilt from JSON takes the label that was serialized.  Rendering returns
-the label, except that ``⊤`` and ``⊥`` read ``T`` and ``F`` in ASCII, and
-nodes sort by the rank of their kind, then by label, then by payload, so
-two nodes that render alike still sort the same way in every process.
+node, and the seven terminal nodes are the ``*_NODE`` constants, made at
+import; a node rebuilt from JSON takes the label that was serialized.
+Rendering returns the label, except that ``⊤`` and ``⊥`` read ``T`` and
+``F`` in ASCII, and nodes sort by the rank of their kind, then by label,
+then by payload, so two nodes that render alike still sort the same way
+in every process.
 """
 
 from __future__ import annotations
@@ -91,41 +92,13 @@ def literal_node(name: str, positive: bool) -> ENode:
     return atom_node(name) if positive else neg_atom_node(name)
 
 
-_TOP = ENode(TOP, (), "⊤")
-_BOTTOM = ENode(BOTTOM, (), "⊥")
-_ASSUME = ENode(ASSUME, (), "assume")
-_PLUS_CHOICE = ENode(PLUS_CHOICE, (), "+choice")
-_MINUS_CHOICE = ENode(MINUS_CHOICE, (), "-choice")
-_STAR_TRUE = ENode(STAR_TRUE, (), "*True")
-_STAR_EMPTY = ENode(STAR_EMPTY, (), "*Empty")
-
-
-def top_node() -> ENode:
-    return _TOP
-
-
-def bottom_node() -> ENode:
-    return _BOTTOM
-
-
-def assume_node() -> ENode:
-    return _ASSUME
-
-
-def plus_choice_node() -> ENode:
-    return _PLUS_CHOICE
-
-
-def minus_choice_node() -> ENode:
-    return _MINUS_CHOICE
-
-
-def star_true_node() -> ENode:
-    return _STAR_TRUE
-
-
-def star_empty_node() -> ENode:
-    return _STAR_EMPTY
+TOP_NODE = ENode(TOP, (), "⊤")
+BOTTOM_NODE = ENode(BOTTOM, (), "⊥")
+ASSUME_NODE = ENode(ASSUME, (), "assume")
+PLUS_CHOICE_NODE = ENode(PLUS_CHOICE, (), "+choice")
+MINUS_CHOICE_NODE = ENode(MINUS_CHOICE, (), "-choice")
+STAR_TRUE_NODE = ENode(STAR_TRUE, (), "*True")
+STAR_EMPTY_NODE = ENode(STAR_EMPTY, (), "*Empty")
 
 
 def tuple_node(items: tuple[tuple[str, bool], ...]) -> ENode:
@@ -148,10 +121,6 @@ def constraint_node(name: str, positive: bool) -> ENode:
     lit = name if positive else "~" + name
     return ENode(CONSTRAINT, ((name, positive),),
                  f"triggered_constraint({lit})")
-
-
-def edge_label(target: ENode) -> str:
-    return EDGE_LABEL[target.kind]
 
 
 def sorted_nodes(nodes) -> list[ENode]:

@@ -49,7 +49,7 @@ class _Checker:
     def __init__(self, g):
         self.program = g.aspif
         self.aux_ids = sorted(
-            self.program.atom_ids() - g.named.keys() - g.facts)
+            self.program.atom_ids - g.named.keys() - g.facts)
 
     def is_reduct_model(self, total: frozenset[int]) -> bool:
         """True iff ``total`` equals the least model of its reduct.
@@ -157,9 +157,9 @@ def check_answer_set(g, answer_names) -> bool:
     checker = _Checker(g)
     true = g.answer_from_names(answer_names)
     false = frozenset(g.named.keys() - true)
-    wf_true, wf_false = g.aspif.well_founded()
+    wf_true, wf_false = g.aspif.well_founded
     root = checker.bounds(true, false,
-                          (wf_true, g.aspif.atom_ids() - wf_false))
+                          (wf_true, g.aspif.atom_ids - wf_false))
     return next(checker.search(true, false, root, ()), None) is not None
 
 
@@ -174,7 +174,7 @@ def enumerate_answer_sets(g) -> list[Interpretation]:
     """
     program, named = g.aspif, g.named
     checker = _Checker(g)
-    wf_true, wf_false = program.well_founded()
+    wf_true, wf_false = program.well_founded
     decided = wf_true | wf_false
     free = sorted((a for a in named if a not in decided), key=named.get)
     if len(free) > MAX_NAMED_ATOMS:
@@ -182,7 +182,7 @@ def enumerate_answer_sets(g) -> list[Interpretation]:
             f"{len(free)} undecided named atoms exceed the enumeration cap "
             f"of {MAX_NAMED_ATOMS}")
     root = checker.bounds(frozenset(), frozenset(),
-                          (wf_true, program.atom_ids() - wf_false))
+                          (wf_true, program.atom_ids - wf_false))
     found: list[tuple[list[int], Interpretation]] = []
     for lower in checker.search(frozenset(), frozenset(), root, free):
         chosen = [k for k, a in enumerate(free) if a in lower]

@@ -32,7 +32,7 @@ from .ground import (
 )
 
 _CROSS_CAP = 4096
-_BOTTOM = frozenset({nodes.bottom_node()})
+_BOTTOM = frozenset({nodes.BOTTOM_NODE})
 
 
 class FactoredRow:
@@ -93,9 +93,9 @@ def choice_body_support(g: GroundProgram, x: ChoiceAtomSpec, A: frozenset[int],
         tuple_nodes = [g.tuple_node(e) for e in satisfied]
         expansion[node] = [frozenset(tuple_nodes)]
         for tn in tuple_nodes:
-            expansion[tn] = [frozenset({nodes.star_true_node()})]
+            expansion[tn] = [frozenset({nodes.STAR_TRUE_NODE})]
     else:
-        expansion[node] = [frozenset({nodes.star_empty_node()})]
+        expansion[node] = [frozenset({nodes.STAR_EMPTY_NODE})]
     return node, expansion
 
 
@@ -146,14 +146,14 @@ def supported_sets_true(g: GroundProgram, A: frozenset[int], c: int,
     expansion = {} if expansion is None else expansion
     sets: list[frozenset[nodes.ENode]] = []
     if c in g.facts:
-        sets.append(frozenset({nodes.top_node()}))
+        sets.append(frozenset({nodes.TOP_NODE}))
     for rule in g.rules_for_head(c):
         body_options = _body_true_options(g, rule, A, expansion)
         for option in body_options:
             if rule.kind == CHOICE:
-                option = option | {nodes.plus_choice_node()}
+                option = option | {nodes.PLUS_CHOICE_NODE}
             # An empty-bodied rule supports its head unconditionally.
-            sets.append(option or frozenset({nodes.top_node()}))
+            sets.append(option or frozenset({nodes.TOP_NODE}))
     if len(sets) > 1:
         sets = _dedupe_sets(sets)
     elif not sets:
@@ -185,7 +185,7 @@ def supported_sets_false(g: GroundProgram, A: frozenset[int], c: int,
         if rule.kind == CHOICE and body_options:
             # The body fires but this element was not chosen.
             for option in body_options:
-                options.append(option | {nodes.minus_choice_node()})
+                options.append(option | {nodes.MINUS_CHOICE_NODE})
         elif body_options:
             raise NoSupport(
                 f"{g.display_atom(c)} is not in the answer set but the body "
@@ -274,13 +274,16 @@ def build_er(g: GroundProgram, A: frozenset[int]):
 
 def check_rules(g: GroundProgram, A: frozenset[int]) -> None:
     """Raise the first UnsupportedWeightBody, AuxCycle or
-    ReconstructionError that build_er would raise, without building a row.
+    ReconstructionError that build_er, then constraint_preprocessing,
+    would raise, without building a row.
 
     build_er reads the rules of the named atoms in er_key_order, and each
-    rule's terms in body order.  An auxiliary atom raises when it is
-    resolved: as a body literal, or, through lit_holds, as a literal of a
-    choice element when the occurrence's elements are evaluated.
-    Resolution is memoised per program, so the rows built later reuse it.
+    rule's terms in body order; constraint_preprocessing resolves each
+    constraint's body, in order, and evaluates its choice occurrences when
+    it has a resolved body.  An auxiliary atom raises when it is resolved:
+    as a body literal, or, through lit_holds, as a literal of a choice
+    element when the occurrence's elements are evaluated.  Resolution is
+    memoised per program, so the rows built later reuse it.
     """
     named = g.named
     for aid in er_key_order(g):
@@ -293,6 +296,11 @@ def check_rules(g: GroundProgram, A: frozenset[int]) -> None:
                     elif term not in named:
                         # A named literal resolves to itself.
                         g.resolve_aux(sign * term)
+    for rule in g.constraints():
+        if g.constraint_bodies(rule):
+            for term in (*rule.pos_body, *rule.neg_body):
+                if isinstance(term, ChoiceAtomSpec):
+                    g.satisfied_elements(term, A)
 
 
 def dump_table(table, ascii_only: bool = False) -> str:

@@ -36,7 +36,7 @@ def test_typed_lists_are_computed_once(p1_text):
     assert program.rules is program.rules
     assert program.outputs is program.outputs
     assert program.externals is program.externals
-    assert program.atom_ids() is program.atom_ids()
+    assert program.atom_ids is program.atom_ids
     assert program.definitions is program.definitions
 
 
@@ -46,7 +46,7 @@ def test_definitions_follow_file_order(p1_program):
     assert set(definitions) == {h for r in rules for h in r.head}
     for head, stmts in definitions.items():
         assert stmts == [r for r in rules if head in r.head]
-    assert p1_program.atom_ids() == frozenset(range(1, 14))
+    assert p1_program.atom_ids == frozenset(range(1, 14))
 
 
 def walked_indexes(program: AspifProgram):
@@ -103,7 +103,7 @@ def filed_indexes(program: AspifProgram):
             in zip(program._heads, program._template)]
     return (program.rules, program.outputs, program.externals,
             program.constraints, program.definitions,
-            program.atom_ids(), rows, program._ready, program._negated,
+            program.atom_ids, rows, program._ready, program._negated,
             dict(program._positive), dict(program._negative))
 
 

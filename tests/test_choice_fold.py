@@ -39,12 +39,6 @@ from aspexplain.ground import (
 )
 
 
-def ChoiceElement(lits, element=None):
-    """The reference's element constructor: elements no longer record
-    which literal is the element, which is always the first."""
-    return ground.ChoiceElement(lits)
-
-
 # --- the reference: the earlier folder, unchanged ---------------------------
 
 class _ChoiceFolder:
@@ -160,7 +154,7 @@ class _ChoiceFolder:
 
     def _element_for(self, aid: int):
         if aid in self.named:
-            return ChoiceElement((aid,), aid), None
+            return (aid,), None
         stmt = self._single_def(aid)
         if stmt is None or not isinstance(stmt.body, NormalBody):
             return None
@@ -177,9 +171,9 @@ class _ChoiceFolder:
             if len(positives) == 1:
                 element = positives[0]
         if element is None:
-            return ChoiceElement(tuple(lits), None), stmt
+            return tuple(lits), stmt
         ordered = (element,) + tuple(l for l in lits if l != element)
-        return ChoiceElement(ordered, element), stmt
+        return ordered, stmt
 
 
 def _build_rules(gp: GroundProgram, folder: _ChoiceFolder) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import io
 import json
 import os
@@ -488,6 +489,18 @@ class TestExplainExitCodes:
         assert (code, out, err) == (
             2, "", "error: auxiliary atom 3 is defined through itself\n")
 
+    def test_no_valid_graph_exits_5(self, capsys, monkeypatch):
+        # p1's m(1) needs ~a assumed; an empty U leaves it no graph.
+        shrink = cli.minimal_assumption_sets
+        monkeypatch.setattr(cli, "minimal_assumption_sets", lambda *a, **k:
+                            dataclasses.replace(shrink(*a, **k),
+                                                chosen_u=frozenset()))
+        code, out, err = run(capsys, "explain", P1, "--answer-set",
+                             P1_ANSWER, "--root", "m(1)")
+        assert (code, out, err) == (
+            5, "", "error: no valid explanation graph for m(1) under "
+                   "assumed set {}\n")
+
     @pytest.mark.parametrize("root, message", [
         ("zzz", "cannot explain zzz: not a literal of the program"),
         ("~zzz", "cannot explain ~zzz: not a literal of the program"),
@@ -641,6 +654,42 @@ class TestAssumptions:
         else:
             assert err.count("\n") == 1
             assert err.startswith("note: min(B) is one greedy cycle break")
+
+    def test_explain_notes_a_greedy_min_b_too(self, capsys, tmp_path):
+        # 11 copies of x1 :- x2.  x2 :- x1.  x1 :- not y.  y :- not z.
+        # z :- not y.  w :- not x1.  w :- not x2.  With y and w true,
+        # 22 atoms take part in DA cycles.
+        n, rules, names = 11, [], ""
+        for i in range(n):
+            x1, x2, y, z, w = range(5 * i + 1, 5 * i + 6)
+            rules += [f"{x1} 0 1 {x2}", f"{x2} 0 1 {x1}", f"{x1} 0 1 -{y}",
+                      f"{y} 0 1 -{z}", f"{z} 0 1 -{y}", f"{w} 0 1 -{x1}",
+                      f"{w} 0 1 -{x2}"]
+            names += "".join(f"4 {len(a) + len(str(i + 1)) + 2} "
+                             f"{a}({i + 1}) 1 {5 * i + k}\n" for k, a in
+                             enumerate(("x1", "x2", "y", "z", "w"), 1))
+        path = write(tmp_path, "probe.aspif", "asp 1 0 0\n" + "".join(
+            f"1 0 1 {r}\n" for r in rules) + names + "0\n")
+        answer = " ".join(f"{a}({i})" for i in range(1, n + 1)
+                          for a in ("y", "w"))
+        note = ("note: min(B) is one greedy cycle break, not every minimal "
+                "set: more than 20 atoms take part in DA cycles\n")
+        code, out, err = run(capsys, "assumptions", path, "--answer", answer)
+        assert (code, err) == (0, note)
+        assert out.endswith("U = {" + ", ".join(
+            sorted(f"z({i})" for i in range(1, n + 1))) + "}\n")
+        code, out, err = run(capsys, "explain", path, "--answer", answer,
+                             "--root", "w(1)")
+        assert (code, err) == (0, note)
+        assert out == (
+            'digraph explanation {\n  "w(1)";\n  "y(1)";\n  "~x1(1)";\n'
+            '  "~x2(1)";\n  "~z(1)";\n  "assume";\n'
+            '  "w(1)" -> "~x1(1)" [style=dashed];\n'
+            '  "y(1)" -> "~z(1)" [style=dashed];\n'
+            '  "~x1(1)" -> "y(1)" [style=solid];\n'
+            '  "~x1(1)" -> "~x2(1)" [style=dashed];\n'
+            '  "~x2(1)" -> "~x1(1)" [style=dashed];\n'
+            '  "~z(1)" -> "assume" [style=dotted];\n}\n')
 
     def test_d_sets_past_the_path_cap_exit_6(self, capsys, tmp_path,
                                              monkeypatch):

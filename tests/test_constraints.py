@@ -53,7 +53,7 @@ def test_p1_choice_constraint(p1_ec, p1):
     assert p1_ec[tc("c")] == [frozenset({choice_node})]
     t = nodes.tuple_node((("m(1)", True), ("n(1)", True)))
     assert p1_ec[choice_node] == [frozenset({t})]
-    assert p1_ec[t] == [frozenset({nodes.star_true_node()})]
+    assert p1_ec[t] == [frozenset({nodes.STAR_TRUE_NODE})]
 
 
 def choice_constraint(g):
@@ -96,7 +96,7 @@ def test_saviors_neg_side_in_bounds(p1):
     assert node.render() == "1<={(m(1), n(1)), (m(2), n(2))}<=1"
     t = nodes.tuple_node((("m(1)", True), ("n(1)", True)))
     assert expansion == {node: [frozenset({t})],
-                         t: [frozenset({nodes.star_true_node()})]}
+                         t: [frozenset({nodes.STAR_TRUE_NODE})]}
 
 
 def test_saviors_neg_side_out_of_bounds_adds_none(p1):
@@ -115,7 +115,7 @@ def test_saviors_pos_side_out_of_bounds():
     assert node.render() == "~(2<={a, b})"
     t = nodes.tuple_node((("a", True),))
     assert expansion == {node: [frozenset({t})],
-                         t: [frozenset({nodes.star_true_node()})]}
+                         t: [frozenset({nodes.STAR_TRUE_NODE})]}
 
 
 def test_saviors_pos_side_in_bounds_adds_none():

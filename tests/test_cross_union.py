@@ -93,7 +93,7 @@ def test_lazy_product_matches_reference(lists):
         assert _union_product(lists, base) == reference_conjoin(lists, base)
 
 
-BOTTOM = frozenset({nodes.bottom_node()})
+BOTTOM = frozenset({nodes.BOTTOM_NODE})
 
 
 def reference_false_row(lists) -> list[frozenset]:

@@ -243,15 +243,71 @@ class TestValidateRejections:
         stray = nodes.atom_node("n(2)")
         padded = ExplanationGraph(
             graph.root,
-            graph.nodes + (stray, nodes.top_node()),
-            graph.edges + (EEdge(stray, nodes.top_node(), "circ"),))
+            graph.nodes + (stray, nodes.TOP_NODE),
+            graph.edges + (EEdge(stray, nodes.TOP_NODE, "circ"),))
         assert not validate_egraph(padded, e, u)
 
     def test_support_set_must_match_table(self, p1, p1_answer):
         e, u = pipeline(p1, p1_answer)
-        c, top = nodes.atom_node("c"), nodes.top_node()
+        c, top = nodes.atom_node("c"), nodes.TOP_NODE
         graph = ExplanationGraph(c, (c, top), (EEdge(c, top, "circ"),))
         assert not validate_egraph(graph, e, u)
+
+
+class TestValidateEachRejection:
+    """One mutation of p1's canonical m(1) graph per rejection branch."""
+
+    @pytest.fixture
+    def canonical(self, p1, p1_answer):
+        e, u = pipeline(p1, p1_answer)
+        assert u == {"a"}
+        graph = build_egraph(e, u, nodes.atom_node("m(1)"))[0]
+        assert validate_egraph(graph, e, u)
+        return graph, e, u
+
+    def test_root_is_not_a_node(self, canonical):
+        graph, e, u = canonical
+        moved = ExplanationGraph(nodes.atom_node("zz"), graph.nodes,
+                                 graph.edges)
+        assert validate_egraph(moved, e, u) is False
+
+    def test_edge_end_is_not_a_node(self, canonical):
+        graph, e, u = canonical
+        extra = EEdge(graph.root, nodes.atom_node("zz"), "plus")
+        padded = ExplanationGraph(graph.root, graph.nodes,
+                                  graph.edges + (extra,))
+        assert validate_egraph(padded, e, u) is False
+
+    def test_edge_label_is_not_its_targets(self, canonical):
+        graph, e, u = canonical
+        first, *rest = graph.edges
+        wrong = "plus" if first.label == "minus" else "minus"
+        relabelled = ExplanationGraph(
+            graph.root, graph.nodes, (first._replace(label=wrong), *rest))
+        assert validate_egraph(relabelled, e, u) is False
+
+    def test_terminal_has_an_out_edge(self, canonical):
+        graph, e, u = canonical
+        terminal = next(n for n in graph.nodes
+                        if n.kind in nodes.TERMINAL_KINDS)
+        extra = EEdge(terminal, graph.root,
+                      nodes.EDGE_LABEL[graph.root.kind])
+        padded = ExplanationGraph(graph.root, graph.nodes,
+                                  graph.edges + (extra,))
+        assert validate_egraph(padded, e, u) is False
+
+    def test_non_terminal_has_no_out_edge(self, canonical):
+        graph, e, u = canonical
+        cut = ExplanationGraph(graph.root, graph.nodes, tuple(
+            edge for edge in graph.edges if edge.source != graph.root))
+        assert validate_egraph(cut, e, u) is False
+
+    def test_graph_rebuilt_from_json_is_refused(self, canonical):
+        # A rebuilt node carries its kind, label and JSON position, not an
+        # atom name, so it matches no table key.
+        graph, e, u = canonical
+        assert validate_egraph(egraph_from_json(to_json(graph)), e, u) \
+            is False
 
 
 class TestEnumeration:
@@ -385,7 +441,7 @@ class TestSerialization:
         answer = g.answer_from_names(["a"])
         graph = build_egraph(*pipeline(g, answer),
                              nodes.neg_atom_node("b"))[0]
-        assert {nodes.top_node(), nodes.bottom_node()} <= set(graph.nodes)
+        assert {nodes.TOP_NODE, nodes.BOTTOM_NODE} <= set(graph.nodes)
         rebuilt = egraph_from_json(to_json(graph))
         dot = to_dot(graph, ascii_only=True)
         assert '"T"' in dot and '"F"' in dot
@@ -563,7 +619,7 @@ def reference_find_egraphs(e, u, root, max_graphs=64):
 
     def options(node):
         if node.kind == nodes.NEG_ATOM and node.payload[0] in assumed:
-            return [frozenset({nodes.assume_node()})]
+            return [frozenset({nodes.ASSUME_NODE})]
         if node.kind == nodes.ATOM and node.payload[0] in assumed:
             return []
         return e.get(node, [])
@@ -573,7 +629,7 @@ def reference_find_egraphs(e, u, root, max_graphs=64):
                            or pending[0].kind in nodes.TERMINAL_KINDS):
             pending = pending[1:]
         if not pending:
-            edges = [EEdge(source, target, nodes.edge_label(target))
+            edges = [EEdge(source, target, nodes.EDGE_LABEL[target.kind])
                      for source, support in chosen.items()
                      for target in support]
             if _cycle_safe(edges):

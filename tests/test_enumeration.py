@@ -71,7 +71,7 @@ def reference_bounded_enumerate_answer_sets(
         raise TooLarge(
             f"{len(candidates)} named atoms exceed the enumeration cap "
             f"of {max_named}")
-    wf_true, wf_false = g.aspif.well_founded()
+    wf_true, wf_false = g.aspif.well_founded
     decided = wf_true | wf_false
     forced = frozenset(n for n, i in names_to_ids.items() if i in wf_true)
     free = [n for n in candidates if names_to_ids[n] not in decided]
@@ -244,7 +244,7 @@ def test_cut_branches_reach_no_leaf(monkeypatch, body, leaves):
 
 def test_well_founded_model_is_computed_once():
     g = build(EVEN_LOOPS_WITH_D)
-    assert g.aspif.well_founded() is g.aspif.well_founded()
+    assert g.aspif.well_founded is g.aspif.well_founded
 
 
 def test_decided_program_makes_one_guess(monkeypatch):

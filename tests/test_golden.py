@@ -102,13 +102,13 @@ def test_text_report_matches_golden_digest(capsys, example, root):
 EVERY_KIND = [
     nodes.atom_node("a"),
     nodes.neg_atom_node("a"),
-    nodes.top_node(),
-    nodes.bottom_node(),
-    nodes.assume_node(),
-    nodes.plus_choice_node(),
-    nodes.minus_choice_node(),
-    nodes.star_true_node(),
-    nodes.star_empty_node(),
+    nodes.TOP_NODE,
+    nodes.BOTTOM_NODE,
+    nodes.ASSUME_NODE,
+    nodes.PLUS_CHOICE_NODE,
+    nodes.MINUS_CHOICE_NODE,
+    nodes.STAR_TRUE_NODE,
+    nodes.STAR_EMPTY_NODE,
     nodes.tuple_node((("a", True), ("b", False))),
     nodes.choice_node(1, 2, ((("a", True),), (("b", True), ("c", False)))),
     nodes.choice_node(0, None, ((("a", True),),), positive=False),
@@ -205,7 +205,7 @@ def test_constructors_label_as_the_reference_renders(p1, p1_answer, coloring,
 
 def test_edge_hashes_as_its_field_tuple():
     source, target = nodes.atom_node("a"), nodes.choice_node(0, None, ())
-    edge = EEdge(source, target, nodes.edge_label(target))
+    edge = EEdge(source, target, nodes.EDGE_LABEL[target.kind])
     fields = (source, target, "plus")
     assert tuple(edge) == fields
     assert hash(edge) == hash(tuple(edge)) == hash(fields)

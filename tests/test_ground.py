@@ -73,10 +73,10 @@ def test_p1_choice_spec(p1):
     assert spec.lower == 1 and spec.upper == 1
     rendered = p1.spec_node(spec).render()
     assert rendered == "1<={(m(1), n(1)), (m(2), n(2))}<=1"
-    elements = [tuple(p1.display_atom(abs(l)) for l in e.lits)
+    elements = [tuple(p1.display_atom(abs(l)) for l in e)
                 for e in spec.elements]
     assert elements == [("m(1)", "n(1)"), ("m(2)", "n(2)")]
-    assert [p1.display_atom(e.lits[0]) for e in spec.elements] == ["m(1)", "m(2)"]
+    assert [p1.display_atom(e[0]) for e in spec.elements] == ["m(1)", "m(2)"]
 
 
 def test_p1_facts(p1):
@@ -107,7 +107,7 @@ def test_p1_evaluation(p1, p1_answer):
     spec = choice_specs(p1)[0]
     assert p1.spec_holds(spec, p1_answer)
     sat = p1.satisfied_elements(spec, p1_answer)
-    assert len(sat) == 1 and p1.display_atom(sat[0].lits[0]) == "m(1)"
+    assert len(sat) == 1 and p1.display_atom(sat[0][0]) == "m(1)"
     assert not p1.spec_holds(spec, p1_answer | {p1.atom_id("m(2)")})
 
 
@@ -251,7 +251,7 @@ def readable_atoms(gp) -> set[int]:
     """The atoms that resolve_aux reads: all but those defined through a
     weight body, as the folded bound tests of choice atoms are."""
     readable = set()
-    for aid in sorted(gp.aspif.atom_ids()):
+    for aid in sorted(gp.aspif.atom_ids):
         try:
             gp.resolve_aux(aid)
         except UnsupportedWeightBody:
@@ -264,7 +264,7 @@ def test_lit_holds_matches_reference_walk():
     for text, stride in acyclic_programs():
         gp = reconstruct(parse_aspif(text))
         in_elements = {abs(lit) for spec in choice_specs(gp)
-                       for element in spec.elements for lit in element.lits}
+                       for element in spec.elements for lit in element}
         readable = readable_atoms(gp)
         assert readable >= in_elements
         hidden = sorted(readable - gp.named.keys() - in_elements)
@@ -282,7 +282,7 @@ def test_lit_holds_matches_reference_walk():
 def test_element_condition_reads_a_negated_hidden_atom():
     gp = reconstruct(parse_aspif(NEGATED_ELEMENT))
     spec = choice_specs(gp)[0]
-    assert [gp.display_lit(l) for l in spec.elements[0].lits] \
+    assert [gp.term_text(abs(l), l > 0) for l in spec.elements[0]] \
         == ["p", "not l(5)"]
     for names, holds in ((["p", "r"], True), (["p", "q"], False),
                          (["p", "s"], False)):

@@ -67,7 +67,7 @@ def reference_alternating_fixpoint(program: AspifProgram, true=frozenset(),
     """The alternating fixpoint with both bounds computed from scratch by
     ``rescanning_least_model`` each round, as it was before the lower bound
     kept its counters between rounds."""
-    atoms = program.atom_ids()
+    atoms = program.atom_ids
     upper = atoms if possible is None else possible
     lower = None
     while True:
@@ -80,7 +80,7 @@ def reference_alternating_fixpoint(program: AspifProgram, true=frozenset(),
 
 def rescanning_well_founded(g) -> tuple[frozenset[int], frozenset[int]]:
     program = g.aspif
-    atoms = program.atom_ids()
+    atoms = program.atom_ids
     true: set[int] = set()
     possible: set[int] = set(atoms)
     while True:
@@ -169,7 +169,7 @@ def test_well_founded_matches_reference(source):
 def test_reduct_least_model_matches_reference(source):
     rng = random.Random(5)
     for g in source():
-        atoms = sorted(g.aspif.atom_ids())
+        atoms = sorted(g.aspif.atom_ids)
         for _ in range(3):
             total = frozenset(a for a in atoms if rng.random() < 0.5)
             assert g.aspif.least_model(total, total) \
@@ -180,7 +180,7 @@ def test_reduct_least_model_matches_reference(source):
 def test_assumed_facts_and_blocked_atoms_match_reference(source):
     rng = random.Random(7)
     for g in source():
-        atoms = sorted(g.aspif.atom_ids())
+        atoms = sorted(g.aspif.atom_ids)
         for _ in range(3):
             interpretation = frozenset(a for a in atoms if rng.random() < 0.5)
             facts = frozenset(a for a in atoms if rng.random() < 0.2)
@@ -200,7 +200,7 @@ def test_alternating_fixpoint_matches_reference(source):
     rng = random.Random(11)
     for g in source():
         program = g.aspif
-        atoms = sorted(program.atom_ids())
+        atoms = sorted(program.atom_ids)
         root = program.alternating_fixpoint()
         assert root == reference_alternating_fixpoint(program)
         for _ in range(3):

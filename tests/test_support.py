@@ -46,20 +46,20 @@ def test_p1_table_keys(p1_er):
 
 def test_p1_true_atom_supports(p1_er):
     assert p1_er[atom("c")] == [frozenset({neg("a")})]
-    assert p1_er[atom("n(1)")] == [frozenset({nodes.top_node()})]
-    assert p1_er[atom("n(2)")] == [frozenset({nodes.top_node()})]
+    assert p1_er[atom("n(1)")] == [frozenset({nodes.TOP_NODE})]
+    assert p1_er[atom("n(2)")] == [frozenset({nodes.TOP_NODE})]
 
 
 def test_p1_choice_head_support(p1_er):
     assert p1_er[atom("m(1)")] == [
-        frozenset({atom("c"), nodes.plus_choice_node(), atom("n(1)")})]
+        frozenset({atom("c"), nodes.PLUS_CHOICE_NODE, atom("n(1)")})]
 
 
 def test_p1_false_atom_supports(p1_er):
     assert p1_er[neg("a")] == [frozenset({atom("c")})]
     assert p1_er[neg("b")] == [frozenset({neg("a")})]
     assert p1_er[neg("m(2)")] == [
-        frozenset({atom("c"), nodes.minus_choice_node(), atom("n(2)")})]
+        frozenset({atom("c"), nodes.MINUS_CHOICE_NODE, atom("n(2)")})]
 
 
 def test_p1_dump_matches_layout(p1_er):
@@ -83,14 +83,14 @@ def test_no_support_signals_bad_answer(p1):
 def test_false_atom_without_rules_is_bottom():
     gp = build("4 1 p 1 1\n")
     assert supported_sets_false(gp, frozenset(), gp.atom_id("p")) == [
-        frozenset({nodes.bottom_node()})]
+        frozenset({nodes.BOTTOM_NODE})]
 
 
 def test_fact_supported_by_top():
     gp = build("5 1 2\n4 1 p 1 1\n")
     A = gp.answer_from_names({"p"})
     assert supported_sets_true(gp, A, gp.atom_id("p")) == [
-        frozenset({nodes.top_node()})]
+        frozenset({nodes.TOP_NODE})]
 
 
 def test_multiple_rules_for_true_atom():
@@ -128,7 +128,7 @@ def test_false_atom_superset_options_dropped():
 def test_aux_bodies_are_inlined(p1, p1_answer):
     # The aux behind "l(6)" resolves to c in m(1)'s support.
     sets = supported_sets_true(p1, p1_answer, p1.atom_id("m(1)"))
-    assert sets == [frozenset({atom("c"), nodes.plus_choice_node(), atom("n(1)")})]
+    assert sets == [frozenset({atom("c"), nodes.PLUS_CHOICE_NODE, atom("n(1)")})]
 
 
 def test_choice_body_support_satisfied(p1, p1_answer):
@@ -137,14 +137,14 @@ def test_choice_body_support_satisfied(p1, p1_answer):
     assert node.render() == "1<={(m(1), n(1)), (m(2), n(2))}<=1"
     t = nodes.tuple_node((("m(1)", True), ("n(1)", True)))
     assert expansion[node] == [frozenset({t})]
-    assert expansion[t] == [frozenset({nodes.star_true_node()})]
+    assert expansion[t] == [frozenset({nodes.STAR_TRUE_NODE})]
 
 
 def test_choice_body_support_empty(p1):
     spec = choice_specs(p1)[0]
     A = p1.answer_from_names({"n(1)", "n(2)", "a"})
     node, expansion = choice_body_support(p1, spec, A)
-    assert expansion[node] == [frozenset({nodes.star_empty_node()})]
+    assert expansion[node] == [frozenset({nodes.STAR_EMPTY_NODE})]
 
 
 def test_spec_in_rule_body_expands():
@@ -161,8 +161,8 @@ def test_spec_in_rule_body_expands():
     assert node.render() == "1<={p, q}"
     t = nodes.tuple_node((("p", True),))
     assert table[node] == [frozenset({t})]
-    assert table[t] == [frozenset({nodes.star_true_node()})]
-    assert table[atom("p")] == [frozenset({nodes.top_node()})]
+    assert table[t] == [frozenset({nodes.STAR_TRUE_NODE})]
+    assert table[atom("p")] == [frozenset({nodes.TOP_NODE})]
 
 
 def test_true_atom_invariant_random():
