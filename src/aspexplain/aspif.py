@@ -286,12 +286,13 @@ class AspifProgram:
         no negative literal that held stops holding.  They do when
         ``possible`` is None, or is the upper bound U of weaker assumptions
         (some of ``true`` and of ``false``, lower bound L) less ``false``,
-        as ``oracle._Checker.bounds`` passes it.  The first lower bound is
-        read against a part of U with more facts, so it holds L; the first
-        upper bound is read against a superset of L with more atoms
-        blocked, so it lies inside U, the upper bound of L, and misses
-        ``false``.  From there on a larger lower bound gives a smaller
-        upper bound, and a smaller upper bound a larger lower bound.
+        as ``oracle._Checker.bounds`` passes it, L and U being ∅ and every
+        atom at the root of an answer check.  The first lower bound is read
+        against a part of U with more facts, so it holds L; the first upper
+        bound is read against a superset of L with more atoms blocked, so
+        it lies inside U, the upper bound of L, and misses ``false``.  From
+        there on a larger lower bound gives a smaller upper bound, and a
+        smaller upper bound a larger lower bound.
         """
         atoms = self.atom_ids
         upper = atoms if possible is None else possible

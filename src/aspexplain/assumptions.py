@@ -45,10 +45,11 @@ def well_founded(g: GroundProgram) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def tentative_assumptions(g: GroundProgram, A: frozenset[int]) -> frozenset[str]:
-    """Atoms that may need to be assumed false: in NANT, false, undecided."""
-    _, wf_false = well_founded(g)
-    return frozenset(g.display_atom(a) for a in g.nant
-                     if a not in A and a not in wf_false)
+    """Atoms that may need to be assumed false: in NANT, false, undecided.
+    The well-founded model is computed only when some NANT atom is false."""
+    false = [a for a in g.nant if a not in A]
+    wf_false = well_founded(g)[1] if false else ()
+    return frozenset(g.display_atom(a) for a in false if a not in wf_false)
 
 
 def derivation_analysis(table, ta: frozenset[str]):
@@ -151,17 +152,21 @@ def _stuck_after(da: dict):
     return stuck_after
 
 
-def min_cycle_break(da: dict) -> list[frozenset[str]]:
+def min_cycle_break(da: dict, stuck_after=None,
+                    stuck=None) -> list[frozenset[str]]:
     """All subset-minimal sets breaking the DA dependency cycles, or one
     greedy break when more than _EXACT_SEARCH_LIMIT atoms take part in
-    them."""
-    stuck_after = _stuck_after(da)
-    stuck = stuck_after(frozenset())
+    them.  ``stuck_after``, _stuck_after(da), and ``stuck``, the keys it
+    leaves stuck with none broken, are computed when not given."""
+    if stuck_after is None:
+        stuck_after = _stuck_after(da)
+    if stuck is None:
+        stuck = stuck_after(frozenset())
     if not stuck:
         return [frozenset()]
     participants = sorted(stuck)
     if len(participants) > _EXACT_SEARCH_LIMIT:
-        return [_greedy_break(da, participants, stuck_after)]
+        return [_greedy_break(da, stuck, stuck_after)]
     found = [frozenset({p}) for p in participants
              if not stuck_after(frozenset({p}))]
     # A larger set holding a singleton break is not minimal.
@@ -176,12 +181,11 @@ def min_cycle_break(da: dict) -> list[frozenset[str]]:
     return found
 
 
-def _greedy_break(da, participants, stuck_after) -> frozenset[str]:
+def _greedy_break(da, pending, stuck_after) -> frozenset[str]:
+    """Break, one at a time, the stuck key that the most D-sets of stuck
+    keys hold, starting from the ``pending`` ones, until none is stuck."""
     broken: set[str] = set()
-    while True:
-        pending = stuck_after(frozenset(broken))
-        if not pending:
-            return frozenset(broken)
+    while pending:
         counts = {p: 0 for p in pending}
         for k in pending:
             for d in da[k]:
@@ -189,6 +193,8 @@ def _greedy_break(da, participants, stuck_after) -> frozenset[str]:
                     if a in counts:
                         counts[a] += 1
         broken.add(max(sorted(counts), key=lambda p: counts[p]))
+        pending = stuck_after(frozenset(broken))
+    return frozenset(broken)
 
 
 def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
@@ -212,7 +218,9 @@ def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
         table = merge_supports(er, constraint_preprocessing(g, A))
     ta = tentative_assumptions(g, A)
     t_must, t_deferred, da = derivation_analysis(table, ta)
-    candidates = min_cycle_break(da)
+    stuck_after = _stuck_after(da)
+    stuck = stuck_after(frozenset())
+    candidates = min_cycle_break(da, stuck_after, stuck)
     candidates.sort(key=lambda c: (len(c), tuple(sorted(c))))
     best = min(candidates, key=lambda c: tuple(sorted(c)))
     chosen = frozenset(t_must) | best
@@ -224,7 +232,7 @@ def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
         da=da,
         min_b_candidates=candidates,
         chosen_u=chosen,
-        min_b_exact=len(_stuck_after(da)(frozenset())) <= _EXACT_SEARCH_LIMIT,
+        min_b_exact=len(stuck) <= _EXACT_SEARCH_LIMIT,
     )
 
 

@@ -28,6 +28,9 @@ class EEdge(NamedTuple):
     label: str
 
 
+_new = tuple.__new__  # makes an EEdge without its Python-level __new__
+
+
 @dataclass(eq=False)
 class ExplanationGraph:
     root: nodes.ENode
@@ -161,7 +164,8 @@ class SupportTable:
             return None
         expansion: dict = {}
         _, row = er_row(self._g, self._A, abs(lit), expansion)
-        _merge_expansion(self._rows, expansion)
+        if expansion:
+            _merge_expansion(self._rows, expansion)
         if lit not in self._index:
             return row
         tc = frozenset({nodes.constraint_node(name, positive)})
@@ -218,10 +222,10 @@ def _sorted_graph(root: nodes.ENode, node_set, edges) -> ExplanationGraph:
     and its edges by the positions of their ends."""
     order = nodes.sorted_nodes(node_set)
     at = {node: i for i, node in enumerate(order)}
-    ranked = sorted((at[source], at[target], label)
-                    for source, target, label in edges)
-    return ExplanationGraph(root, tuple(order), tuple(
-        EEdge(order[i], order[j], label) for i, j, label in ranked))
+    ranked = sorted([(at[source], at[target], label)
+                     for source, target, label in edges])
+    return ExplanationGraph(root, tuple(order), tuple([
+        _new(EEdge, (order[i], order[j], label)) for i, j, label in ranked]))
 
 
 def search_supports(e, u, root: nodes.ENode, chosen: dict):

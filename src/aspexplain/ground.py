@@ -98,6 +98,7 @@ class GroundProgram:
         self._resolve_memo: dict[int, list[frozenset[int]]] = {}
         self._body_memo: dict[int, list[frozenset[int]]] = {}
         self._lit_nodes: dict[int, nodes.ENode] = {}
+        self._lit_options: dict[int, list[frozenset[nodes.ENode]]] = {}
 
     # --- naming -----------------------------------------------------------
 
@@ -129,6 +130,13 @@ class GroundProgram:
             node = self._lit_nodes[lit] = nodes.literal_node(
                 self.display_atom(abs(lit)), lit > 0)
         return node
+
+    def lit_option(self, lit: int) -> list[frozenset[nodes.ENode]]:
+        """[{lit_node(lit)}], memoised per literal: do not change it."""
+        option = self._lit_options.get(lit)
+        if option is None:
+            option = self._lit_options[lit] = [frozenset({self.lit_node(lit)})]
+        return option
 
     def element_payload(self, element: tuple[int, ...]) -> tuple:
         return tuple((self.display_atom(abs(lit)), lit > 0) for lit in element)

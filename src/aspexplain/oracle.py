@@ -23,9 +23,9 @@ interpretation it reaches exactly.  Each node's bounds already passed the
 constraint test, so a leaf, whose bounds are that one interpretation,
 tests only the least model of its reduct.  :func:`enumerate_answer_sets`
 starts from the well-founded model; :func:`check_answer_set` assumes every
-named atom, so it branches on auxiliary atoms only.  Choice bounds need no
-special treatment here: the grounder encodes them as ordinary weight
-bodies and integrity constraints, which are checked directly.
+named atom, from no bounds, so it branches on auxiliary atoms only.  Choice
+bounds need no special treatment here: the grounder encodes them as
+ordinary weight bodies and integrity constraints, checked directly.
 """
 
 from __future__ import annotations
@@ -78,18 +78,17 @@ class _Checker:
         ``false``, or None when there is none: an assumption is
         contradicted or a constraint body holds between the bounds.
 
-        ``parent`` holds the bounds under weaker assumptions.  When the
+        ``parent`` holds bounds of the answer sets under weaker
+        assumptions: a search node's, or (∅, every atom).  When the
         assumptions cover every atom they leave open, one interpretation
         is left, and it is returned as both bounds for the search's leaf
-        to check.  When they already decide every assumption, the
-        alternating fixpoint would return them unchanged.  Otherwise it
-        is computed, starting from their upper bound less the atoms
-        assumed false.
+        to check.  Otherwise the alternating fixpoint is computed,
+        starting from their upper bound less the atoms assumed false.
         """
         lower, upper = parent
         if upper - lower <= true | false:
             lower = upper = lower | (true & upper)
-        elif true - lower or false & upper:
+        else:
             lower, upper = self.program.alternating_fixpoint(
                 true, false, upper - false)
         if false & lower or true - upper or self.violated(lower, upper):
@@ -149,17 +148,16 @@ def check_answer_set(g, answer_names) -> bool:
     """True iff the named atoms form an answer set of the program.
 
     The search of :meth:`_Checker.search` with every named atom assumed:
-    the listed ones true, the rest false.  Its root propagates these
-    assumptions from the well-founded model, which is cached per program
-    and reused by the explanation, and it branches only on the auxiliary
-    atoms left undecided.
+    the listed ones true, the rest false.  Its root takes its bounds from
+    (∅, every atom), not from the well-founded model, which the check does
+    not need: one interpretation when every atom is named, else the
+    alternating fixpoint under these assumptions.  It branches only on the
+    auxiliary atoms left undecided.
     """
     checker = _Checker(g)
     true = g.answer_from_names(answer_names)
     false = frozenset(g.named.keys() - true)
-    wf_true, wf_false = g.aspif.well_founded
-    root = checker.bounds(true, false,
-                          (wf_true, g.aspif.atom_ids - wf_false))
+    root = checker.bounds(true, false, (frozenset(), g.aspif.atom_ids))
     return next(checker.search(true, false, root, ()), None) is not None
 
 
@@ -181,8 +179,9 @@ def enumerate_answer_sets(g) -> list[Interpretation]:
         raise TooLarge(
             f"{len(free)} undecided named atoms exceed the enumeration cap "
             f"of {MAX_NAMED_ATOMS}")
-    root = checker.bounds(frozenset(), frozenset(),
-                          (wf_true, program.atom_ids - wf_false))
+    # The well-founded model is the fixpoint without assumptions.
+    upper = program.atom_ids - wf_false
+    root = None if checker.violated(wf_true, upper) else (wf_true, upper)
     found: list[tuple[list[int], Interpretation]] = []
     for lower in checker.search(frozenset(), frozenset(), root, free):
         chosen = [k for k, a in enumerate(free) if a in lower]

@@ -77,9 +77,10 @@ class FactoredRow:
 
 def _cross_union(option_lists) -> list[frozenset]:
     """Cross product of choices, unioned, in product order; the first
-    _CROSS_CAP combinations only."""
-    if len(option_lists) == 1:
-        return option_lists[0][:_CROSS_CAP]
+    _CROSS_CAP combinations only.  A single list under the cap is returned
+    as it is, so callers must not change the result."""
+    if len(option_lists) == 1 and len(option_lists[0]) <= _CROSS_CAP:
+        return option_lists[0]
     return _union_product(option_lists, cap=_CROSS_CAP)
 
 
@@ -104,22 +105,23 @@ def _merge_expansion(table, expansion) -> None:
         table.setdefault(key, value)
 
 
-def _holding_alternatives(g: GroundProgram, lit: int,
-                          A: frozenset[int]) -> list[frozenset[nodes.ENode]]:
-    """Ways the literal holds under A, as sets of literal nodes: its
-    resolved alternatives that hold."""
-    return [frozenset(map(g.lit_node, alt)) for alt in g.resolve_aux(lit)
-            if alternative_holds(alt, A)]
-
-
 def _term_true_options(g, term, positive, A, expansion):
+    """Ways the body term, or its negation when not ``positive``, holds
+    under A, as node sets.  A named atom's literal resolves to itself, so
+    it holds by membership in A, as its memoised g.lit_option; a hidden
+    atom's holds as its resolved alternatives that hold."""
     if isinstance(term, ChoiceAtomSpec):
         if g.spec_holds(term, A) == positive:
             node, fragment = choice_body_support(g, term, A, positive)
             _merge_expansion(expansion, fragment)
             return [frozenset({node})]
         return []
-    return _holding_alternatives(g, term if positive else -term, A)
+    if term in g.named:
+        return g.lit_option(term if positive else -term) \
+            if (term in A) == positive else []
+    return [frozenset(map(g.lit_node, alt))
+            for alt in g.resolve_aux(term if positive else -term)
+            if alternative_holds(alt, A)]
 
 
 def _body_true_options(g, rule: GroundRule, A, expansion):

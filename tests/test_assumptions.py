@@ -559,3 +559,27 @@ class TestMinimalAssumptionSets:
         assert report.min_b_candidates == [frozenset({"x(0)"})]
         assert not report.min_b_exact
         assert report.chosen_u == {"x(0)"}
+
+    @pytest.mark.parametrize("n", [3, _EXACT_SEARCH_LIMIT + 1])
+    def test_stuck_keys_are_computed_once(self, monkeypatch, n):
+        # min(B) and its exactness share one DA program and its one least
+        # model with no key broken.
+        built, unbroken = [], []
+        stuck_after = assumptions._stuck_after
+
+        def counting(da):
+            built.append(da)
+            inner = stuck_after(da)
+
+            def counted(broken):
+                unbroken.append(not broken)
+                return inner(broken)
+            return counted
+
+        monkeypatch.setattr(assumptions, "_stuck_after", counting)
+        g = build(da_ring(n))
+        report = minimal_assumption_sets(
+            g, g.answer_from_names([f"y({i})" for i in range(n)]))
+        assert len(report.da) == n
+        assert report.min_b_exact == (n <= _EXACT_SEARCH_LIMIT)
+        assert len(built) == 1 and unbroken.count(True) == 1

@@ -316,6 +316,72 @@ def test_seeded_check_matches_unseeded():
     assert checked > 4000 and accepted > 100, (checked, accepted)
 
 
+def reference_check_from_well_founded(gp, answer_names) -> bool:
+    """The check whose root propagates the assumptions from the
+    well-founded model rather than from (∅, every atom)."""
+    checker = oracle._Checker(gp)
+    true = gp.answer_from_names(answer_names)
+    false = frozenset(gp.named.keys() - true)
+    wf_true, wf_false = gp.aspif.well_founded
+    root = checker.bounds(true, false,
+                          (wf_true, gp.aspif.atom_ids - wf_false))
+    return next(checker.search(true, false, root, ()), None) is not None
+
+
+def outcome(check, gp, names):
+    """The check's verdict, or TooLarge when it raises that."""
+    try:
+        return check(gp, names)
+    except TooLarge:
+        return TooLarge
+
+
+@pytest.mark.parametrize("n_atoms", [6, 8])
+@pytest.mark.parametrize("p_choice", [0.0, 0.5])
+def test_check_matches_the_check_from_the_well_founded_model(n_atoms,
+                                                             p_choice):
+    # Every answer set and 20 random guesses over the named atoms.
+    checked = accepted = 0
+    for seed in range(400):
+        gp = random_program(seed, n_atoms=n_atoms, p_choice=p_choice)
+        names = sorted(gp.display_atom(a) for a in gp.named_ids())
+        try:
+            guesses = [sorted(model) for model in enumerate_answer_sets(gp)]
+        except TooLarge:
+            guesses = []
+        rng = random.Random(seed)
+        guesses += [[n for n in names if rng.random() < 0.5]
+                    for _ in range(20)]
+        for guess in guesses:
+            expected = outcome(reference_check_from_well_founded, gp, guess)
+            assert outcome(check_answer_set, gp, guess) == expected, \
+                (seed, guess)
+            checked += 1
+            accepted += expected is True
+    assert checked > 8000 and accepted > 200, (checked, accepted)
+
+
+def test_check_is_too_large_where_the_check_from_the_well_founded_model_is():
+    # 13 even loops over hidden atoms, which no bound decides.
+    lines = ["asp 1 0 0", "1 0 1 1 0 0", "4 1 p 1 1"]
+    for i in range(2, 28, 2):
+        lines += [f"1 0 1 {i} 0 1 -{i + 1}", f"1 0 1 {i + 1} 0 1 -{i}"]
+    gp = reconstruct(parse_aspif("\n".join(lines + ["0\n"])))
+    for check in (check_answer_set, reference_check_from_well_founded):
+        assert outcome(check, gp, ["p"]) is TooLarge
+
+
+def test_check_of_a_program_with_no_named_atom_computes_the_fixpoint():
+    # With nothing to assume, the root's bounds are the alternating
+    # fixpoint, which decides the 20 auxiliary atoms of this chain; kept
+    # at (∅, every atom), they would leave all 20 open, over the cap.
+    lines = ["asp 1 0 0", "1 0 1 1 0 0"]
+    lines += [f"1 0 1 {i} 0 1 {i - 1}" for i in range(2, 21)]
+    gp = reconstruct(parse_aspif("\n".join(lines + ["0\n"])))
+    assert not gp.named
+    assert check_answer_set(gp, [])
+
+
 def aux_chain(n: int):
     """p :- l(3).  l(i) :- l(i+1) for 3 <= i < n.  l(n) :- not q."""
     lines = ["asp 1 0 0", "1 0 1 1 0 1 3"]
@@ -367,14 +433,14 @@ def test_check_is_linear_on_an_auxiliary_chain(monkeypatch):
     assert passes(1500) == passes(3000)
 
 
-def test_check_of_a_folded_choice_makes_six_full_passes(
+def test_check_of_a_folded_choice_makes_four_full_passes(
         monkeypatch, coloring_text):
     # A ring 3-colouring with its choice bounds compiled to
     # `ok :- lo, not hi`.  A full pass reads every rule to start the
-    # counters of a least model: two for the well-founded model (lower,
-    # upper), three for the fixpoint under the answer (lower, upper,
-    # upper: the lower bound continues from its counters) and one for
-    # the stability test.
+    # counters of a least model: three for the fixpoint under the answer
+    # (lower, upper, upper: the lower bound continues from its counters)
+    # and one for the stability test.  The well-founded model is not
+    # computed.
     gp = reconstruct(parse_aspif(coloring_text))
     answer = (DATA / "coloring_answer.txt").read_text().split()
     calls = {"_start": 0, "least_model": 0}
@@ -390,7 +456,8 @@ def test_check_of_a_folded_choice_makes_six_full_passes(
     for name in calls:
         monkeypatch.setattr(AspifProgram, name, counting(name))
     assert check_answer_set(gp, answer)
-    assert calls == {"_start": 6, "least_model": 4}
+    assert calls == {"_start": 4, "least_model": 3}
+    assert "well_founded" not in gp.aspif.__dict__
 
 
 def test_check_tests_each_constraint_once(monkeypatch):

@@ -16,7 +16,7 @@ from aspexplain.aspif import parse_aspif
 from aspexplain.constraints import constraint_preprocessing
 from aspexplain.egraph import SupportTable, merge_supports
 from aspexplain.errors import TooLarge
-from aspexplain.ground import reconstruct
+from aspexplain.ground import GroundProgram, reconstruct
 from aspexplain.support import build_er
 
 from test_golden import positive_chain
@@ -103,18 +103,26 @@ def test_cold_explain_builds_few_rows(monkeypatch, tmp_path, capsys):
 def test_cold_explain_of_a_chain_tip_builds_each_row_once(monkeypatch,
                                                           tmp_path, capsys):
     # x(1).  x(i) :- x(i-1).  The tip's graph holds every atom, so the
-    # search reads every row, and each must be built once.
+    # search reads every row, and each must be built once.  A named body
+    # literal resolves to itself, so no row resolves one.
     n = 500
     path = tmp_path / "chain.aspif"
     path.write_text(positive_chain(n, reverse=False))
     rows = 0
+    resolved = []
+    resolve_aux = GroundProgram.resolve_aux
 
     def counting(*args, **kwargs):
         nonlocal rows
         rows += 1
         return support.er_row(*args, **kwargs)
 
+    def recording(self, lit):
+        resolved.append(abs(lit) in self.named)
+        return resolve_aux(self, lit)
+
     monkeypatch.setattr("aspexplain.egraph.er_row", counting)
+    monkeypatch.setattr(GroundProgram, "resolve_aux", recording)
     code = cli.main(["explain", str(path), "--answer",
                      " ".join(f"x({i})" for i in range(1, n + 1)),
                      "--root", f"x({n})"])
@@ -122,6 +130,7 @@ def test_cold_explain_of_a_chain_tip_builds_each_row_once(monkeypatch,
     assert code == 0
     assert out.count(" -> ") == n
     assert rows == n
+    assert not any(resolved)
 
 
 @pytest.mark.parametrize("fmt", ["dot", "json"])
@@ -148,3 +157,44 @@ def test_cold_explain_of_a_false_atom_draws_few_sets(monkeypatch, tmp_path,
     assert (code, captured.err) == (0, "")
     assert "~d" in captured.out
     assert drawn and sum(drawn) <= 4, drawn
+
+
+def cold_explain(monkeypatch, tmp_path, capsys, inst, root):
+    """Runs a cold ``explain`` of ``root`` and returns the program it
+    loaded."""
+    path = tmp_path / f"{inst.family}.aspif"
+    path.write_text(inst.text)
+    loaded = []
+    load = cli._load_program
+
+    def recording(args):
+        loaded.append(load(args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_program", recording)
+    code = cli.main(["explain", str(path), "--answer", " ".join(inst.answer),
+                     "--root", root])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("digraph explanation {")
+    return loaded[0]
+
+
+@pytest.mark.parametrize("inst, root", [
+    (families.ring(30), "colored(1,green)"),
+    (families.chain(200, False), "x(200)"),
+    (families.chain(60, True), "x(60)"),
+], ids=["ring", "chain", "chain-reverse"])
+def test_cold_explain_without_false_nant_computes_no_well_founded_model(
+        monkeypatch, tmp_path, capsys, inst, root):
+    # NANT is empty, so TA is, and the check starts from no bounds.
+    g = cold_explain(monkeypatch, tmp_path, capsys, inst, root)
+    assert not g.nant
+    assert "well_founded" not in g.aspif.__dict__
+
+
+def test_cold_explain_with_false_nant_computes_the_well_founded_model(
+        monkeypatch, tmp_path, capsys):
+    # Each b(i) is false and occurs negated, so TA reads the model.
+    g = cold_explain(monkeypatch, tmp_path, capsys, families.loops(6, 2),
+                     "~d")
+    assert "well_founded" in g.aspif.__dict__
