@@ -37,6 +37,7 @@ from .errors import (
     MultiLiteralOutputCondition,
     NoSupport,
     NoValidGraph,
+    NotAnAnswerSet,
     ReconstructionError,
     TooLarge,
     TruncatedStatement,
@@ -78,6 +79,7 @@ __all__ = [
     "MultiLiteralOutputCondition",
     "NoSupport",
     "NoValidGraph",
+    "NotAnAnswerSet",
     "ReconstructionError",
     "SupportTable",
     "TooLarge",

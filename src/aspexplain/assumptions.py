@@ -6,6 +6,9 @@ paths through the support table sort them into T (no self-consistent
 derivation; must be assumed) and T' (derivable from other tentative
 atoms, recorded in DA).  Minimal cycle-breaking subsets of the DA
 dependency relation complete the assumption set U = T ∪ min(B).
+
+E is the support table the caller gives, or a SupportTable, which builds
+only the rows the analysis reads.
 """
 
 from __future__ import annotations
@@ -15,11 +18,9 @@ from dataclasses import dataclass, field
 
 from . import nodes
 from .aspif import HEAD_DISJUNCTIVE, AspifProgram, NormalBody, RuleStatement
-from .constraints import constraint_preprocessing
-from .egraph import merge_supports, search_supports
+from .egraph import SupportTable, search_supports
 from .errors import TooLarge
 from .ground import GroundProgram, _minimize_sets, _union_product, run_deep
-from .support import build_er
 
 _PATH_CAP = 512
 _EXACT_SEARCH_LIMIT = 20
@@ -209,13 +210,12 @@ def minimal_assumption_sets(g: GroundProgram, A: frozenset[int],
     reaches a subset-minimal U.  Each candidate U - {X} costs one graph
     search, for ~X.
 
-    The analysis and the shrink read ``table``, the support table E; when
-    it is not given, E is built whole, from ``er`` if that is given.
+    The analysis and the shrink read ``table``, the support table E, or
+    SupportTable(g, A) when it is not given, which builds only the rows
+    they read.  ``er`` is accepted for callers that pass E_r, and unused.
     """
     if table is None:
-        if er is None:
-            er = build_er(g, A)
-        table = merge_supports(er, constraint_preprocessing(g, A))
+        table = SupportTable(g, A)
     ta = tentative_assumptions(g, A)
     t_must, t_deferred, da = derivation_analysis(table, ta)
     stuck_after = _stuck_after(da)

@@ -1,4 +1,7 @@
-"""Command-line front end: parse, explain, assumptions, answersets."""
+"""Command-line front end: parse, explain, assumptions, answersets.
+
+explain and assumptions share _analyse, which checks the answer, makes E
+and computes U; main maps each error class to its exit code."""
 
 from __future__ import annotations
 
@@ -19,12 +22,11 @@ from .egraph import (
 )
 from .errors import (
     AspifError,
-    NoSupport,
+    NotAnAnswerSet,
     NoValidGraph,
     ReconstructionError,
     TooLarge,
     UnknownLiteral,
-    UnviolableConstraint,
 )
 from .ground import GroundProgram, reconstruct
 from .support import FactoredRow, build_er, dump_table
@@ -47,7 +49,7 @@ def main(argv=None) -> int:
         return _fail(err, EXIT_PARSE_ERROR)
     except ReconstructionError as err:
         return _fail(err, EXIT_RECONSTRUCTION_ERROR)
-    except (NoSupport, UnviolableConstraint) as err:
+    except NotAnAnswerSet as err:
         return _fail(err, EXIT_NOT_ANSWER_SET)
     except UnknownLiteral as err:
         return _fail(err, EXIT_UNKNOWN_LITERAL)
@@ -188,13 +190,6 @@ def parse_answer_text(text: str) -> list[str]:
     return names
 
 
-def _answer_names(args) -> list[str]:
-    if args.answer is not None:
-        return args.answer.split()
-    with open(args.answer_set, encoding="utf-8") as handle:
-        return parse_answer_text(handle.read())
-
-
 def parse_root(text: str) -> nodes.ENode:
     """'a', '~a', or 'not a' to a literal node."""
     text = text.strip()
@@ -221,17 +216,32 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_answered(args) -> tuple[GroundProgram, frozenset[int]] | None:
-    """The program and the answer set, or None after reporting that the
-    interpretation is not an answer set."""
+def _analyse(args, whole: bool = False):
+    """(E_r, E_c, E, report) for the program and the answer of ``args``.
+
+    The answer is checked first, unless --no-check is given.  E is built
+    whole when ``whole`` is set or the answer is unchecked, since that may
+    fail in any row; otherwise E_r and E_c are None and E is a SupportTable,
+    which builds each row when it is first read.
+    """
     g = _load_program(args)
-    names = _answer_names(args)
+    if args.answer is not None:
+        names = args.answer.split()
+    else:
+        with open(args.answer_set, encoding="utf-8") as handle:
+            names = parse_answer_text(handle.read())
     answer = g.answer_from_names(names)
     if not args.no_check and not oracle.check_answer_set(g, names):
-        print("error: the given interpretation is not an answer set "
-              "of the program", file=sys.stderr)
-        return None
-    return g, answer
+        raise NotAnAnswerSet("the given interpretation is not an answer set "
+                             "of the program")
+    er = ec = None
+    if whole or args.no_check:
+        er = build_er(g, answer)
+        ec = constraint_preprocessing(g, answer)
+        table = merge_supports(er, ec)
+    else:
+        table = SupportTable(g, answer)
+    return er, ec, table, minimal_assumption_sets(g, answer, table=table)
 
 
 def cmd_parse(args) -> int:
@@ -247,19 +257,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    loaded = _load_answered(args)
-    if loaded is None:
-        return EXIT_NOT_ANSWER_SET
-    g, answer = loaded
-    if args.format == "text" or args.no_check:
-        # The report prints both tables whole, and an unchecked answer may
-        # fail in any row, so every row is built first.
-        er = build_er(g, answer)
-        ec = constraint_preprocessing(g, answer)
-        table = merge_supports(er, ec)
-    else:
-        table = SupportTable(g, answer)
-    report = minimal_assumption_sets(g, answer, table=table)
+    # The text report prints both tables whole.
+    er, ec, table, report = _analyse(args, whole=args.format == "text")
     graph = build_egraph(table, report.chosen_u, parse_root(args.root),
                          max_graphs=1)[0]
     _warn(table, report)
@@ -300,17 +299,7 @@ def _text_report(er, ec, report, graph, ascii_only: bool) -> str:
 
 
 def cmd_assumptions(args) -> int:
-    loaded = _load_answered(args)
-    if loaded is None:
-        return EXIT_NOT_ANSWER_SET
-    g, answer = loaded
-    # An unchecked answer may fail in any row, so then every row is built.
-    if args.no_check:
-        table = merge_supports(build_er(g, answer),
-                               constraint_preprocessing(g, answer))
-    else:
-        table = SupportTable(g, answer)
-    report = minimal_assumption_sets(g, answer, table=table)
+    _, _, table, report = _analyse(args)
     _warn(table, report)
     lines = [
         "TA = " + _fmt_set(report.ta),

@@ -17,7 +17,8 @@ from . import nodes
 from .constraints import constraint_saviors
 from .errors import NoValidGraph, UnknownLiteral
 from .ground import _dedupe_sets
-from .support import FactoredRow, _merge_expansion, check_rules, er_row
+from .support import (FactoredRow, _merge_expansion, check_rules, er_row,
+                      join_row)
 
 DEFAULT_MAX_GRAPHS = 64
 
@@ -43,17 +44,9 @@ class ExplanationGraph:
         if self._doc_cache is None:
             import hashlib
 
-            # Two nodes of one kind can render alike; the later one's text
-            # is extended with its kind, as to_dot extends a name.
-            ids: dict[nodes.ENode, str] = {}
-            taken: set[str] = set()
-            for n in self.nodes:
-                text = n.kind + "\x00" + n.label
-                while (ident := hashlib.sha1(
-                        text.encode()).hexdigest()[:12]) in taken:
-                    text += f" ({n.kind})"
-                taken.add(ident)
-                ids[n] = ident
+            ids = _distinct_names(
+                self.nodes, lambda n: n.kind + "\x00" + n.label,
+                lambda text: hashlib.sha1(text.encode()).hexdigest()[:12])
             self._doc_cache = {
                 "root": ids[self.root],
                 "nodes": [
@@ -77,21 +70,20 @@ class ExplanationGraph:
 def merge_supports(er: dict, ec: dict) -> dict:
     """Key-wise merge: shared keys take the pairwise union product.
 
-    A FactoredRow stays factored: the one set of a literal's E_c row, its
-    triggered_constraint node, which is in no E_r set, joins it as one
-    more factor."""
+    Where the E_c row is one set, as a literal's triggered_constraint node
+    is, join_row adds it, so a FactoredRow stays factored."""
     merged: dict[nodes.ENode, list[frozenset]] = {}
     for key in list(er) + [k for k in ec if k not in er]:
         left = er.get(key)
         right = ec.get(key)
         if left is None or right is None:
-            combined = left if left is not None else right
-        elif isinstance(left, FactoredRow) and len(right) == 1:
-            combined = left.joined(right[0])
+            row = left if left is not None else right
+            merged[key] = row if isinstance(row, FactoredRow) \
+                else _dedupe_sets(row)
+        elif len(right) == 1:
+            merged[key] = join_row(left, right[0])
         else:
-            combined = [r | c for r in left for c in right]
-        merged[key] = combined if isinstance(combined, FactoredRow) \
-            else _dedupe_sets(combined)
+            merged[key] = _dedupe_sets([r | c for r in left for c in right])
     return merged
 
 
@@ -168,10 +160,8 @@ class SupportTable:
             _merge_expansion(self._rows, expansion)
         if lit not in self._index:
             return row
-        tc = frozenset({nodes.constraint_node(name, positive)})
-        if isinstance(row, FactoredRow):
-            return row.joined(tc)
-        return _dedupe_sets([s | tc for s in row])
+        tc = nodes.constraint_node(name, positive)
+        return join_row(row, frozenset({tc}))
 
     def _constraint_row(self, name: str, positive: bool):
         bodies = self._index.get(self._holding(name, positive))
@@ -470,25 +460,33 @@ _DOT_STYLE = {
 }
 
 
+def _distinct_names(graph_nodes, text, key=str) -> dict:
+    """Each node's key(text(node)), distinct across the nodes: where an
+    earlier node took it (a one-element tuple renders like its atom), the
+    text is extended with the kind, as ``a (tuple)``, until the key is
+    free."""
+    names: dict[nodes.ENode, str] = {}
+    taken: set[str] = set()
+    for node in graph_nodes:
+        t = text(node)
+        while (name := key(t)) in taken:
+            t += f" ({node.kind})"
+        taken.add(name)
+        names[node] = name
+    return names
+
+
 def _quote(label: str) -> str:
-    return '"' + label.replace('"', '\\"') + '"'
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(g: ExplanationGraph, ascii_only: bool = False) -> str:
-    """Graphviz text.  DOT names a node by its label, so where two nodes of
-    the graph render alike (a one-element tuple renders like its atom),
-    each after the first is named with its kind added, as ``a (tuple)``,
-    and added again until the name is free."""
+    """Graphviz text.  DOT names a node by its label, made distinct by
+    _distinct_names, and quoted with ``\\`` and ``"`` escaped."""
     lines = ["digraph explanation {"]
-    names: dict[nodes.ENode, str] = {}
-    taken: set[str] = set()
-    for node in g.nodes:
-        label = node.render(ascii_only)
-        while label in taken:
-            label = f"{label} ({node.kind})"
-        taken.add(label)
-        names[node] = _quote(label)
-        lines.append(f"  {names[node]};")
+    names = {node: _quote(name) for node, name in _distinct_names(
+        g.nodes, lambda node: node.render(ascii_only)).items()}
+    lines.extend(f"  {name};" for name in names.values())
     for edge in g.edges:
         lines.append(
             f"  {names[edge.source]} -> {names[edge.target]} "

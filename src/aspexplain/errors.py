@@ -47,13 +47,17 @@ class AuxCycle(ReconstructionError):
 
 # --- engines ---
 
-class NoSupport(AspExplainError):
+class NotAnAnswerSet(AspExplainError):
+    """The interpretation is not an answer set of the program."""
+
+
+class NoSupport(NotAnAnswerSet):
     """An atom's value is not supported -- not an answer set: a true atom
     has no rule whose body holds, or a false atom is a fact or heads a
     non-choice rule whose body holds."""
 
 
-class UnviolableConstraint(AspExplainError):
+class UnviolableConstraint(NotAnAnswerSet):
     """A constraint is violated but nothing in its body saves it."""
 
 

@@ -66,13 +66,17 @@ class FactoredRow:
             return list(self) == list(other)
         return NotImplemented
 
-    def joined(self, extra: frozenset) -> FactoredRow:
-        """The row with ``extra`` added to each set, as one more factor;
-        ``extra`` shares no node with the factors."""
-        if not any(map(any, self.factors)):
-            # The one union is empty and reads as {⊥}, which the join keeps.
-            extra = extra | _BOTTOM
-        return FactoredRow((*self.factors, [extra]))
+
+def join_row(row, extra: frozenset):
+    """``row`` with ``extra`` (a triggered_constraint node) added to each
+    set: a list is unioned and deduped, and a FactoredRow, which must share
+    no node with ``extra``, takes it as one more factor."""
+    if not isinstance(row, FactoredRow):
+        return _dedupe_sets([s | extra for s in row])
+    if not any(map(any, row.factors)):
+        # The one union is empty and reads as {⊥}, which the join keeps.
+        extra = extra | _BOTTOM
+    return FactoredRow((*row.factors, [extra]))
 
 
 def _cross_union(option_lists) -> list[frozenset]:

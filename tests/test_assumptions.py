@@ -464,6 +464,15 @@ class TestMinCycleBreakReference:
         assert min_cycle_break(da) == reference_min_cycle_break(da)
 
 
+def assert_default_matches_whole_table(g, answer):
+    """The report without a table, on the on-demand SupportTable, is the
+    report over the whole merge_supports(build_er, constraint_preprocessing)."""
+    whole = merge_supports(build_er(g, answer),
+                           constraint_preprocessing(g, answer))
+    assert minimal_assumption_sets(g, answer) == \
+        minimal_assumption_sets(g, answer, table=whole)
+
+
 class TestMinimalAssumptionSets:
     def test_running_example(self, p1, p1_answer):
         report = minimal_assumption_sets(p1, p1_answer)
@@ -538,6 +547,21 @@ class TestMinimalAssumptionSets:
                 assert report.chosen_u <= report.ta
                 checked += 1
         assert checked > 10
+
+    @pytest.mark.parametrize("n_atoms", [6, 8])
+    def test_on_demand_default_matches_the_whole_table(self, n_atoms):
+        for seed in range(200):
+            g = oracle.random_program(seed, n_atoms=n_atoms)
+            for model in oracle.enumerate_answer_sets(g):
+                answer = g.answer_from_names(sorted(model))
+                assert_default_matches_whole_table(g, answer)
+
+    @pytest.mark.parametrize("example", ["p1", "coloring"])
+    def test_examples_on_demand_default_matches_the_whole_table(
+            self, request, example):
+        assert_default_matches_whole_table(
+            request.getfixturevalue(example),
+            request.getfixturevalue(example + "_answer"))
 
     def test_small_da_ring_is_exact(self):
         g = build(da_ring(3))

@@ -190,6 +190,18 @@ class TestExplain:
         assert code == 3
         assert "answer set" in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("explain", ["--root", "b"]), ("assumptions", [])])
+    def test_failed_check_is_one_error_line(self, capsys, tmp_path, command,
+                                            extra):
+        out_file = tmp_path / "out.txt"
+        code, out, err = run(capsys, command, P1, "--answer", "n(1) n(2) b",
+                             "--out", str(out_file), *extra)
+        assert (code, out) == (3, "")
+        assert not out_file.exists()
+        assert err == ("error: the given interpretation is not an answer set "
+                       "of the program\n")
+
     def test_no_check_skips_verification(self, capsys):
         # The same non-answer-set is accepted until support building,
         # which reports the first row that shows it: c is false, but the

@@ -32,6 +32,7 @@ from aspexplain.support import (
     _false_row,
     build_er,
     dump_table,
+    join_row,
     supported_sets_false,
 )
 
@@ -125,7 +126,9 @@ def _check_factored(lists):
     assert row == expected and expected == row and row == _false_row(lists)
     assert row.total == math.prod(map(len, lists))
     tc = frozenset({nodes.constraint_node("p", False)})
-    assert row.joined(tc) == [s | tc for s in expected]
+    joined = join_row(row, tc)
+    assert isinstance(joined, FactoredRow)
+    assert joined == [s | tc for s in expected]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

@@ -34,6 +34,10 @@ from aspexplain.errors import NoValidGraph, TooLarge, UnknownLiteral
 from aspexplain.ground import reconstruct
 from aspexplain.support import build_er
 
+from test_bench_names import _load_bench
+
+checks = _load_bench("checks")
+
 
 def build(body: str):
     return reconstruct(parse_aspif("asp 1 0 0\n" + body + "0\n"))
@@ -426,6 +430,23 @@ class TestSerialization:
         assert ('  "1<={a}" -> "a (tuple) (tuple)" [style=solid];\n'
                 in dot)
         assert '  "a (tuple) (tuple)" -> "*True"' in dot
+
+    @pytest.mark.parametrize("name, quoted", [
+        ("a\\", '"a\\\\"'),
+        ('p("x\\"y")', '"p(\\"x\\\\\\"y\\")"')])
+    def test_dot_escapes_backslash_before_quote(self, name, quoted):
+        # A fact whose symbol holds a backslash: the name of its node
+        # writes each backslash and each quote with a backslash before it.
+        g = build(f"1 0 1 1 0 0\n4 {len(name)} {name} 1 1\n")
+        answer = g.answer_from_names([name])
+        graph = build_egraph(*pipeline(g, answer), nodes.atom_node(name))[0]
+        dot = to_dot(graph)
+        assert dot == (f'digraph explanation {{\n  {quoted};\n  "⊤";\n'
+                       f'  {quoted} -> "⊤" [style=dotted];\n}}\n')
+        # DOT reads a backslash as escaping the character after it.
+        assert re.sub(r"\\(.)", r"\1", quoted[1:-1]) == name
+        graph_nodes, edges = checks.parse_dot(dot)
+        assert len(graph_nodes) == 2 and len(edges) == 1
 
     def test_ascii_dot_of_a_rebuilt_graph(self):
         # a.  b :- y.  b :- not a.  ~b rests on ~y, which has no rule, and
