@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import nodes
@@ -44,14 +44,16 @@ CHOICE = "choice"
 CONSTRAINT = "constraint"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceAtomSpec:
     lower: int
     upper: int | None
     elements: tuple[tuple[int, ...], ...]  # each one's literals, element first
+    # Whether an element holds a hidden literal, which may raise.
+    hidden: bool = field(default=False, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class GroundRule:
     kind: str
     heads: tuple[int, ...]
@@ -61,6 +63,9 @@ class GroundRule:
     statement_index: int = -1
     # Set when the statement's weight body could not be interpreted.
     raw_weight: WeightBody | None = None
+    # Whether the table's check pass can raise on it: an opaque weight
+    # body, a hidden body literal or a hidden choice occurrence.
+    can_raise: bool = field(default=False, compare=False, repr=False)
 
     def check_interpreted(self) -> None:
         """Raise UnsupportedWeightBody if the weight body was kept opaque,
@@ -257,7 +262,8 @@ class GroundProgram:
 
         Each alternative is a set of signed named atom ids and acts as a
         separate constraint with the same choice occurrences, which are
-        left out here.  Memoised per constraint.
+        left out here.  Memoised per constraint; reconstruction files the
+        body of each constraint whose literals are all named.
         """
         bodies = self._body_memo.get(rule.statement_index)
         if bodies is None:
@@ -270,7 +276,7 @@ class GroundProgram:
             base = frozenset(lit for lit in lits if abs(lit) in named)
             aux = [self.resolve_aux(lit) for lit in lits
                    if abs(lit) not in named]
-            bodies = _dedupe_sets(_union_product(aux, base)) if aux else [base]
+            bodies = _dedupe_sets(_union_product(aux, base))
             self._body_memo[rule.statement_index] = bodies
         return bodies
 
@@ -379,7 +385,6 @@ def reconstruct(aspif_program: AspifProgram) -> GroundProgram:
     gp = GroundProgram(aspif_program)
     _read_symbols(gp)
     _build_rules(gp)
-    gp.nant = frozenset(_compute_nant(gp))
     return gp
 
 
@@ -417,14 +422,17 @@ class _ChoiceFolder:
         # definition, so it is folded once; a named head is folded, and
         # warned about, once per distinct weight body.
         self._folds: dict[tuple, tuple | None] = {}
+        self._hidden_folds: dict[int, tuple | None] = {}  # of fold_hidden
         # tuple atom -> what _element_for gives.  A bound pair's two weight
         # bodies hold the same elements, which are read once.
         self._element_memo: dict[int, tuple[int, ...] | None] = {}
 
     def fold_hidden(self, aid: int) -> tuple | None:
         """The fold of a hidden atom's one definition, or None."""
-        body = self._single_def(aid)
-        return None if body is None else self.fold(aid, body)
+        if aid not in self._hidden_folds:
+            body = self._single_def(aid)
+            self._hidden_folds[aid] = body and self.fold(aid, body)
+        return self._hidden_folds[aid]
 
     def fold(self, aid: int, body) -> tuple | None:
         """``(spec, consumed atoms)`` for atom ``aid`` defined by ``body``.
@@ -449,9 +457,11 @@ class _ChoiceFolder:
                 low = self.fold(lits[0], lo)
                 if low is not None:
                     spec, consumed = low
-                    upper = math.ceil(hi.lower / lo.elements[0][1]) - 1
-                    folded = (ChoiceAtomSpec(spec.lower, upper, spec.elements),
-                              (aid, *consumed))
+                    # lo's elements share one weight; none reads as 1.
+                    weight = max((w for _, w in lo.elements), default=1)
+                    upper = math.ceil(hi.lower / weight) - 1
+                    folded = (ChoiceAtomSpec(spec.lower, upper, spec.elements,
+                                             spec.hidden), (aid, *consumed))
         self._folds[key] = folded
         return folded
 
@@ -469,8 +479,9 @@ class _ChoiceFolder:
                        consumed=()) -> tuple | None:
         """The lower-bound fold of a weight body, which consumes
         ``consumed`` and the hidden tuple atoms of its elements; None if it
-        does not fold, with a warning about the weight body ``subject``."""
-        weights = {w for _, w in body.elements}
+        does not fold, with a warning about the weight body ``subject``.
+        A body with no element holds iff 0 >= lower: it reads as weight 1."""
+        weights = {w for _, w in body.elements} or {1}
         if len(weights) != 1:
             return self._opaque(subject, f"mixes weights {sorted(weights)}")
         weight = weights.pop()
@@ -490,8 +501,9 @@ class _ChoiceFolder:
             elements.append(memo[lit])
             if lit not in self.named:
                 consumed.append(lit)
+        hidden = any(abs(l) not in self.named for e in elements for l in e)
         spec = ChoiceAtomSpec(math.ceil(body.lower / weight), None,
-                              tuple(elements))
+                              tuple(elements), hidden)
         return spec, tuple(consumed)
 
     def _opaque(self, subject: str, why: str) -> None:
@@ -519,13 +531,29 @@ class _ChoiceFolder:
 
 
 def _build_rules(gp: GroundProgram) -> None:
-    """Build the rules in statement order, folding choice machinery, then
-    keep and index each rule that is not a consumed definition, or whose
-    head a kept rule reads."""
+    """Build the rules in statement order, folding choice machinery, and
+    file each kept rule as it is built: in the index, with the literals
+    NANT walks from (NANT: the named atoms negated in a kept rule's body,
+    directly or through auxiliary definitions), and a constraint whose
+    literals are all named with its resolved body.  A rule whose head a
+    fold may consume (a hidden atom with one definition, in no choice
+    head) waits: it is kept if its head is not consumed, or if a kept rule
+    that is not consumed reads it."""
     named = gp.named
     folder = _ChoiceFolder(gp)
-    rules: list[GroundRule] = []
+    rules: list[GroundRule | None] = [None] * len(gp.aspif.rules)
     consumed: set[int] = set()
+    waiting: dict[int, tuple] = {}  # head -> the arguments of keep
+    # The hidden and negative named literals of the kept rules' bodies and
+    # opaque weight bodies: the stack of the NANT walk.
+    walk: list[int] = []
+
+    def keep(idx: int, rule: GroundRule | None, reads) -> None:
+        rules[idx] = rule = rule or _pair_rule(gp, folder, idx)
+        for head in rule.heads or (None,):  # None: a constraint
+            gp.index.setdefault(head, []).append(rule)
+        walk.extend(rule.raw_weight.literals if rule.raw_weight else reads)
+
     for idx, stmt in enumerate(gp.aspif.rules):
         head_type, head, body = stmt
         if head_type == HEAD_DISJUNCTIVE and len(head) > 1:
@@ -533,6 +561,8 @@ def _build_rules(gp: GroundProgram) -> None:
                 f"statement {idx}: disjunctive heads are not supported")
         kind = CHOICE if head_type == HEAD_CHOICE else (
             CONSTRAINT if not head else NORMAL)
+        waits = kind == NORMAL and head[0] not in named \
+            and folder._single_def(head[0]) is not None
         if isinstance(body, WeightBody):
             # The weight body of a named atom or of a constraint becomes a
             # lower-bound-only choice occurrence; aux heads of the same
@@ -543,72 +573,69 @@ def _build_rules(gp: GroundProgram) -> None:
             elif kind == CONSTRAINT:
                 folded = folder._read_elements(
                     body, f"of the constraint from statement {idx}")
-            if folded is not None:
-                rules.append(GroundRule(kind, head, (folded[0],), (), idx))
-                consumed.update(folded[1])
+            if folded is None:
+                rule = GroundRule(kind, head, (), (), idx, body, True)
             else:
-                rules.append(GroundRule(kind, head, statement_index=idx,
-                                        raw_weight=body))
-            continue
-        pos: list = []
-        neg: list = []
-        for lit in body.literals:
-            term = aid = abs(lit)
-            folded = None if aid in named else folder.fold_hidden(aid)
-            if folded is not None:
-                term = folded[0]
+                rule = GroundRule(kind, head, (folded[0],), (), idx, None,
+                                  folded[0].hidden)
                 consumed.update(folded[1])
-            (pos if lit > 0 else neg).append(term)
-        rules.append(GroundRule(kind, head, tuple(pos), tuple(neg), idx))
-    # A consumed atom has one defining rule, so a rule is consumed iff
-    # its head is.
-    read: set[int] = set()
-    for rule in rules:
-        if consumed.isdisjoint(rule.heads):
-            read.update(term for term in rule.pos_body + rule.neg_body
-                        if isinstance(term, int))
-            if rule.raw_weight is not None:
-                read.update(abs(l) for l in rule.raw_weight.literals)
-    for rule in rules:
-        if consumed.isdisjoint(rule.heads) or not read.isdisjoint(rule.heads):
-            gp.rules.append(rule)
-            for head in (None,) if rule.kind == CONSTRAINT else rule.heads:
-                gp.index.setdefault(head, []).append(rule)
-
-
-def _compute_nant(gp: GroundProgram) -> set[int]:
-    """Named atoms that occur negated in a rule body, directly or through
-    auxiliary definitions.  The walk keeps an explicit stack, so a deep
-    auxiliary chain costs no recursion."""
-    named = gp.named
-    nant: set[int] = set()
-    visited: set[tuple[int, bool]] = set()
-    stack: list[tuple[int, bool]] = []
-    for rule in gp.rules:
-        if rule.raw_weight is not None:
-            stack.extend((lit, False) for lit in rule.raw_weight.literals)
-            continue
-        # A named atom is in NANT when it occurs under "not"; only the
-        # auxiliary atoms need the walk.
-        stack.extend((term, False) for term in rule.pos_body
-                     if isinstance(term, int) and term not in named)
-        for term in rule.neg_body:
-            if isinstance(term, int):
-                if term in named:
-                    nant.add(term)
+            reads = ()
+        elif waits and len(lits := body.literals) == 2 and lits[0] > 0 \
+                and lits[1] < 0 and (pair := folder.fold(head[0], body)):
+            # ok :- lo, not hi: hi's fold, over lo's elements, consumes hi
+            # and lo's tuple atoms; the rule is built if it is kept.
+            consumed.update(pair[1][1:], (-lits[1],))
+            rule, reads = None, ()
+        else:
+            pos, neg, reads = [], [], []
+            can_raise, all_named = False, True
+            for lit in body.literals:
+                term = aid = abs(lit)
+                if aid in named:
+                    if lit < 0:
+                        reads.append(lit)
+                elif (folded := folder.fold_hidden(aid)) is None:
+                    reads.append(lit)
+                    can_raise, all_named = True, False
                 else:
-                    stack.append((term, True))
-    while stack:
-        lit, negated = stack.pop()
-        aid = abs(lit)
-        here = negated != (lit < 0)
-        if aid in named:
-            if here:
-                nant.add(aid)
-            continue
-        if (lit, negated) in visited:
-            continue
-        visited.add((lit, negated))
-        for stmt in gp.aspif.definitions.get(aid, ()):
-            stack.extend((inner, here) for inner in stmt.body.literals)
-    return nant
+                    term, took = folded
+                    consumed.update(took)
+                    can_raise = can_raise or term.hidden
+                    all_named = False
+                (pos if lit > 0 else neg).append(term)
+            rule = GroundRule(kind, head, tuple(pos), tuple(neg), idx, None,
+                              can_raise)
+            if kind == CONSTRAINT and all_named:
+                # A named literal resolves to itself.
+                gp._body_memo[idx] = [frozenset(body.literals)]
+        if waits:
+            waiting[head[0]] = (idx, rule, reads)
+        else:
+            keep(idx, rule, reads)
+    # A consumed atom has one defining rule, which waits.
+    for head in waiting.keys() - consumed:
+        keep(*waiting[head])
+    for head in consumed.intersection(map(abs, walk)):
+        keep(*waiting[head])
+    gp.rules = [rule for rule in rules if rule is not None]
+    nant: set[int] = set()
+    visited: set[int] = set()
+    while walk:
+        lit = walk.pop()
+        if abs(lit) in named:
+            if lit < 0:
+                nant.add(-lit)
+        elif lit not in visited:
+            visited.add(lit)
+            for stmt in gp.aspif.definitions.get(abs(lit), ()):
+                inner = stmt.body.literals
+                walk.extend(inner if lit > 0 else [-l for l in inner])
+    gp.nant = frozenset(nant)
+
+
+def _pair_rule(gp: GroundProgram, folder: _ChoiceFolder,
+               idx: int) -> GroundRule:
+    """The rule of a bound pair ``ok :- lo, not hi`` that is kept."""
+    _, head, body = gp.aspif.rules[idx]
+    lo, hi = (folder.fold_hidden(abs(lit))[0] for lit in body.literals)
+    return GroundRule(NORMAL, head, (lo,), (hi,), idx, None, lo.hidden)

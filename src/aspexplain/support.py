@@ -283,29 +283,32 @@ def check_rules(g: GroundProgram, A: frozenset[int]) -> None:
     ReconstructionError that build_er, then constraint_preprocessing,
     would raise, without building a row.
 
-    build_er reads the rules of the named atoms in er_key_order, and each
-    rule's terms in body order; constraint_preprocessing resolves each
-    constraint's body, in order, and evaluates its choice occurrences when
-    it has a resolved body.  An auxiliary atom raises when it is resolved:
-    as a body literal, or, through lit_holds, as a literal of a choice
-    element when the occurrence's elements are evaluated.  Resolution is
-    memoised per program, so the rows built later reuse it.
+    build_er reads the rules of the named atoms in er_key_order (for atoms
+    with rules, the index's key order), and each rule's terms in body
+    order; constraint_preprocessing resolves each constraint's body, in
+    order, and evaluates its choice occurrences when it has a resolved
+    body.  An auxiliary atom raises when it is resolved: as a body
+    literal, or, through lit_holds, as a literal of a choice element.  So
+    only the rules marked ``can_raise`` are read, and in them only hidden
+    literals and hidden occurrences.  Resolution is memoised per program,
+    so the rows built later reuse it.
     """
     named = g.named
-    for aid in er_key_order(g):
-        for rule in g.rules_for_head(aid):
-            rule.check_interpreted()
-            for terms, sign in ((rule.pos_body, 1), (rule.neg_body, -1)):
-                for term in terms:
-                    if isinstance(term, ChoiceAtomSpec):
-                        g.satisfied_elements(term, A)
-                    elif term not in named:
-                        # A named literal resolves to itself.
-                        g.resolve_aux(sign * term)
+    for head, rules in g.index.items():
+        for rule in rules if head in named else ():
+            if rule.can_raise:
+                rule.check_interpreted()
+                for terms, sign in ((rule.pos_body, 1), (rule.neg_body, -1)):
+                    for term in terms:
+                        if isinstance(term, ChoiceAtomSpec):
+                            if term.hidden:
+                                g.satisfied_elements(term, A)
+                        elif term not in named:
+                            g.resolve_aux(sign * term)
     for rule in g.constraints():
-        if g.constraint_bodies(rule):
+        if rule.can_raise and g.constraint_bodies(rule):
             for term in (*rule.pos_body, *rule.neg_body):
-                if isinstance(term, ChoiceAtomSpec):
+                if isinstance(term, ChoiceAtomSpec) and term.hidden:
                     g.satisfied_elements(term, A)
 
 

@@ -1,14 +1,15 @@
 """The choice folding of ``reconstruct`` against the folder it replaced.
 
-``_ChoiceFolder``, ``_build_rules``, ``_drop_consumed`` and
-``_build_index`` below are the earlier reconstruction, kept unchanged as
+``_ChoiceFolder``, ``_build_rules``, ``_drop_consumed``, ``_build_index``
+and ``_compute_nant`` below are the earlier reconstruction, kept unchanged as
 the reference: it kept each fold's consumed statements in per-atom
 clusters and dropped them in a second pass.  The new folder keeps one fold
 per (atom, body) and consumes as it goes.  Both must give the same rules,
 index, warnings, NANT and errors on grounder-shaped programs, except where
 a named atom is defined by two different weight bodies: there the
 reference consumed only the last fold's tuple definitions, and the new
-folder consumes every used fold's.
+folder consumes every used fold's; and except for a weight body with no
+element, which the reference kept opaque and the new folder folds.
 """
 
 from __future__ import annotations
@@ -255,12 +256,62 @@ class _EveryNamedFold(_ChoiceFolder):
         return spec
 
 
+class _IntendedFold(_EveryNamedFold):
+    """The reference with the second intended change too: a weight body
+    with no element folds, as weight 1, where the reference warned that it
+    mixes weights [] and kept it opaque."""
+
+    def _read_elements(self, aid: int, body: WeightBody):
+        if body.elements:
+            return super()._read_elements(aid, body)
+        return 1, (), [] if aid in self.named \
+            else [self.gp.aspif.definitions[aid][0]]
+
+
+def _compute_nant(gp: GroundProgram) -> set[int]:
+    """Named atoms that occur negated in a rule body, directly or through
+    auxiliary definitions.  The walk keeps an explicit stack, so a deep
+    auxiliary chain costs no recursion."""
+    named = gp.named
+    nant: set[int] = set()
+    visited: set[tuple[int, bool]] = set()
+    stack: list[tuple[int, bool]] = []
+    for rule in gp.rules:
+        if rule.raw_weight is not None:
+            stack.extend((lit, False) for lit in rule.raw_weight.literals)
+            continue
+        # A named atom is in NANT when it occurs under "not"; only the
+        # auxiliary atoms need the walk.
+        stack.extend((term, False) for term in rule.pos_body
+                     if isinstance(term, int) and term not in named)
+        for term in rule.neg_body:
+            if isinstance(term, int):
+                if term in named:
+                    nant.add(term)
+                else:
+                    stack.append((term, True))
+    while stack:
+        lit, negated = stack.pop()
+        aid = abs(lit)
+        here = negated != (lit < 0)
+        if aid in named:
+            if here:
+                nant.add(aid)
+            continue
+        if (lit, negated) in visited:
+            continue
+        visited.add((lit, negated))
+        for stmt in gp.aspif.definitions.get(aid, ()):
+            stack.extend((inner, here) for inner in stmt.body.literals)
+    return nant
+
+
 def reference_reconstruct(program, folder=_ChoiceFolder) -> GroundProgram:
     gp = GroundProgram(program)
     ground._read_symbols(gp)
     _build_rules(gp, folder(gp))
     _build_index(gp)
-    gp.nant = frozenset(ground._compute_nant(gp))
+    gp.nant = frozenset(_compute_nant(gp))
     return gp
 
 
@@ -415,6 +466,11 @@ def named_weight_bodies(text: str) -> dict[int, set]:
          "4 1 p 1 1\n4 1 q 1 2\n4 1 h 1 3\n0\n")
 def test_folding_matches_the_reference(text):
     new = outcome(reconstruct, text)
+    assert new == outcome(lambda p: reference_reconstruct(p, _IntendedFold),
+                          text)
+    if any(isinstance(stmt.body, WeightBody) and not stmt.body.elements
+           for stmt in parse_aspif(text).rules):
+        return
     assert new == outcome(lambda p: reference_reconstruct(p, _EveryNamedFold),
                           text)
     if all(len(b) < 2 for b in named_weight_bodies(text).values()):

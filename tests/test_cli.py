@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from aspexplain import cli
+from aspexplain import cli, oracle
 from aspexplain.aspif import parse_aspif
 from aspexplain.constraints import constraint_preprocessing
 from aspexplain.egraph import (
@@ -28,6 +28,7 @@ from aspexplain.ground import reconstruct
 from aspexplain.support import build_er
 
 from test_assumptions import TWO_D_SETS, da_ring
+from test_enumeration import reference_enumerate_answer_sets
 
 DATA = Path(__file__).parent / "data"
 P1 = str(DATA / "p1.aspif")
@@ -367,6 +368,51 @@ class TestHiddenElementCondition:
         lines = self.explain(capsys, tmp_path, HIDDEN_CONDITION_PAIR, "~r")
         assert "~r : [{q, -choice}]" in lines
         assert "~r -> -choice [bullet]" in lines
+
+
+def empty_weight_body(lower: int) -> str:
+    """h :- lower <= {}."""
+    return f"asp 1 0 0\n1 0 1 1 1 {lower} 0\n4 1 h 1 1\n0\n"
+
+
+def empty_bound_pair(lower: int, above: int) -> str:
+    """lo :- lower <= {}.  hi :- above <= {}.  ok :- lo, not hi.  h :- ok."""
+    return (f"asp 1 0 0\n1 0 1 2 1 {lower} 0\n1 0 1 3 1 {above} 0\n"
+            "1 0 1 4 0 2 2 -3\n1 0 1 1 0 1 4\n4 1 h 1 1\n0\n")
+
+
+class TestEmptyWeightBody:
+    """A weight body with no element holds iff 0 reaches its lower bound,
+    whatever the weight: it folds to a choice atom with no element, alone or
+    as a bound pair, where it was kept opaque with a warning that it mixes
+    weights []."""
+
+    @pytest.mark.parametrize("text, rule, answer", [
+        (empty_weight_body(0), "h :- 0<={}.", ["h"]),
+        (empty_weight_body(1), "h :- 1<={}.", []),
+        (empty_bound_pair(0, 1), "h :- 0<={}<=0.", ["h"]),
+        (empty_bound_pair(1, 2), "h :- 1<={}<=1.", []),
+        (empty_bound_pair(-1, 0), "h :- -1<={}<=-1.", []),
+    ])
+    def test_folds_and_explains(self, capsys, tmp_path, text, rule, answer):
+        path = write(tmp_path, "p.aspif", text)
+        code, out, err = run(capsys, "parse", path)
+        assert (code, out, err) == (0, f"{rule}\n% symbol: h = 1\n", "")
+        g = reconstruct(parse_aspif(text))
+        assert [sorted(m) for m in oracle.enumerate_answer_sets(g)] == \
+            [sorted(m) for m in reference_enumerate_answer_sets(g)] == [answer]
+        code, out, err = run(capsys, "answersets", path)
+        assert (code, out, err) == (0, " ".join(answer) + "\n", "")
+        A = g.answer_from_names(answer)
+        table = merge_supports(build_er(g, A), constraint_preprocessing(g, A))
+        root = "h" if answer else "~h"
+        code, out, err = run(capsys, "explain", path, "--answer",
+                             " ".join(answer), "--root", root,
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        graph = build_egraph(table, frozenset(), cli.parse_root(root))[0]
+        assert validate_egraph(graph, table, frozenset())
+        assert out == to_json(graph)
 
 
 class TestExplainExitCodes:
