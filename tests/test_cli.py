@@ -508,6 +508,26 @@ class TestExplainExitCodes:
                              "--root", "c")
         assert code == 3
 
+    @pytest.mark.parametrize("rule", [
+        # {} :- a.
+        "1 1 0 0 1 1",
+        # {} :- 1 <= {a=1, b=2}: an opaque weight body, which no check
+        # reads.
+        "1 1 0 1 1 2 1 1 2 2",
+    ])
+    def test_choice_rule_with_empty_head_is_no_constraint(
+            self, capsys, tmp_path, rule):
+        # {a}.  A choice rule with no head atom derives nothing, and {a}
+        # is an answer set.
+        text = "asp 1 0 0\n1 1 1 1 0 0\n" + rule + "\n" + named("a", "b") \
+            + "0\n"
+        path = write(tmp_path, "p.aspif", text)
+        assert reconstruct(parse_aspif(text)).constraints() == []
+        for argv in (["explain", path, "--root", "a"],
+                     ["assumptions", path]):
+            code, out, err = run(capsys, *argv, "--answer", "a")
+            assert (code, err) == (0, "")
+
     def test_unchecked_unsupported_atom_exits_3(self, capsys, tmp_path):
         # a.  b :- c.  The answer {a, b} is not checked, and b, which the
         # root does not reach, has no support.
